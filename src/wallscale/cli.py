@@ -20,7 +20,7 @@ from pathlib import Path
 from . import reference, report, scaling, synthetic
 from .errors import (BracketError, DomainError, FitError, ParseError,
                      PipelineError, ValidationError, WallscaleError)
-from .profiles import save_profile
+from .profiles import atomic_write_text, save_profile
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -130,7 +130,7 @@ def _cmd_envelope(args) -> int:
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "envelope.dat").write_text(table, encoding="utf-8")
+        atomic_write_text(out_dir / "envelope.dat", table)
     else:
         print(table, end="")
     print(f"effective log law: kappa={line.kappa:.4f} "

@@ -3,7 +3,11 @@
 All fits are unweighted ordinary least squares of ln phi against ln eta;
 a power law phi = K * eta**p is a straight line there.  The two-segment
 fit identifies the inner region (I) and the outer region (II) of a
-velocity profile by exhaustive search over split positions.
+velocity profile by the split position with the least total residual sum
+of squares.  Every split is scored in O(n) from cumulative sums of the
+centred coordinates; only the splits within a rounding margin of the best
+score are refitted exactly, so the result equals that of an exhaustive
+search that refits both segments at every split.
 """
 
 from __future__ import annotations
@@ -94,14 +98,42 @@ def fit_power_law(points: Sequence[WallUnits]) -> PowerLawSegment:
     )
 
 
-def fit_broken_line(points: Sequence[WallUnits], min_seg: int = 3) -> BrokenLineFit:
-    """Two-segment broken-line fit with exhaustive split search.
+def _segment_rss(m, sx, sy, sxx, sxy, syy):
+    """RSS of the OLS line through m points from their raw moment sums."""
+    cxx = sxx - sx * sx / m
+    cxy = sxy - sx * sy / m
+    cyy = syy - sy * sy / m
+    return cyy - cxy * cxy / cxx
 
-    Every split index k in [min_seg, n - min_seg] is tried; both parts are
-    fitted independently (no continuity constraint) and the split with the
-    smallest total residual sum of squares wins.  Ties are broken toward
-    the split whose boundary is nearest the middle of the ln eta span, so
-    the result is deterministic regardless of evaluation order.
+
+def _flat_runs(x: np.ndarray) -> np.ndarray:
+    """flat[i] is True when x[:i + 1] are all equal."""
+    return np.maximum.accumulate(x) == np.minimum.accumulate(x)
+
+
+def fit_broken_line(points: Sequence[WallUnits], min_seg: int = 3) -> BrokenLineFit:
+    """Two-segment broken-line fit by least total residual sum of squares.
+
+    Every split index k in [min_seg, n - min_seg] is admissible; both parts
+    are fitted independently (no continuity constraint) and the split with
+    the smallest total RSS wins.  Ties are broken toward the split whose
+    boundary is nearest the middle of the ln eta span, so the result is
+    deterministic regardless of evaluation order.
+
+    All splits are scored in one O(n) pass: ln eta and ln phi are centred
+    once (x, y), and cumulative sums of x, y, x**2, x*y and y**2 with a
+    leading zero give each segment's RSS as S_yy - S_xy**2 / S_xx from
+    differences of those sums.  The differences cancel badly when the true
+    RSS is near zero (noiseless or single-region data), and there the
+    exact RSS is itself rounding noise that decides the winner.  So every
+    split whose approximate total lies within a margin of the smallest,
+    1e-9 * sum(y**2) + 1e-12 * |smallest| plus n * (1e-12 * s)**2 with s
+    bounding the magnitude of _ols's intermediate values, is re-scored
+    exactly with ``fit_power_law`` in order of k, as is every split with
+    a segment of equal ln eta values.  The winner therefore comes from the
+    same arithmetic as an exhaustive search and every field matches it;
+    noisy profiles re-score one to a few splits, a noiseless single power
+    law re-scores them all.
 
     ``break_ln_eta`` is the intersection of the two fitted lines when it
     falls inside the data span, else the midpoint of ln eta between the
@@ -114,11 +146,35 @@ def fit_broken_line(points: Sequence[WallUnits], min_seg: int = 3) -> BrokenLine
         raise FitError(
             f"broken-line fit needs at least {2 * min_seg} points, got {n}")
 
-    ln_eta, _ = _as_log_arrays(points)
+    ln_eta, ln_phi = _as_log_arrays(points)
     mid = 0.5 * (ln_eta[0] + ln_eta[-1])
 
+    x = ln_eta - ln_eta.mean()
+    y = ln_phi - ln_phi.mean()
+    sums = np.zeros((5, n + 1))
+    np.cumsum(np.stack([x, y, x * x, x * y, y * y]), axis=1, out=sums[:, 1:])
+    ks = np.arange(min_seg, n - min_seg + 1)
+    head = sums[:, ks]
+    tail = sums[:, n:] - head
+    with np.errstate(divide="ignore", invalid="ignore"):
+        approx = _segment_rss(ks, *head) + _segment_rss(n - ks, *tail)
+        steepest = np.fmax.reduce(np.abs(np.diff(ln_phi) / np.diff(ln_eta)),
+                                  initial=0.0)
+    # A segment whose ln eta values are all equal makes _ols raise; keep
+    # those splits in the exact pass so the FitError surfaces as before.
+    exact = (_flat_runs(x)[ks - 1] | _flat_runs(x[::-1])[::-1][ks]
+             | ~np.isfinite(approx))
+    best_approx = np.min(approx[~exact], initial=np.inf)
+    # Rounding floor of the exact RSS: _ols's residuals carry errors of
+    # about eps * (|ln phi| + |slope * ln eta|), and no segment's slope
+    # exceeds the steepest step between neighbouring samples.
+    scale = np.max(np.abs(ln_phi)) + 2.0 * steepest * np.max(np.abs(ln_eta))
+    margin = (1e-9 * sums[4, n] + 1e-12 * abs(best_approx)
+              + n * (1e-12 * scale) ** 2)
+    candidates = ks[exact | (approx <= best_approx + margin)]
+
     best = None  # (total_rss, dist_to_mid, k, seg1, seg2)
-    for k in range(min_seg, n - min_seg + 1):
+    for k in candidates.tolist():
         seg1 = fit_power_law(points[:k])
         seg2 = fit_power_law(points[k:])
         total = seg1.rss + seg2.rss

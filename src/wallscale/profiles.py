@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -156,19 +157,18 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
-    if format == "raw":
-        if metadata.u_star is None or metadata.nu is None:
-            raise ValidationError(
-                f"{path}: raw format requires u_star and nu metadata")
-        samples = [normalize_raw(y, u, metadata.u_star, metadata.nu)
-                   for y, u in rows]
-    else:
-        samples = []
-        for eta, phi in rows:
-            try:
-                samples.append(WallUnits(eta=eta, phi=phi))
-            except DomainError as exc:
-                raise ValidationError(f"{path}: {exc}") from exc
+    if format == "raw" and (metadata.u_star is None or metadata.nu is None):
+        raise ValidationError(
+            f"{path}: raw format requires u_star and nu metadata")
+    samples = []
+    for a, b in rows:
+        try:
+            if format == "raw":
+                samples.append(normalize_raw(a, b, metadata.u_star, metadata.nu))
+            else:
+                samples.append(WallUnits(eta=a, phi=b))
+        except DomainError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     for a, b in zip(samples, samples[1:]):
         if a.eta == b.eta:
@@ -198,9 +198,26 @@ def save_profile(profile: VelocityProfile, path) -> None:
             lines.append(f"{_FIELD_TO_KEY[field]}={float(value)!r}")
     for s in profile.samples:
         lines.append(f"{float(s.eta)!r} {float(s.phi)!r}")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write UTF-8 text to ``path`` through a temp file and a rename.
+
+    The temp file gets a fresh random name in the target directory and is
+    created exclusively, so no existing file is overwritten except ``path``
+    itself; it is removed if the write or the rename fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def select_intermediate(profile: VelocityProfile,

@@ -14,7 +14,7 @@ key=value text that round-trips exactly.
 from __future__ import annotations
 
 import math
-import os
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -28,6 +28,10 @@ ALPHA_SOURCE_MEAN = "mean"
 ALPHA_SOURCE_LNRE1 = "lnRe1"
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class AnalyzeOptions:
     lg_eta_min: float = 1.5
@@ -38,6 +42,18 @@ class AnalyzeOptions:
     alpha_source: str = ALPHA_SOURCE_MEAN
 
     def __post_init__(self):
+        if (not isinstance(self.min_seg, int) or isinstance(self.min_seg, bool)
+                or self.min_seg < 3):
+            raise ValidationError(
+                f"min_seg must be an integer >= 3, got {self.min_seg!r}")
+        if not _is_finite(self.lg_eta_min):
+            raise ValidationError(
+                f"lg_eta_min must be finite, got {self.lg_eta_min!r}")
+        for name in ("phi_plateau_tol", "consistency_tol", "shift_tol"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and value >= 0):
+                raise ValidationError(
+                    f"{name} must be finite and >= 0, got {value!r}")
         if self.alpha_source not in (ALPHA_SOURCE_MEAN, ALPHA_SOURCE_LNRE1):
             raise ValidationError(
                 f"alpha_source must be '{ALPHA_SOURCE_MEAN}' or "
@@ -214,6 +230,14 @@ def report_to_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_number(kind, key: str, raw: str, lineno: int):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ParseError(f"cannot parse {key} value {raw!r}",
+                         line=lineno) from None
+
+
 def report_from_text(text: str) -> AnalysisReport:
     """Inverse of report_to_text."""
     values: dict = {}
@@ -233,11 +257,11 @@ def report_from_text(text: str) -> AnalysisReport:
         elif key == "consistent":
             values[key] = raw == "true"
         elif key in ("split_index", "min_seg"):
-            values[key] = int(raw)
+            values[key] = _parse_number(int, key, raw, lineno)
         elif raw == "none":
             values[key] = None
         else:
-            values[key] = float(raw)
+            values[key] = _parse_number(float, key, raw, lineno)
     missing = [name for name in _REPORT_FIELD_TYPES if name not in values]
     if missing:
         raise ParseError(f"missing report fields {missing}")
@@ -286,12 +310,6 @@ def format_table(reports) -> str:
 
 # --- plot data -------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
                   envelope_ln_eta_range=(5.0, 10.0),
                   envelope_points: int = 50) -> list[Path]:
@@ -319,14 +337,14 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
     for row in zip(ln_eta, ln_phi, fit1, fit2):
         lines.append(" ".join(repr(float(v)) for v in row))
     path = out_dir / f"{stem}_loglog.dat"
-    _atomic_write(path, "\n".join(lines) + "\n")
+    profiles.atomic_write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
     lines = ["ln_eta psi bisectrix"]
     for x, psi in bundle.series.points:
         lines.append(f"{x!r} {psi!r} {x!r}")
     path = out_dir / f"{stem}_universal.dat"
-    _atomic_write(path, "\n".join(lines) + "\n")
+    profiles.atomic_write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
     lines = ["x phi"]
@@ -335,15 +353,16 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
                                            bundle.report.ln_re)
         lines.append(f"{x!r} {sample.phi!r}")
     path = out_dir / f"{stem}_shift.dat"
-    _atomic_write(path, "\n".join(lines) + "\n")
+    profiles.atomic_write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
     path = out_dir / "envelope.dat"
-    _atomic_write(path, envelope_table(envelope_ln_eta_range, envelope_points))
+    profiles.atomic_write_text(
+        path, envelope_table(envelope_ln_eta_range, envelope_points))
     written.append(path)
 
     path = out_dir / f"{stem}_report.txt"
-    _atomic_write(path, report_to_text(bundle.report))
+    profiles.atomic_write_text(path, report_to_text(bundle.report))
     written.append(path)
     return written
 

@@ -3,6 +3,7 @@ import pytest
 from wallscale import AnalyzeOptions, SynthSpec, generate, save_profile
 from wallscale.cli import (EXIT_FIT, EXIT_OK, EXIT_PARSE, EXIT_PARTIAL,
                            EXIT_VALIDATION, main)
+from wallscale.report import envelope_table
 
 
 def write_profile(path, **overrides):
@@ -52,6 +53,24 @@ class TestAnalyze:
         path = tmp_path / "bad.dat"
         path.write_text("40 9.8\n30 9.0\n160 12.1\n320 13.4\n")
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("row", ["-0.001 0.5", "0.001 nan", "0 0.5"])
+    def test_raw_domain_error_is_validation(self, tmp_path, capsys, row):
+        path = tmp_path / "raw.dat"
+        path.write_text("u_star=0.05\nnu=1.5e-5\n0.0005 0.4\n" + row + "\n")
+        code = main(["analyze", str(path), "--format", "raw"])
+        assert code == EXIT_VALIDATION
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-seg", "1"), ("--lg-eta-min", "nan"), ("--plateau-tol", "-1"),
+        ("--consistency-tol", "inf"), ("--shift-tol", "nan"),
+    ])
+    def test_bad_option_exit_code(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "case.dat"
+        write_profile(path)
+        for verb, target in (("analyze", path), ("batch", tmp_path)):
+            assert main([verb, str(target), flag, value]) == EXIT_VALIDATION
 
     def test_fit_error_exit_code(self, tmp_path, capsys):
         # too few intermediate points for the two-segment fit
@@ -118,6 +137,18 @@ class TestEnvelope:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         assert (tmp_path / "envelope.dat").is_file()
+
+    def test_out_dir_write_is_atomic(self, tmp_path, capsys):
+        # a file with the old fixed temp name is neither used nor removed
+        stray = tmp_path / "envelope.dat.tmp"
+        stray.write_text("keep me\n")
+        assert main(["envelope", "--n-points", "12",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert stray.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "envelope.dat", "envelope.dat.tmp"]
+        assert ((tmp_path / "envelope.dat").read_text()
+                == envelope_table((5.0, 10.0), 12))
 
 
 class TestOracle:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from wallscale import (DomainError, ParseError, ProfileMetadata,
                        ValidationError, VelocityProfile, WallUnits,
                        denormalize, load_profile, normalize_raw, save_profile,
                        select_intermediate)
+from wallscale.profiles import atomic_write_text
 
 
 def make_profile(eta, phi, **meta):
@@ -151,6 +153,40 @@ class TestSaveProfile:
         save_profile(profile, a)
         save_profile(profile, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAtomicWrite:
+    def test_same_bytes_and_mode_as_plain_write(self, tmp_path):
+        text = "ln_eta phi\n1.0 2.0\n\u03b7\n"
+        plain, atomic = tmp_path / "plain.dat", tmp_path / "atomic.dat"
+        plain.write_text(text, encoding="utf-8")
+        atomic_write_text(atomic, "old contents\n")
+        atomic_write_text(atomic, text)
+        assert atomic.read_bytes() == plain.read_bytes()
+        assert atomic.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "atomic.dat", "plain.dat"]
+
+    def test_existing_tmp_file_survives(self, tmp_path):
+        stray = tmp_path / "out.dat.tmp"
+        stray.write_text("keep me\n")
+        save_profile(power_profile(), tmp_path / "out.dat")
+        assert stray.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.dat", "out.dat.tmp"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.dat"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
 
 
 class TestSelectIntermediate:

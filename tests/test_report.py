@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wallscale import (AnalyzeOptions, COLLAPSED, PipelineError, SHIFTED_BELOW,
-                       SynthSpec, ValidationError, analyze, analyze_profile,
-                       batch, emit_plotdata, generate, save_profile)
+from wallscale import (AnalyzeOptions, COLLAPSED, ParseError, PipelineError,
+                       SHIFTED_BELOW, SynthSpec, ValidationError, analyze,
+                       analyze_profile, batch, emit_plotdata, generate,
+                       save_profile)
 from wallscale.report import (envelope_table, format_table, report_from_text,
                               report_to_text)
 
@@ -58,6 +59,17 @@ class TestAnalyzeProfile:
     def test_bad_alpha_source(self):
         with pytest.raises(ValidationError):
             AnalyzeOptions(alpha_source="median")
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_seg", 2), ("min_seg", 3.0), ("min_seg", True),
+        ("lg_eta_min", math.nan), ("lg_eta_min", -math.inf),
+        ("phi_plateau_tol", -0.001), ("phi_plateau_tol", math.nan),
+        ("consistency_tol", math.inf), ("consistency_tol", "0.03"),
+        ("shift_tol", math.nan), ("shift_tol", -0.1),
+    ])
+    def test_bad_option_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            AnalyzeOptions(**{field: value})
 
     def test_pipeline_error_names_stage(self):
         # sublayer cutoff removes everything: failure in select_intermediate
@@ -118,6 +130,17 @@ class TestReportSerialization:
         r = analyze_profile(generate(spec), OPTIONS).report
         assert r.beta is None and r.re_theta is None
         assert report_from_text(report_to_text(r)) == r
+
+    @pytest.mark.parametrize("line", ["split_index=abc", "min_seg=none",
+                                      "alpha=fast"])
+    def test_bad_number_is_parse_error(self, line):
+        r = analyze_profile(generate(clean_spec()), OPTIONS).report
+        text = report_to_text(r).replace(f"{line.split('=')[0]}=",
+                                         "dropped=", 1)
+        lines = [ln for ln in text.splitlines() if not ln.startswith("dropped=")]
+        with pytest.raises(ParseError) as err:
+            report_from_text("\n".join(lines + [line]) + "\n")
+        assert err.value.line == len(lines) + 1
 
     def test_table_formatting(self):
         r = analyze_profile(generate(clean_spec()), OPTIONS).report
