@@ -7,8 +7,8 @@ from .diagnostics import (COLLAPSED, SHIFTED_ABOVE, SHIFTED_BELOW,
                           combine_reynolds, ln_re1_from_prefactor,
                           ln_re2_from_exponent, psi_transform,
                           turbulence_shift_x)
-from .errors import (BracketError, DomainError, FitError, ParseError,
-                     PipelineError, ValidationError, WallscaleError)
+from .errors import (DomainError, FitError, ParseError, PipelineError,
+                     ValidationError, WallscaleError)
 from .fitting import (BrokenLineFit, PowerLawSegment, fit_broken_line,
                       fit_power_law, significant_break)
 from .profiles import (ProfileMetadata, VelocityProfile, denormalize,

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import reference, report, scaling, synthetic
-from .errors import (BracketError, DomainError, FitError, ParseError,
-                     PipelineError, ValidationError, WallscaleError)
+from .errors import (ParseError, PipelineError, ValidationError,
+                     WallscaleError)
 from .profiles import atomic_write_text, save_profile
 
 EXIT_OK = 0
@@ -37,8 +37,6 @@ def _exit_code_for(exc: WallscaleError) -> int:
         return EXIT_PARSE
     if isinstance(exc, ValidationError):
         return EXIT_VALIDATION
-    if isinstance(exc, (FitError, DomainError, BracketError)):
-        return EXIT_FIT
     return EXIT_FIT
 
 
@@ -86,7 +84,7 @@ def _cmd_analyze(args) -> int:
     print(report.format_table([bundle.report]), end="")
     if args.out_dir is not None:
         report.emit_plotdata(bundle, args.out_dir,
-                             stem=Path(args.file).stem)
+                             stem=bundle.source.stem)
     return EXIT_OK
 
 
@@ -102,7 +100,8 @@ def _cmd_batch(args) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
     if args.out_dir is not None:
         for bundle in bundles:
-            report.emit_plotdata(bundle, args.out_dir)
+            report.emit_plotdata(bundle, args.out_dir,
+                                 stem=bundle.source.stem)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -9,10 +9,6 @@ class DomainError(WallscaleError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class BracketError(WallscaleError):
-    """A bracketed minimization found its minimum on a bracket endpoint."""
-
-
 class ParseError(WallscaleError):
     """A data file could not be parsed; carries the offending line number."""
 

@@ -88,8 +88,15 @@ def fit_power_law(points: Sequence[WallUnits]) -> PowerLawSegment:
     ln_eta, ln_phi = _as_log_arrays(points)
     slope, intercept, rss, sxx = _ols(ln_eta, ln_phi)
     stderr = math.sqrt(max(rss, 0.0) / (n - 2) / sxx)
+    try:
+        prefactor = math.exp(intercept)
+    except OverflowError:
+        prefactor = math.inf
+    if not 0.0 < prefactor < math.inf:
+        raise FitError(f"fitted prefactor exp({intercept!r}) is outside the "
+                       "float range")
     return PowerLawSegment(
-        prefactor=math.exp(intercept),
+        prefactor=prefactor,
         exponent=slope,
         eta_range=(points[0].eta, points[-1].eta),
         n_points=n,

@@ -122,7 +122,7 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     ascending in eta; duplicate or decreasing eta values are rejected.
     """
     if format not in ("wall_units", "raw"):
-        raise ValueError(f"unknown format {format!r}")
+        raise ValidationError(f"unknown format {format!r}")
     path = Path(path)
     meta_kwargs: dict = {}
     rows: list[tuple[float, float]] = []

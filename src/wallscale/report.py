@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,7 @@ class AnalysisBundle:
     profile: profiles.VelocityProfile   # after select_intermediate
     fit: fitting.BrokenLineFit
     series: diagnostics.UniversalSeries
+    source: Path | None = None          # input file, when loaded by analyze
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -167,21 +168,15 @@ def analyze_profile(profile: profiles.VelocityProfile,
 def analyze(profile_path, options: AnalyzeOptions = AnalyzeOptions(),
             format: str = "wall_units") -> AnalysisBundle:
     """Load a profile file and run the pipeline; pure in (file bytes, options)."""
+    profile_path = Path(profile_path)
     profile = _stage("load_profile", profiles.load_profile,
                      profile_path, format)
     bundle = analyze_profile(profile, options)
-    if not bundle.report.label:
+    report = bundle.report
+    if not report.label:
         # Fall back to the file name so batch summaries stay identifiable.
-        report = _replace_label(bundle.report, Path(profile_path).stem)
-        bundle = AnalysisBundle(report=report, profile=bundle.profile,
-                                fit=bundle.fit, series=bundle.series)
-    return bundle
-
-
-def _replace_label(report: AnalysisReport, label: str) -> AnalysisReport:
-    values = {f.name: getattr(report, f.name) for f in fields(report)}
-    values["label"] = label
-    return AnalysisReport(**values)
+        report = replace(report, label=profile_path.stem)
+    return replace(bundle, report=report, source=profile_path)
 
 
 def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
@@ -190,7 +185,10 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
 
     Returns (bundles sorted by label, failures) where failures is a list
     of (path, exception).  Individual failures do not abort the batch.
-    Raises ValidationError if the directory holds no files at all.
+    Output files are named by each input's stem, so a file whose stem an
+    earlier file (in name order) already has is a ValidationError failure
+    and is not analyzed.  Raises ValidationError if the directory holds no
+    files at all.
     """
     dir_path = Path(dir_path)
     paths = sorted(p for p in dir_path.iterdir()
@@ -199,7 +197,13 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
         raise ValidationError(f"{dir_path}: no profile files found")
     bundles = []
     failures = []
+    first_with_stem = {}
     for path in paths:
+        first = first_with_stem.setdefault(path.stem, path)
+        if first is not path:
+            failures.append((path, ValidationError(
+                f"output stem {path.stem!r} is already used by {first.name}")))
+            continue
         try:
             bundles.append(analyze(path, options, format))
         except WallscaleError as exc:
@@ -255,6 +259,9 @@ def report_from_text(text: str) -> AnalysisReport:
         if key in ("label", "shift_class", "alpha_source"):
             values[key] = raw
         elif key == "consistent":
+            if raw not in ("true", "false"):
+                raise ParseError(f"cannot parse {key} value {raw!r}",
+                                 line=lineno)
             values[key] = raw == "true"
         elif key in ("split_index", "min_seg"):
             values[key] = _parse_number(int, key, raw, lineno)

@@ -7,9 +7,11 @@ a Reynolds-number-dependent power law
 
 in wall units (eta = u_* y / nu, phi = u / u_*).  This module houses that
 law, the classical logarithmic law it is often mistaken for, and the
-numerically computed lower envelope of the one-parameter family of scaling
-curves.  Natural logarithms are used everywhere internally; base-10 appears
-only at presentation time.
+lower envelope of the one-parameter family of scaling curves.  With
+L = ln Re and x = ln eta, the envelope touches the family member whose L
+solves dphi/dL = 0, i.e. L**2 - 1.5 x L - (15 sqrt(3)/4) x = 0, so it is
+known in closed form.  Natural logarithms are used everywhere internally;
+base-10 appears only at presentation time.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .errors import BracketError, DomainError
+from .errors import DomainError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,13 +29,6 @@ SQRT3 = math.sqrt(3.0)
 SCALING_C = 1.5
 SCALING_C0 = 1.0 / SQRT3
 SCALING_C1 = 2.5
-
-# Default search bracket for the envelope touch point, in ln Re.  Covers
-# Re from about 55 to 1e26, far beyond any measured flow.
-DEFAULT_ENVELOPE_BRACKET = (4.0, 60.0)
-
-_ENVELOPE_SCAN_POINTS = 256
-_ENVELOPE_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,50 +133,26 @@ def log_law_phi(eta, params: LogLawParams):
     return float(out) if np.isscalar(eta) else out
 
 
-def envelope_at(ln_eta: float,
-                ln_re_bracket=DEFAULT_ENVELOPE_BRACKET) -> EnvelopePoint:
+def envelope_at(ln_eta: float) -> EnvelopePoint:
     """Lower envelope of the scaling-law family at fixed ln eta.
 
-    For fixed eta the family member value grows without bound both as
-    ln Re -> 0+ and as ln Re -> infinity, so the envelope is the pointwise
-    minimum over ln Re.  The minimizer is located by a coarse scan followed
-    by golden-section refinement to relative tolerance 1e-8.
+    For fixed x = ln eta the family member value
+    phi(L) = (L/sqrt(3) + 5/2) * exp(1.5 x / L), L = ln Re, grows without
+    bound both as L -> 0+ and as L -> infinity, so the envelope is the
+    pointwise minimum over L.  Setting dphi/dL = 0 gives
+    L**2 - 1.5 x L - (15 sqrt(3)/4) x = 0, whose positive root
 
-    Raises
-    ------
-    BracketError
-        If the coarse minimum sits on a bracket endpoint, which signals
-        that the bracket excludes the touch point.
+        L* = (1.5 x + sqrt(2.25 x**2 + 15 sqrt(3) x)) / 2
+
+    is the touch point.  Both terms are positive for x > 0, so the sum
+    cannot cancel.
     """
-    if not ln_eta > 0:
-        raise DomainError(f"ln_eta must be positive, got {ln_eta!r}")
-    lo, hi = float(ln_re_bracket[0]), float(ln_re_bracket[1])
-    if not (0 < lo < hi):
-        raise DomainError(f"invalid ln_re bracket {ln_re_bracket!r}")
-
-    eta = math.exp(ln_eta)
-
-    def objective(ln_re):
-        return (ln_re / SQRT3 + 2.5) * math.exp(1.5 * ln_eta / ln_re)
-
-    grid = np.linspace(lo, hi, _ENVELOPE_SCAN_POINTS)
-    values = scaling_law_phi(eta, grid)
-    i = int(np.argmin(values))
-    if i == 0 or i == len(grid) - 1:
-        raise BracketError(
-            f"envelope minimum at bracket endpoint ln_re={grid[i]:.6g}; "
-            "the bracket excludes the touch point")
-
-    result = optimize.minimize_scalar(
-        objective,
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": _ENVELOPE_REL_TOL},
-    )
-    ln_re_touch = float(result.x)
-    return EnvelopePoint(ln_eta=float(ln_eta),
-                         phi_env=objective(ln_re_touch),
-                         ln_re_touch=ln_re_touch)
+    if not 0 < ln_eta < math.inf:
+        raise DomainError(f"ln_eta must be positive and finite, got {ln_eta!r}")
+    x = float(ln_eta)
+    ln_re_touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
+    phi_env = (ln_re_touch / SQRT3 + 2.5) * math.exp(1.5 * x / ln_re_touch)
+    return EnvelopePoint(ln_eta=x, phi_env=phi_env, ln_re_touch=ln_re_touch)
 
 
 def fit_log_law(ln_eta, phi) -> LogLawParams:
@@ -202,8 +172,8 @@ def fit_log_law(ln_eta, phi) -> LogLawParams:
     return LogLawParams(kappa=1.0 / slope, c_offset=float(intercept))
 
 
-def envelope_line_fit(ln_eta_range=(5.0, 10.0), n_points: int = 50,
-                      ln_re_bracket=DEFAULT_ENVELOPE_BRACKET) -> LogLawParams:
+def envelope_line_fit(ln_eta_range=(5.0, 10.0),
+                      n_points: int = 50) -> LogLawParams:
     """Fit a straight line to the envelope over an ln eta range.
 
     Returns the effective logarithmic-law parameters of the envelope:
@@ -216,5 +186,5 @@ def envelope_line_fit(ln_eta_range=(5.0, 10.0), n_points: int = 50,
     if not lo < hi:
         raise DomainError(f"invalid ln_eta range {ln_eta_range!r}")
     xs = np.linspace(lo, hi, n_points)
-    ys = np.array([envelope_at(x, ln_re_bracket).phi_env for x in xs])
+    ys = np.array([envelope_at(x).phi_env for x in xs])
     return fit_log_law(xs, ys)

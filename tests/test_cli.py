@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wallscale
 from wallscale import AnalyzeOptions, SynthSpec, generate, save_profile
 from wallscale.cli import (EXIT_FIT, EXIT_OK, EXIT_PARSE, EXIT_PARTIAL,
                            EXIT_VALIDATION, main)
@@ -98,6 +103,39 @@ class TestBatch:
     def test_empty_dir(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path)]) == EXIT_VALIDATION
 
+    def test_out_dir_named_by_file_stem(self, tmp_path, capsys):
+        # two inputs with the same label= get one file set each
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        write_profile(in_dir / "x.dat", label="same", seed=1, noise_sigma=0.01)
+        write_profile(in_dir / "y.dat", label="same", seed=2, noise_sigma=0.01)
+        code = main(["batch", str(in_dir), "--lg-eta-min", "0.5",
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        suffixes = ("_loglog.dat", "_universal.dat", "_shift.dat",
+                    "_report.txt")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["envelope.dat"] + [s + f for s in "xy" for f in suffixes])
+        reports = {(out_dir / f"{s}_report.txt").read_text() for s in "xy"}
+        assert len(reports) == 2
+        assert all("label=same\n" in r for r in reports)
+
+    def test_shared_stem_is_a_failure(self, tmp_path, capsys):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        write_profile(in_dir / "a.dat", label="first")
+        write_profile(in_dir / "a.txt", label="second")
+        code = main(["batch", str(in_dir), "--lg-eta-min", "0.5",
+                     "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARTIAL
+        assert "first" in captured.out and "second" not in captured.out
+        assert "a.txt" in captured.err and "a.dat" in captured.err
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "a_loglog.dat", "a_report.txt", "a_shift.dat", "a_universal.dat",
+            "envelope.dat"]
+        assert "label=first\n" in (out_dir / "a_report.txt").read_text()
+
 
 class TestSynth:
     def test_generate_then_analyze(self, tmp_path, capsys):
@@ -149,6 +187,26 @@ class TestEnvelope:
             "envelope.dat", "envelope.dat.tmp"]
         assert ((tmp_path / "envelope.dat").read_text()
                 == envelope_table((5.0, 10.0), 12))
+
+
+    def test_small_ln_eta(self, capsys):
+        # the closed-form touch point holds for every ln eta > 0, here
+        # also where it lies below ln Re = 4
+        code = main(["envelope", "--ln-eta-min", "0.5", "--ln-eta-max", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        rows = [line.split() for line in captured.out.splitlines()[1:]]
+        assert len(rows) == 50
+        assert float(rows[0][2]) < 4.0
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(wallscale.__file__).resolve().parents[1])
+        code = ("import sys, wallscale.cli; "
+                "print('scipy' in sys.modules)")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": src}, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestOracle:

@@ -115,6 +115,22 @@ class TestFitPowerLaw:
         with pytest.raises(FitError):
             fit_power_law(power_samples(8.0, 0.14, [1.0, 2.0]))
 
+    @pytest.mark.parametrize("slope", [-60.0, 60.0])
+    def test_prefactor_outside_float_range(self, slope):
+        # ln K = ln phi - slope * ln eta is about 842 or -838 at ln eta 14:
+        # exp overflows, or underflows to 0.0, whose log the break
+        # position of fit_broken_line needs.
+        ln_eta = np.array([14.0, 14.01, 14.02])
+        points = samples_from(ln_eta, np.exp(2.0 + slope * (ln_eta - 14.0)))
+        with pytest.raises(FitError, match="float range"):
+            fit_power_law(points)
+
+    def test_broken_line_prefactor_outside_float_range(self):
+        ln_eta = 14.0 + 0.01 * np.arange(8)
+        points = samples_from(ln_eta, np.exp(2.0 + 60.0 * (ln_eta - 14.0)))
+        with pytest.raises(FitError, match="float range"):
+            fit_broken_line(points, 3)
+
 
 class TestFitBrokenLine:
     def test_noiseless_exact(self):

@@ -130,8 +130,9 @@ class TestLoadProfile:
             load_profile(path)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_profile(tmp_path / "x.dat", format="csv")
+        for bogus in ("csv", "bogus"):
+            with pytest.raises(ValidationError):
+                load_profile(tmp_path / "x.dat", format=bogus)
 
 
 class TestSaveProfile:

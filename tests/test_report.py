@@ -118,6 +118,16 @@ class TestBatch:
         with pytest.raises(ValidationError):
             batch(tmp_path)
 
+    def test_shared_stem_second_fails(self, tmp_path):
+        for name, label in (("p.dat", "first"), ("p.txt", "second")):
+            save_profile(generate(clean_spec(label=label)), tmp_path / name)
+        bundles, failures = batch(tmp_path, OPTIONS)
+        assert [b.report.label for b in bundles] == ["first"]
+        assert bundles[0].source == tmp_path / "p.dat"
+        [(path, exc)] = failures
+        assert path.name == "p.txt"
+        assert isinstance(exc, ValidationError)
+
 
 class TestReportSerialization:
     def test_exact_round_trip(self):
@@ -132,7 +142,8 @@ class TestReportSerialization:
         assert report_from_text(report_to_text(r)) == r
 
     @pytest.mark.parametrize("line", ["split_index=abc", "min_seg=none",
-                                      "alpha=fast"])
+                                      "alpha=fast", "consistent=yes",
+                                      "consistent=True", "consistent="])
     def test_bad_number_is_parse_error(self, line):
         r = analyze_profile(generate(clean_spec()), OPTIONS).report
         text = report_to_text(r).replace(f"{line.split('=')[0]}=",

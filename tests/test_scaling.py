@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wallscale import (BracketError, DomainError, LogLawParams,
+from wallscale import (DomainError, LogLawParams,
                        ScalingLawParams, alpha_of_ln_re, envelope_at,
                        envelope_line_fit, fit_log_law, log_law_phi,
                        scaling_law_phi)
@@ -17,6 +19,16 @@ def grid_envelope(ln_eta, lo=4.0, hi=60.0, n=100_000):
     values = (grid / SQRT3 + 2.5) * np.exp(1.5 * ln_eta / grid)
     i = int(np.argmin(values))
     return float(values[i]), float(grid[i])
+
+
+def family_ln_phi(ln_eta, ln_re):
+    """ln of the family member (ln Re/sqrt(3) + 5/2) * eta**(1.5/ln Re),
+    finite where the member itself overflows."""
+    return math.log(ln_re / SQRT3 + 2.5) + 1.5 * ln_eta / ln_re
+
+
+# ln eta from 1e-3 to 1e3, log-uniform
+LN_ETA = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
 
 
 class TestAlphaOfLnRe:
@@ -138,18 +150,26 @@ class TestEnvelopeAt:
         assert point.phi_env == pytest.approx(
             scaling_law_phi(math.exp(7.0), point.ln_re_touch), abs=1e-9)
 
-    def test_bracket_errors(self):
-        # touch point for ln_eta = 8 is near 15.4: both one-sided brackets fail
-        with pytest.raises(BracketError):
-            envelope_at(8.0, (4.0, 10.0))
-        with pytest.raises(BracketError):
-            envelope_at(8.0, (20.0, 60.0))
+    @given(LN_ETA)
+    def test_property_stationary_at_touch_point(self, ln_eta):
+        point = envelope_at(ln_eta)
+        touch = point.ln_re_touch
+        h = 1e-4 * touch
+        deriv = (math.exp(family_ln_phi(ln_eta, touch + h))
+                 - math.exp(family_ln_phi(ln_eta, touch - h))) / (2 * h)
+        assert abs(deriv) * max(1.0, touch) < 1e-6 * point.phi_env
+        assert point.phi_env == pytest.approx(
+            math.exp(family_ln_phi(ln_eta, touch)), rel=1e-14)
+
+    @given(LN_ETA, st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e))
+    def test_property_lower_bound(self, ln_eta, ln_re):
+        point = envelope_at(ln_eta)
+        assert math.log(point.phi_env) <= family_ln_phi(ln_eta, ln_re) + 1e-14
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            envelope_at(-1.0)
-        with pytest.raises(DomainError):
-            envelope_at(5.0, (-1.0, 10.0))
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                envelope_at(bad)
 
 
 class TestEnvelopeLineFit:
