@@ -206,9 +206,18 @@ def atomic_write_text(path, text: str) -> None:
 
     The temp file gets a fresh random name in the target directory and is
     created exclusively, so no existing file is overwritten except ``path``
-    itself; it is removed if the write or the rename fails.
+    itself; it is removed if the write or the rename fails.  A ``path``
+    that already holds exactly these bytes is left as it is: a batch
+    writes the same envelope table once per profile, and replacing it each
+    time would allocate a new file and free the old one for nothing.
     """
     path = Path(path)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if fh.read(len(text) + 1) == text:
+                return
+    except (OSError, UnicodeDecodeError):
+        pass
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:

@@ -168,6 +168,19 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "atomic.dat", "plain.dat"]
 
+    def test_unchanged_file_is_left_alone(self, tmp_path):
+        target = tmp_path / "out.dat"
+        atomic_write_text(target, "same\n")
+        inode = target.stat().st_ino
+        atomic_write_text(target, "same\n")
+        assert target.stat().st_ino == inode
+        # the old bytes as a prefix of the new, and the reverse, are changes
+        atomic_write_text(target, "same\nmore\n")
+        assert target.read_text() == "same\nmore\n"
+        atomic_write_text(target, "same\n")
+        assert target.read_text() == "same\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
+
     def test_existing_tmp_file_survives(self, tmp_path):
         stray = tmp_path / "out.dat.tmp"
         stray.write_text("keep me\n")

@@ -178,6 +178,16 @@ class TestPlotData:
         for p in written:
             assert p.read_bytes() == (out2 / p.name).read_bytes()
 
+    def test_shared_envelope_written_once(self, tmp_path):
+        bundle = analyze_profile(generate(clean_spec()), OPTIONS)
+        emit_plotdata(bundle, tmp_path, stem="a")
+        envelope = tmp_path / "envelope.dat"
+        inode = envelope.stat().st_ino
+        written = emit_plotdata(bundle, tmp_path, stem="b")
+        assert envelope in written
+        assert envelope.stat().st_ino == inode
+        assert len(list(tmp_path.iterdir())) == 9
+
     def test_universal_file_bisectrix(self, tmp_path):
         bundle = analyze_profile(generate(clean_spec()), OPTIONS)
         emit_plotdata(bundle, tmp_path, stem="c")
