@@ -32,11 +32,11 @@ from wallscale import SynthSpec, fit_broken_line, generate  # noqa: E402
 SIZES = (40, 200, 1000, 4000)
 
 
-def best_of(fn, points, repeats):
+def best_of(fn, columns, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        fn(points)
+        fn(*columns)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -56,15 +56,16 @@ def main(argv=None):
 
     rows = []
     for n in SIZES:
-        points = generate(SynthSpec(ln_re=12.0, break_ln_eta=7.0,
-                                    ln_eta_range=(2.0, 12.0), n_points=n,
-                                    noise_sigma=0.01, seed=n)).samples
-        if fit_broken_line(points) != _exhaustive_broken_line(points):
+        profile = generate(SynthSpec(ln_re=12.0, break_ln_eta=7.0,
+                                     ln_eta_range=(2.0, 12.0), n_points=n,
+                                     noise_sigma=0.01, seed=n))
+        columns = (profile.eta, profile.phi)
+        if fit_broken_line(*columns) != _exhaustive_broken_line(*columns):
             raise SystemExit(f"n={n}: fit differs from the exhaustive reference")
         # the reference is quadratic: three runs are enough from n = 1000 on
         ref_repeats = args.repeats if n < 1000 else min(args.repeats, 3)
-        reference = best_of(_exhaustive_broken_line, points, ref_repeats)
-        prefix_sums = best_of(fit_broken_line, points, args.repeats)
+        reference = best_of(_exhaustive_broken_line, columns, ref_repeats)
+        prefix_sums = best_of(fit_broken_line, columns, args.repeats)
         rows.append({"n": n, "exhaustive_s": reference,
                      "prefix_sums_s": prefix_sums,
                      "speedup": reference / prefix_sums})

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .scaling import SQRT3
+from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
 DEFAULT_SHIFT_TOL = 0.1
@@ -67,21 +69,28 @@ def ln_re2_from_exponent(alpha: float) -> float:
     """Solve 3 / (2 ln Re_2) = alpha for ln Re_2."""
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return 3.0 / (2.0 * alpha)
+    return alpha_of_ln_re(alpha)
 
 
 def combine_reynolds(ln_re1: float, ln_re2: float,
                      re_theta: float | None = None,
                      tol: float = DEFAULT_CONSISTENCY_TOL) -> ReynoldsDiagnostics:
     """Mean Reynolds estimate ln Re = (ln Re_1 + ln Re_2)/2 with a
-    consistency verdict on the relative discrepancy |ln Re_1 - ln Re_2| / ln Re."""
+    consistency verdict on the relative discrepancy |ln Re_1 - ln Re_2| / ln Re.
+
+    Raises DomainError when Re = exp(ln Re) overflows and so Re_theta/Re
+    has no value."""
     if not (ln_re1 > 0 and ln_re2 > 0):
         raise DomainError("ln_re1 and ln_re2 must be positive")
     mean = 0.5 * (ln_re1 + ln_re2)
     rel = abs(ln_re1 - ln_re2) / mean
     ratio = None
     if re_theta is not None:
-        ratio = re_theta / math.exp(mean)
+        try:
+            ratio = re_theta / math.exp(mean)
+        except OverflowError:
+            raise DomainError(f"ln Re = {mean!r} is too large: exp(ln Re) "
+                              "overflows, so Re_theta/Re has no value") from None
     return ReynoldsDiagnostics(
         ln_re1=ln_re1,
         ln_re2=ln_re2,
@@ -105,17 +114,14 @@ def psi_transform(phi: float, alpha: float) -> float:
     return math.log(2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)) / alpha
 
 
-def build_universal_series(profile, alpha: float) -> UniversalSeries:
-    """Map region-(I) samples to (ln eta, psi) and measure the bisectrix shift.
-
-    ``profile`` is a VelocityProfile or any sequence of WallUnits already
-    restricted to region (I).
-    """
-    samples = getattr(profile, "samples", profile)
-    if len(samples) == 0:
+def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
+    """Map region-(I) samples, given as eta and phi columns, to
+    (ln eta, psi) and measure the bisectrix shift."""
+    if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
-    points = tuple((math.log(s.eta), psi_transform(s.phi, alpha))
-                   for s in samples)
+    points = tuple((math.log(e), psi_transform(p, alpha))
+                   for e, p in zip(np.asarray(eta, dtype=float).tolist(),
+                                   np.asarray(phi, dtype=float).tolist()))
     deviations = [ln_eta - psi for ln_eta, psi in points]
     mean_shift = sum(deviations) / len(deviations)
     rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)
@@ -131,10 +137,7 @@ def turbulence_shift_x(eta: float, phi: float, ln_re: float) -> float:
     """
     if not eta > 0:
         raise DomainError(f"eta must be positive, got {eta!r}")
-    if not ln_re > 0:
-        raise DomainError(f"ln_re must be positive, got {ln_re!r}")
-    alpha = 3.0 / (2.0 * ln_re)
-    return math.log(eta) - psi_transform(phi, alpha)
+    return math.log(eta) - psi_transform(phi, alpha_of_ln_re(ln_re))
 
 
 def classify_shift(series: UniversalSeries,

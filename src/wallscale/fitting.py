@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError
-from .scaling import WallUnits
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -59,12 +57,6 @@ class BrokenLineFit:
     split_index: int
 
 
-def _as_log_arrays(points: Sequence[WallUnits]):
-    ln_eta = np.log([p.eta for p in points])
-    ln_phi = np.log([p.phi for p in points])
-    return ln_eta, ln_phi
-
-
 def _ols(x: np.ndarray, y: np.ndarray):
     """Closed-form OLS line fit; returns (slope, intercept, rss, sxx)."""
     xm = x.mean()
@@ -80,13 +72,12 @@ def _ols(x: np.ndarray, y: np.ndarray):
     return slope, intercept, rss, sxx
 
 
-def fit_power_law(points: Sequence[WallUnits]) -> PowerLawSegment:
+def fit_power_law(eta: np.ndarray, phi: np.ndarray) -> PowerLawSegment:
     """Fit phi = K * eta**p by OLS in doubly logarithmic coordinates."""
-    n = len(points)
+    n = len(eta)
     if n < 3:
         raise FitError(f"power-law fit needs at least 3 points, got {n}")
-    ln_eta, ln_phi = _as_log_arrays(points)
-    slope, intercept, rss, sxx = _ols(ln_eta, ln_phi)
+    slope, intercept, rss, sxx = _ols(np.log(eta), np.log(phi))
     stderr = math.sqrt(max(rss, 0.0) / (n - 2) / sxx)
     try:
         prefactor = math.exp(intercept)
@@ -98,7 +89,7 @@ def fit_power_law(points: Sequence[WallUnits]) -> PowerLawSegment:
     return PowerLawSegment(
         prefactor=prefactor,
         exponent=slope,
-        eta_range=(points[0].eta, points[-1].eta),
+        eta_range=(float(eta[0]), float(eta[-1])),
         n_points=n,
         rss=rss,
         stderr_exponent=stderr,
@@ -118,7 +109,8 @@ def _flat_runs(x: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(x) == np.minimum.accumulate(x)
 
 
-def fit_broken_line(points: Sequence[WallUnits], min_seg: int = 3) -> BrokenLineFit:
+def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
+                    min_seg: int = 3) -> BrokenLineFit:
     """Two-segment broken-line fit by least total residual sum of squares.
 
     Every split index k in [min_seg, n - min_seg] is admissible; both parts
@@ -146,14 +138,14 @@ def fit_broken_line(points: Sequence[WallUnits], min_seg: int = 3) -> BrokenLine
     falls inside the data span, else the midpoint of ln eta between the
     two boundary samples.
     """
-    n = len(points)
+    n = len(eta)
     if min_seg < 3:
         raise FitError(f"min_seg must be at least 3, got {min_seg}")
     if n < 2 * min_seg:
         raise FitError(
             f"broken-line fit needs at least {2 * min_seg} points, got {n}")
 
-    ln_eta, ln_phi = _as_log_arrays(points)
+    ln_eta, ln_phi = np.log(eta), np.log(phi)
     mid = 0.5 * (ln_eta[0] + ln_eta[-1])
 
     x = ln_eta - ln_eta.mean()
@@ -182,8 +174,8 @@ def fit_broken_line(points: Sequence[WallUnits], min_seg: int = 3) -> BrokenLine
 
     best = None  # (total_rss, dist_to_mid, k, seg1, seg2)
     for k in candidates.tolist():
-        seg1 = fit_power_law(points[:k])
-        seg2 = fit_power_law(points[k:])
+        seg1 = fit_power_law(eta[:k], phi[:k])
+        seg2 = fit_power_law(eta[k:], phi[k:])
         total = seg1.rss + seg2.rss
         boundary = 0.5 * (ln_eta[k - 1] + ln_eta[k])
         dist = abs(boundary - mid)

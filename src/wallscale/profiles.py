@@ -14,6 +14,7 @@ raw
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import secrets
@@ -22,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ValidationError
-from .scaling import WallUnits
+from .errors import ParseError, ValidationError
 
 _METADATA_KEYS = {
     "label": "label",
@@ -57,53 +57,78 @@ class ProfileMetadata:
                     f"metadata field {f.name} must be positive, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityProfile:
-    """An ordered sequence of wall-unit samples plus flow metadata.
+    """Wall-unit samples as two columns, eta and phi, plus flow metadata.
 
-    Invariants: at least 4 samples, eta strictly increasing, all values
-    finite and positive (enforced per sample by WallUnits).
+    The constructor stores each column as a read-only 1-D float64 array and
+    checks, once and vectorised, that both have the same length, that every
+    value is finite and positive, that eta is strictly increasing and that
+    there are at least 4 samples; it raises ValidationError otherwise.
     """
 
-    samples: tuple[WallUnits, ...]
+    eta: np.ndarray
+    phi: np.ndarray
     metadata: ProfileMetadata
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 4:
-            raise ValidationError(
-                f"profile needs at least 4 samples, got {len(self.samples)}")
-        for a, b in zip(self.samples, self.samples[1:]):
-            if not a.eta < b.eta:
+        for name in ("eta", "phi"):
+            try:
+                column = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name} is not numeric: {exc}") from None
+            if column.ndim != 1:
                 raise ValidationError(
-                    f"eta must be strictly increasing, got {a.eta!r} then {b.eta!r}")
-
-    def eta(self) -> np.ndarray:
-        return np.array([s.eta for s in self.samples])
-
-    def phi(self) -> np.ndarray:
-        return np.array([s.phi for s in self.samples])
+                    f"{name} must be one-dimensional, got shape {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        eta, phi = self.eta, self.phi
+        if len(eta) != len(phi):
+            raise ValidationError(
+                f"eta and phi differ in length: {len(eta)} and {len(phi)}")
+        _require_positive_finite(eta=eta, phi=phi)
+        steps = eta[1:] <= eta[:-1]
+        if steps.any():
+            i = int(steps.argmax())
+            a, b = eta[i].item(), eta[i + 1].item()
+            if a == b:
+                raise ValidationError(f"duplicate eta value {a!r}")
+            raise ValidationError(f"eta not ascending ({a!r} before {b!r})")
+        if len(eta) < 4:
+            raise ValidationError(
+                f"profile needs at least 4 samples, got {len(eta)}")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.eta)
 
 
-def normalize_raw(y: float, u: float, u_star: float, nu: float) -> WallUnits:
-    """Convert a raw (y, u) measurement to wall units.
+def _require_positive_finite(**columns) -> None:
+    """Raise ValidationError naming the first value, in row order, that is
+    not positive and finite."""
+    ok = np.logical_and.reduce([np.isfinite(c) & (c > 0)
+                                for c in columns.values()])
+    if ok.all():
+        return
+    i = int(ok.argmin())
+    for name, column in columns.items():
+        value = column[i].item()
+        if not 0 < value < math.inf:
+            raise ValidationError(
+                f"{name} must be positive and finite, got {value!r}")
 
-    eta = u_star * y / nu, phi = u / u_star.
-    """
-    for name, value in (("y", y), ("u", u), ("u_star", u_star), ("nu", nu)):
-        if not (value > 0 and math.isfinite(value)):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return WallUnits(eta=u_star * y / nu, phi=u / u_star)
 
-
-def denormalize(sample: WallUnits, u_star: float, nu: float) -> tuple[float, float]:
-    """Inverse of normalize_raw: recover (y, u) from wall units."""
-    if not u_star > 0 or not nu > 0:
-        raise DomainError("u_star and nu must be positive")
-    return sample.eta * nu / u_star, sample.phi * u_star
+def read_lines(path):
+    """The lines of a UTF-8 text file, read as ``open`` in text mode would
+    (universal newlines).  A file that is not UTF-8 is a ParseError that
+    names the line holding the first undecodable byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x}: "
+                         f"{exc.reason})", path=path,
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+    return io.StringIO(text, newline=None)
 
 
 def _parse_number(text: str, key: str, path, lineno: int) -> float:
@@ -118,7 +143,8 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     """Load and validate a velocity profile from a text file.
 
     ``format`` is ``"wall_units"`` (rows are eta, phi) or ``"raw"`` (rows
-    are y, u in SI units; requires u_star and nu metadata).  Rows must be
+    are y, u in SI units; requires u_star and nu metadata, and each row is
+    normalized to eta = u_star * y / nu, phi = u / u_star).  Rows must be
     ascending in eta; duplicate or decreasing eta values are rejected.
     """
     if format not in ("wall_units", "raw"):
@@ -126,57 +152,44 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     path = Path(path)
     meta_kwargs: dict = {}
     rows: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" in text:
-                key, _, value = text.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key not in _METADATA_KEYS:
-                    raise ParseError(f"unknown metadata key {key!r}",
-                                     path=path, line=lineno)
-                field = _METADATA_KEYS[key]
-                if field == "label":
-                    meta_kwargs[field] = value
-                else:
-                    meta_kwargs[field] = _parse_number(value, key, path, lineno)
-                continue
-            parts = text.split(",") if "," in text else text.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 columns, got {len(parts)}",
+    for lineno, line in enumerate(read_lines(path), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" in text:
+            key, _, value = text.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in _METADATA_KEYS:
+                raise ParseError(f"unknown metadata key {key!r}",
                                  path=path, line=lineno)
-            a = _parse_number(parts[0].strip(), "column 1", path, lineno)
-            b = _parse_number(parts[1].strip(), "column 2", path, lineno)
-            rows.append((a, b))
+            field = _METADATA_KEYS[key]
+            if field == "label":
+                meta_kwargs[field] = value
+            else:
+                meta_kwargs[field] = _parse_number(value, key, path, lineno)
+            continue
+        parts = text.split(",") if "," in text else text.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 columns, got {len(parts)}",
+                             path=path, line=lineno)
+        a = _parse_number(parts[0].strip(), "column 1", path, lineno)
+        b = _parse_number(parts[1].strip(), "column 2", path, lineno)
+        rows.append((a, b))
 
     try:
         metadata = ProfileMetadata(**meta_kwargs)
+        first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+        if format == "raw":
+            if metadata.u_star is None or metadata.nu is None:
+                raise ValidationError(
+                    "raw format requires u_star and nu metadata")
+            _require_positive_finite(y=first, u=second)
+            first = metadata.u_star * first / metadata.nu
+            second = second / metadata.u_star
+        return VelocityProfile(first, second, metadata)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-    if format == "raw" and (metadata.u_star is None or metadata.nu is None):
-        raise ValidationError(
-            f"{path}: raw format requires u_star and nu metadata")
-    samples = []
-    for a, b in rows:
-        try:
-            if format == "raw":
-                samples.append(normalize_raw(a, b, metadata.u_star, metadata.nu))
-            else:
-                samples.append(WallUnits(eta=a, phi=b))
-        except DomainError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-
-    for a, b in zip(samples, samples[1:]):
-        if a.eta == b.eta:
-            raise ValidationError(f"{path}: duplicate eta value {a.eta!r}")
-        if a.eta > b.eta:
-            raise ValidationError(
-                f"{path}: eta not ascending ({a.eta!r} before {b.eta!r})")
-    return VelocityProfile(samples=tuple(samples), metadata=metadata)
 
 
 def save_profile(profile: VelocityProfile, path) -> None:
@@ -196,8 +209,8 @@ def save_profile(profile: VelocityProfile, path) -> None:
         value = getattr(meta, field)
         if value is not None:
             lines.append(f"{_FIELD_TO_KEY[field]}={float(value)!r}")
-    for s in profile.samples:
-        lines.append(f"{float(s.eta)!r} {float(s.phi)!r}")
+    for eta, phi in zip(profile.eta.tolist(), profile.phi.tolist()):
+        lines.append(f"{eta!r} {phi!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -242,25 +255,18 @@ def select_intermediate(profile: VelocityProfile,
 
     Raises ValidationError if fewer than 4 samples survive.
     """
-    kept = [s for s in profile.samples if math.log10(s.eta) > lg_eta_min]
-    n = len(kept)
-    if n >= 2:
-        phi = np.array([s.phi for s in kept])
-        ln_eta = np.log([s.eta for s in kept])
-        ln_phi = np.log(phi)
-        running_max = np.maximum.accumulate(phi)
+    eta, phi = profile.eta, profile.phi
+    above = np.array([math.log10(e) for e in eta.tolist()]) > lg_eta_min
+    eta, phi = eta[above], phi[above]
+    if len(eta) >= 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.diff(np.log(phi)) / np.diff(np.log(eta))
         band = phi_plateau_tol * phi.max()
-        drop = 0
-        for i in range(n - 1, 0, -1):
-            slope = (ln_phi[i] - ln_phi[i - 1]) / (ln_eta[i] - ln_eta[i - 1])
-            if slope <= 0 and phi[i] >= running_max[i] - band:
-                drop += 1
-            else:
-                break
-        if drop:
-            kept = kept[:n - drop]
-    if len(kept) < 4:
+        flat = (slope <= 0) & (phi[1:] >= np.maximum.accumulate(phi)[1:] - band)
+        keep = len(eta) - int(np.logical_and.accumulate(flat[::-1]).sum())
+        eta, phi = eta[:keep], phi[:keep]
+    if len(eta) < 4:
         raise ValidationError(
             "empty result: fewer than 4 samples survive the sublayer cutoff "
             f"(lg_eta_min={lg_eta_min}) and plateau removal")
-    return VelocityProfile(samples=tuple(kept), metadata=profile.metadata)
+    return VelocityProfile(eta, phi, profile.metadata)

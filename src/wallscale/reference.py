@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scaling import SQRT3
+from .diagnostics import ln_re1_from_prefactor, ln_re2_from_exponent
 
 # Strict tolerances for the recomputation checks.
 TOL_LN_RE1 = 0.01
@@ -163,8 +163,8 @@ class RowCheck:
 
 def recompute(row: ReferenceRow) -> dict:
     """Derived columns recomputed from (A, alpha) alone."""
-    ln_re1 = SQRT3 * (row.prefactor - 2.5)
-    ln_re2 = 3.0 / (2.0 * row.alpha)
+    ln_re1 = ln_re1_from_prefactor(row.prefactor)
+    ln_re2 = ln_re2_from_exponent(row.alpha)
     mean = 0.5 * (ln_re1 + ln_re2)
     return {
         "ln_re1": ln_re1,
@@ -194,10 +194,10 @@ def _interval_roundoff_feasible(row: ReferenceRow) -> bool:
     if row.columns_swapped:
         ln1_col, ln2_col = ln2_col, ln1_col
 
-    ln1_lo = max(SQRT3 * (a_lo - 2.5), ln1_col - _HALF_ULP_2DEC)
-    ln1_hi = min(SQRT3 * (a_hi - 2.5), ln1_col + _HALF_ULP_2DEC)
-    ln2_lo = max(3.0 / (2.0 * alpha_hi), ln2_col - _HALF_ULP_2DEC)
-    ln2_hi = min(3.0 / (2.0 * alpha_lo), ln2_col + _HALF_ULP_2DEC)
+    ln1_lo = max(ln_re1_from_prefactor(a_lo), ln1_col - _HALF_ULP_2DEC)
+    ln1_hi = min(ln_re1_from_prefactor(a_hi), ln1_col + _HALF_ULP_2DEC)
+    ln2_lo = max(ln_re2_from_exponent(alpha_hi), ln2_col - _HALF_ULP_2DEC)
+    ln2_hi = min(ln_re2_from_exponent(alpha_lo), ln2_col + _HALF_ULP_2DEC)
     if ln1_lo > ln1_hi or ln2_lo > ln2_hi:
         return False
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -114,27 +115,28 @@ def analyze_profile(profile: profiles.VelocityProfile,
     inter = _stage("select_intermediate", profiles.select_intermediate,
                    profile, options.lg_eta_min, options.phi_plateau_tol)
     fit = _stage("fit_broken_line", fitting.fit_broken_line,
-                 inter.samples, options.min_seg)
+                 inter.eta, inter.phi, options.min_seg)
     a = fit.region1.prefactor
     alpha = fit.region1.exponent
     ln_re1 = _stage("reynolds_extraction",
                     diagnostics.ln_re1_from_prefactor, a)
     ln_re2 = _stage("reynolds_extraction",
                     diagnostics.ln_re2_from_exponent, alpha)
-    diag = diagnostics.combine_reynolds(
-        ln_re1, ln_re2, inter.metadata.re_theta, tol=options.consistency_tol)
+    diag = _stage("reynolds_extraction", diagnostics.combine_reynolds,
+                  ln_re1, ln_re2, inter.metadata.re_theta,
+                  tol=options.consistency_tol)
 
     significant = fitting.significant_break(fit)
     beta = fit.region2.exponent if significant else None
     b = fit.region2.prefactor if significant else None
 
     if options.alpha_source == ALPHA_SOURCE_MEAN:
-        alpha_u = 3.0 / (2.0 * diag.ln_re_mean)
+        alpha_u = scaling.alpha_of_ln_re(diag.ln_re_mean)
     else:
-        alpha_u = 3.0 / (2.0 * ln_re1)
-    region1_samples = inter.samples[:fit.split_index]
-    series = _stage("universal_series",
-                    diagnostics.build_universal_series, region1_samples, alpha_u)
+        alpha_u = scaling.alpha_of_ln_re(ln_re1)
+    k = fit.split_index
+    series = _stage("universal_series", diagnostics.build_universal_series,
+                    inter.eta[:k], inter.phi[:k], alpha_u)
     shift_class = diagnostics.classify_shift(series, options.shift_tol)
 
     report = AnalysisReport(
@@ -214,7 +216,7 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
 
 # --- serialization ---------------------------------------------------------
 
-_REPORT_FIELD_TYPES = {f.name: f.type for f in fields(AnalysisReport)}
+_REPORT_FIELD_TYPES = typing.get_type_hints(AnalysisReport)
 
 
 def report_to_text(report: AnalysisReport) -> str:
@@ -234,41 +236,42 @@ def report_to_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_number(kind, key: str, raw: str, lineno: int):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ParseError(f"cannot parse {key} value {raw!r}",
-                         line=lineno) from None
+def _parse_field(kind, key: str, raw: str, lineno: int):
+    """Parse one report value as its field's type: str (every character
+    after the ``=``, so text with outer spaces round-trips), bool (``true``
+    or ``false``), int or float, or ``none`` where the type admits None."""
+    if kind is str:
+        return raw
+    raw = raw.strip()
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if raw == "none":
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if kind is bool:
+        if raw in ("true", "false"):
+            return raw == "true"
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ParseError(f"cannot parse {key} value {raw!r}", line=lineno)
 
 
 def report_from_text(text: str) -> AnalysisReport:
     """Inverse of report_to_text."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
             raise ParseError("expected key=value", line=lineno)
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in _REPORT_FIELD_TYPES:
             raise ParseError(f"unknown report field {key!r}", line=lineno)
-        if key in ("label", "shift_class", "alpha_source"):
-            values[key] = raw
-        elif key == "consistent":
-            if raw not in ("true", "false"):
-                raise ParseError(f"cannot parse {key} value {raw!r}",
-                                 line=lineno)
-            values[key] = raw == "true"
-        elif key in ("split_index", "min_seg"):
-            values[key] = _parse_number(int, key, raw, lineno)
-        elif raw == "none":
-            values[key] = None
-        else:
-            values[key] = _parse_number(float, key, raw, lineno)
+        values[key] = _parse_field(_REPORT_FIELD_TYPES[key], key, raw, lineno)
     missing = [name for name in _REPORT_FIELD_TYPES if name not in values]
     if missing:
         raise ParseError(f"missing report fields {missing}")
@@ -336,8 +339,8 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
 
     written = []
 
-    ln_eta = np.log(bundle.profile.eta())
-    ln_phi = np.log(bundle.profile.phi())
+    ln_eta = np.log(bundle.profile.eta)
+    ln_phi = np.log(bundle.profile.phi)
     fit1 = bundle.fit.region1.ln_phi_at(ln_eta)
     fit2 = bundle.fit.region2.ln_phi_at(ln_eta)
     lines = ["ln_eta ln_phi fit_region1 fit_region2"]
@@ -355,10 +358,10 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
     written.append(path)
 
     lines = ["x phi"]
-    for sample in bundle.profile.samples:
-        x = diagnostics.turbulence_shift_x(sample.eta, sample.phi,
-                                           bundle.report.ln_re)
-        lines.append(f"{x!r} {sample.phi!r}")
+    for eta, phi in zip(bundle.profile.eta.tolist(),
+                        bundle.profile.phi.tolist()):
+        x = diagnostics.turbulence_shift_x(eta, phi, bundle.report.ln_re)
+        lines.append(f"{x!r} {phi!r}")
     path = out_dir / f"{stem}_shift.dat"
     profiles.atomic_write_text(path, "\n".join(lines) + "\n")
     written.append(path)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .fitting import _ols
 
 SQRT3 = math.sqrt(3.0)
 
@@ -29,49 +30,6 @@ SQRT3 = math.sqrt(3.0)
 SCALING_C = 1.5
 SCALING_C0 = 1.0 / SQRT3
 SCALING_C1 = 2.5
-
-
-@dataclass(frozen=True)
-class WallUnits:
-    """One velocity sample in wall units: eta = u_* y / nu, phi = u / u_*."""
-
-    eta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta)
-                and self.eta > 0):
-            raise DomainError(f"eta must be positive and finite, got {self.eta!r}")
-        if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi)
-                and self.phi > 0):
-            raise DomainError(f"phi must be positive and finite, got {self.phi!r}")
-
-
-@dataclass(frozen=True)
-class ScalingLawParams:
-    """Parameters of one member of the scaling-law family.
-
-    ``alpha`` and ``prefactor`` are redundant with ``ln_re`` and must be
-    mutually consistent; use :meth:`from_ln_re` to construct.
-    """
-
-    ln_re: float
-    alpha: float
-    prefactor: float
-
-    def __post_init__(self):
-        if not self.ln_re > 0:
-            raise DomainError(f"ln_re must be positive, got {self.ln_re!r}")
-        if abs(self.alpha - 3.0 / (2.0 * self.ln_re)) > 1e-12:
-            raise DomainError("alpha inconsistent with ln_re")
-        if abs(self.prefactor - (self.ln_re / SQRT3 + 2.5)) > 1e-12:
-            raise DomainError("prefactor inconsistent with ln_re")
-
-    @classmethod
-    def from_ln_re(cls, ln_re: float) -> "ScalingLawParams":
-        return cls(ln_re=ln_re,
-                   alpha=alpha_of_ln_re(ln_re),
-                   prefactor=ln_re / SQRT3 + 2.5)
 
 
 @dataclass(frozen=True)
@@ -99,11 +57,25 @@ class EnvelopePoint:
     ln_re_touch: float
 
 
-def alpha_of_ln_re(ln_re: float) -> float:
-    """Exponent of the scaling law, alpha = 3 / (2 ln Re)."""
-    if not ln_re > 0:
+def alpha_of_ln_re(ln_re):
+    """Exponent of the scaling law, alpha = 3 / (2 ln Re).
+
+    Accepts a scalar or a numpy array.  The map is its own inverse, so it
+    also gives ln Re_2 from a fitted exponent.
+    """
+    positive = ln_re > 0
+    if not (positive if isinstance(positive, bool) else np.all(positive)):
         raise DomainError(f"ln_re must be positive, got {ln_re!r}")
     return 3.0 / (2.0 * ln_re)
+
+
+def prefactor_of_ln_re(ln_re):
+    """Prefactor of the scaling law, A = ln Re / sqrt(3) + 5/2.
+
+    Accepts a scalar or a numpy array.  A is finite for every finite ln Re,
+    so no domain is checked here: every caller already holds ln Re > 0.
+    """
+    return ln_re / SQRT3 + 2.5
 
 
 def scaling_law_phi(eta, ln_re):
@@ -118,7 +90,7 @@ def scaling_law_phi(eta, ln_re):
         raise DomainError("eta must be positive")
     if not np.all(ln_re_a > 0):
         raise DomainError("ln_re must be positive")
-    out = (ln_re_a / SQRT3 + 2.5) * eta_a ** (1.5 / ln_re_a)
+    out = prefactor_of_ln_re(ln_re_a) * eta_a ** alpha_of_ln_re(ln_re_a)
     if np.isscalar(eta) and np.isscalar(ln_re):
         return float(out)
     return out
@@ -145,31 +117,28 @@ def envelope_at(ln_eta: float) -> EnvelopePoint:
         L* = (1.5 x + sqrt(2.25 x**2 + 15 sqrt(3) x)) / 2
 
     is the touch point.  Both terms are positive for x > 0, so the sum
-    cannot cancel.
+    cannot cancel.  Above ln eta of about 8.9e153 the square overflows, and
+    such an abscissa is a DomainError.
     """
     if not 0 < ln_eta < math.inf:
         raise DomainError(f"ln_eta must be positive and finite, got {ln_eta!r}")
     x = float(ln_eta)
     ln_re_touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
-    phi_env = (ln_re_touch / SQRT3 + 2.5) * math.exp(1.5 * x / ln_re_touch)
+    if ln_re_touch == math.inf:
+        raise DomainError(f"ln_eta must be below about 8.9e153 for a finite "
+                          f"envelope touch point, got {ln_eta!r}")
+    phi_env = prefactor_of_ln_re(ln_re_touch) * math.exp(1.5 * x / ln_re_touch)
     return EnvelopePoint(ln_eta=x, phi_env=phi_env, ln_re_touch=ln_re_touch)
 
 
 def fit_log_law(ln_eta, phi) -> LogLawParams:
     """Ordinary least squares of phi against ln eta, as effective log-law
     parameters: kappa = 1/slope, c_offset = intercept."""
-    x = np.asarray(ln_eta, dtype=float)
-    y = np.asarray(phi, dtype=float)
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        raise DomainError("all ln_eta values identical, line fit degenerate")
-    slope = float(np.sum((x - xm) * (y - ym))) / sxx
-    intercept = ym - slope * xm
+    slope, intercept, _, _ = _ols(np.asarray(ln_eta, dtype=float),
+                                  np.asarray(phi, dtype=float))
     if slope <= 0:
         raise DomainError(f"nonpositive slope {slope!r}, no effective kappa")
-    return LogLawParams(kappa=1.0 / slope, c_offset=float(intercept))
+    return LogLawParams(kappa=1.0 / slope, c_offset=intercept)
 
 
 def envelope_line_fit(ln_eta_range=(5.0, 10.0),

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .profiles import ProfileMetadata, VelocityProfile
-from .scaling import SQRT3, WallUnits
+from .profiles import ProfileMetadata, VelocityProfile, read_lines
+from .scaling import alpha_of_ln_re, prefactor_of_ln_re
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,19 @@ class SynthSpec:
     label: str = ""
 
     def __post_init__(self):
+        lo, hi = self.ln_eta_range
+        for name, value in (("ln_re", self.ln_re), ("ln_eta_min", lo),
+                            ("ln_eta_max", hi),
+                            ("break_ln_eta", self.break_ln_eta),
+                            ("beta", self.beta),
+                            ("noise_sigma", self.noise_sigma),
+                            ("shift", self.shift)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.ln_re > 0:
             raise ValidationError(f"ln_re must be positive, got {self.ln_re!r}")
-        lo, hi = self.ln_eta_range
         if not lo < hi:
             raise ValidationError(f"invalid ln_eta_range {self.ln_eta_range!r}")
         if not lo < self.break_ln_eta < hi:
@@ -70,11 +80,11 @@ class SynthSpec:
 
     @property
     def alpha(self) -> float:
-        return 3.0 / (2.0 * self.ln_re)
+        return alpha_of_ln_re(self.ln_re)
 
     @property
     def prefactor(self) -> float:
-        return self.ln_re / SQRT3 + 2.5
+        return prefactor_of_ln_re(self.ln_re)
 
 
 def generate(spec: SynthSpec) -> VelocityProfile:
@@ -104,9 +114,8 @@ def generate(spec: SynthSpec) -> VelocityProfile:
         re_theta=None,
         turbulence_level=None,
     )
-    samples = tuple(WallUnits(eta=math.exp(x), phi=float(p))
-                    for x, p in zip(ln_eta, phi))
-    return VelocityProfile(samples=samples, metadata=metadata)
+    eta = [math.exp(x) for x in ln_eta.tolist()]
+    return VelocityProfile(eta, phi, metadata)
 
 
 def generate_ensemble(spec: SynthSpec, n_realizations: int) -> list[VelocityProfile]:
@@ -139,24 +148,23 @@ def load_synth_spec(path) -> SynthSpec:
     """Parse a key=value spec file (``#`` comments and blank lines allowed)."""
     path = Path(path)
     raw: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ParseError("expected key=value", path=path, line=lineno)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _SPEC_KEYS:
-                raise ParseError(f"unknown spec key {key!r}", path=path, line=lineno)
-            caster = _SPEC_KEYS[key]
-            try:
-                raw[key] = caster(value)
-            except ValueError:
-                raise ParseError(f"cannot parse {key} value {value!r}",
-                                 path=path, line=lineno) from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ParseError("expected key=value", path=path, line=lineno)
+        key, _, value = text.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _SPEC_KEYS:
+            raise ParseError(f"unknown spec key {key!r}", path=path, line=lineno)
+        caster = _SPEC_KEYS[key]
+        try:
+            raw[key] = caster(value)
+        except ValueError:
+            raise ParseError(f"cannot parse {key} value {value!r}",
+                             path=path, line=lineno) from None
     missing = [k for k in _REQUIRED_SPEC_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"{path}: missing spec keys {missing}")

@@ -83,11 +83,11 @@ def test_criterion_4_fit_round_trip():
                              ln_eta_range=(lo, hi),
                              n_points=int(rng.integers(24, 48)), beta=beta)
             profile = generate(spec)
-            fit = fit_broken_line(profile.samples)
+            fit = fit_broken_line(profile.eta, profile.phi)
             assert fit.region1.prefactor == pytest.approx(spec.prefactor, abs=1e-9)
             assert fit.region1.exponent == pytest.approx(spec.alpha, abs=1e-9)
             assert fit.region2.exponent == pytest.approx(beta, abs=1e-9)
-            k_true = int(np.searchsorted(np.log(profile.eta()), brk))
+            k_true = int(np.searchsorted(np.log(profile.eta), brk))
             assert fit.split_index == k_true
 
         # noisy Monte Carlo: 100 seeded runs, sigma = 0.01, 40 points
@@ -101,7 +101,8 @@ def test_criterion_4_fit_round_trip():
                              ln_eta_range=base.ln_eta_range,
                              n_points=base.n_points, beta=base.beta,
                              noise_sigma=base.noise_sigma, seed=seed)
-            fit = fit_broken_line(generate(spec).samples)
+            profile = generate(spec)
+            fit = fit_broken_line(profile.eta, profile.phi)
             if abs(fit.region1.exponent - base.alpha) <= 0.005:
                 alpha_hits += 1
             if abs(fit.split_index - k_true) <= 2:
@@ -136,9 +137,10 @@ def test_criterion_6_shift_diagnostics():
             spec = SynthSpec(ln_re=10.69, break_ln_eta=6.5,
                              ln_eta_range=(2.0, 9.5), n_points=36, shift=s)
             profile = generate(spec)
-            region1 = [p for p in profile.samples
-                       if math.log(p.eta) < spec.break_ln_eta]
-            series = build_universal_series(region1, spec.alpha)
+            region1 = np.array([math.log(e) < spec.break_ln_eta
+                                for e in profile.eta.tolist()])
+            series = build_universal_series(profile.eta[region1],
+                                            profile.phi[region1], spec.alpha)
             assert series.mean_shift == pytest.approx(s, abs=1e-6)
             expected = COLLAPSED if s == 0.0 else SHIFTED_BELOW
             assert classify_shift(series) == expected
@@ -171,7 +173,8 @@ def test_criterion_8_determinism_and_format(tmp_path):
         path = tmp_path / "det.dat"
         save_profile(profile, path)
         loaded = load_profile(path)
-        assert loaded.samples == profile.samples
+        assert np.array_equal(loaded.eta, profile.eta)
+        assert np.array_equal(loaded.phi, profile.phi)
         assert loaded.metadata == profile.metadata
 
         options = AnalyzeOptions(lg_eta_min=0.5)

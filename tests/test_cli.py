@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,12 @@ def write_specfile(path, **overrides):
                   ln_eta_max=9.5, n_points=36)
     kwargs.update(overrides)
     path.write_text("".join(f"{k}={v}\n" for k, v in kwargs.items()))
+
+
+def write_overflowing_profile(path):
+    eta = [math.exp(2.0 + 0.2 * i) for i in range(30)]
+    path.write_text("re_theta=1000\n" + "".join(
+        f"{e!r} {420.0 * e ** 0.002!r}\n" for e in eta))
 
 
 class TestAnalyze:
@@ -77,6 +84,21 @@ class TestAnalyze:
         for verb, target in (("analyze", path), ("batch", tmp_path)):
             assert main([verb, str(target), flag, value]) == EXIT_VALIDATION
 
+    def test_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.dat"
+        path.write_bytes(b"40 9.8\n80 10.9\xff\n")
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{path}:2: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_reynolds_overflow_is_domain_error(self, tmp_path, capsys):
+        # A = 420 gives ln Re of about 740, and exp(ln Re) overflows
+        path = tmp_path / "huge.dat"
+        write_overflowing_profile(path)
+        assert main(["analyze", str(path)]) == EXIT_FIT
+        assert "reynolds_extraction: ln Re = 7" in capsys.readouterr().err
+
     def test_fit_error_exit_code(self, tmp_path, capsys):
         # too few intermediate points for the two-segment fit
         path = tmp_path / "short.dat"
@@ -95,6 +117,19 @@ class TestBatch:
         assert code == EXIT_PARTIAL
         assert "a" in captured.out and "b" in captured.out
         assert "broken.dat" in captured.err
+
+    @pytest.mark.parametrize("write_bad", [
+        lambda path: path.write_bytes(b"40 9.8\n\xff\n"),
+        lambda path: write_overflowing_profile(path),
+    ], ids=["not_utf8", "reynolds_overflow"])
+    def test_one_bad_file_is_one_failure(self, tmp_path, capsys, write_bad):
+        write_profile(tmp_path / "good.dat")
+        write_bad(tmp_path / "bad.dat")
+        code = main(["batch", str(tmp_path), "--lg-eta-min", "0.5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARTIAL
+        assert "good" in captured.out
+        assert "bad.dat" in captured.err
 
     def test_all_good(self, tmp_path, capsys):
         write_profile(tmp_path / "a.dat")
@@ -153,6 +188,17 @@ class TestSynth:
         out = tmp_path / "prof.dat"
         assert main(["synth", str(specfile), "-o", str(out)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("overrides", [
+        dict(noise_sigma=0.01, seed=-1), dict(noise_sigma=math.nan),
+        dict(beta=math.inf),
+    ])
+    def test_bad_spec_value_is_validation(self, tmp_path, capsys, overrides):
+        specfile = tmp_path / "s.spec"
+        write_specfile(specfile, **overrides)
+        out = tmp_path / "prof.dat"
+        assert main(["synth", str(specfile), "-o", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_synth_deterministic(self, tmp_path, capsys):
         specfile = tmp_path / "s.spec"
         write_specfile(specfile, noise_sigma=0.02, seed=8)
@@ -198,6 +244,14 @@ class TestEnvelope:
         rows = [line.split() for line in captured.out.splitlines()[1:]]
         assert len(rows) == 50
         assert float(rows[0][2]) < 4.0
+
+    def test_touch_point_overflow(self, capsys):
+        code = main(["envelope", "--ln-eta-min", "1e160",
+                     "--ln-eta-max", "2e160"])
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ln_eta must be below about 8.9e153")
+        assert "Warning" not in err
 
     def test_cli_import_leaves_scipy_out(self):
         src = str(Path(wallscale.__file__).resolve().parents[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wallscale import (COLLAPSED, DomainError, SHIFTED_ABOVE, SHIFTED_BELOW,
-                       WallUnits, build_universal_series, classify_shift,
+                       build_universal_series, classify_shift,
                        combine_reynolds, ln_re1_from_prefactor,
                        ln_re2_from_exponent, psi_transform, scaling_law_phi,
                        turbulence_shift_x)
@@ -62,6 +62,12 @@ class TestCombineReynolds:
         with pytest.raises(DomainError):
             combine_reynolds(-1.0, 10.0)
 
+    def test_ratio_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="too large"):
+            combine_reynolds(730.0, 750.0, re_theta=1000.0)
+        # without Re_theta there is no ratio to take
+        assert combine_reynolds(730.0, 750.0).ln_re_mean == 740.0
+
 
 class TestPsiTransform:
     def test_exact_inverse(self):
@@ -110,12 +116,9 @@ class TestTurbulenceShiftX:
 class TestUniversalSeries:
     def make_series(self, shift=0.0, ln_re=10.69, n=12):
         alpha = 3.0 / (2.0 * ln_re)
-        ln_eta = np.linspace(2.0, 6.0, n)
-        samples = [WallUnits(eta=math.exp(x),
-                             phi=scaling_law_phi(math.exp(x), ln_re)
-                             * math.exp(-alpha * shift))
-                   for x in ln_eta]
-        return build_universal_series(samples, alpha)
+        eta = np.exp(np.linspace(2.0, 6.0, n))
+        phi = scaling_law_phi(eta, ln_re) * math.exp(-alpha * shift)
+        return build_universal_series(eta, phi, alpha)
 
     def test_collapse_on_bisectrix(self):
         series = self.make_series(shift=0.0)
@@ -134,19 +137,16 @@ class TestUniversalSeries:
         rng = np.random.default_rng(8)
         ln_re = 10.0
         alpha = 3.0 / (2.0 * ln_re)
-        ln_eta = np.linspace(2.0, 6.0, 200)
+        eta = np.exp(np.linspace(2.0, 6.0, 200))
         noise = rng.normal(0, 0.05, 200)
-        samples = [WallUnits(eta=math.exp(x),
-                             phi=scaling_law_phi(math.exp(x), ln_re)
-                             * math.exp(alpha * e))
-                   for x, e in zip(ln_eta, noise)]
-        series = build_universal_series(samples, alpha)
+        phi = scaling_law_phi(eta, ln_re) * np.exp(alpha * noise)
+        series = build_universal_series(eta, phi, alpha)
         # psi picks up the noise directly, so the scatter tracks its std
         assert series.rms_scatter == pytest.approx(noise.std(), abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            build_universal_series([], 0.14)
+            build_universal_series([], [], 0.14)
 
 
 class TestClassifyShift:

@@ -142,7 +142,8 @@ class TestReportSerialization:
         assert report_from_text(report_to_text(r)) == r
 
     @pytest.mark.parametrize("line", ["split_index=abc", "min_seg=none",
-                                      "alpha=fast", "consistent=yes",
+                                      "alpha=fast", "alpha=none",
+                                      "split_index=3.0", "consistent=yes",
                                       "consistent=True", "consistent="])
     def test_bad_number_is_parse_error(self, line):
         r = analyze_profile(generate(clean_spec()), OPTIONS).report

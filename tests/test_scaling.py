@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wallscale import (DomainError, LogLawParams,
-                       ScalingLawParams, alpha_of_ln_re, envelope_at,
-                       envelope_line_fit, fit_log_law, log_law_phi,
+from wallscale import (DomainError, EnvelopePoint, LogLawParams, alpha_of_ln_re,
+                       envelope_at, envelope_line_fit, fit_log_law,
+                       ln_re2_from_exponent, log_law_phi, prefactor_of_ln_re,
                        scaling_law_phi)
 
 SQRT3 = math.sqrt(3.0)
@@ -85,14 +85,26 @@ class TestScalingLawPhi:
 
 
 class TestParams:
-    def test_from_ln_re(self):
-        p = ScalingLawParams.from_ln_re(11.53)
-        assert p.alpha == pytest.approx(3 / (2 * 11.53), abs=1e-15)
-        assert p.prefactor == pytest.approx(11.53 / SQRT3 + 2.5, abs=1e-15)
+    def test_closed_forms_exact(self):
+        for ln_re in (0.5, 1.5, 11.53, 40.0):
+            assert alpha_of_ln_re(ln_re) == 3 / (2 * ln_re)
+            assert prefactor_of_ln_re(ln_re) == ln_re / SQRT3 + 2.5
+            assert scaling_law_phi(1.0, ln_re) == prefactor_of_ln_re(ln_re)
+            assert ln_re2_from_exponent(alpha_of_ln_re(ln_re)) == \
+                pytest.approx(ln_re, rel=1e-15)
 
-    def test_inconsistent_rejected(self):
+    def test_arrays_match_scalars(self):
+        ln_re = np.linspace(0.5, 40.0, 101)
+        assert np.array_equal(alpha_of_ln_re(ln_re),
+                              [alpha_of_ln_re(x) for x in ln_re.tolist()])
+        assert np.array_equal(prefactor_of_ln_re(ln_re),
+                              [prefactor_of_ln_re(x) for x in ln_re.tolist()])
+
+    @pytest.mark.parametrize("bad", [math.nan, np.array([1.0, 0.0]),
+                                     np.array([math.nan, 2.0])])
+    def test_alpha_domain(self, bad):
         with pytest.raises(DomainError):
-            ScalingLawParams(ln_re=10.0, alpha=0.2, prefactor=8.27)
+            alpha_of_ln_re(bad)
 
     def test_log_law_kappa_positive(self):
         with pytest.raises(DomainError):
@@ -170,6 +182,19 @@ class TestEnvelopeAt:
         for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 envelope_at(bad)
+
+    @pytest.mark.parametrize("ln_eta", [1e154, 1e160, 1e300])
+    def test_touch_point_overflow(self, ln_eta):
+        with pytest.raises(DomainError, match="8.9e153"):
+            envelope_at(ln_eta)
+
+    def test_closed_form_unchanged_up_to_1e150(self):
+        # the touch point and envelope value, written out as before the
+        # overflow check, on a log grid from 1e-3 to 1e150
+        for x in np.logspace(-3.0, 150.0, 2001).tolist():
+            touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
+            phi = (touch / SQRT3 + 2.5) * math.exp(1.5 * x / touch)
+            assert envelope_at(x) == EnvelopePoint(x, phi, touch)
 
 
 class TestEnvelopeLineFit:

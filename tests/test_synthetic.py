@@ -7,6 +7,10 @@ from wallscale import (ParseError, SynthSpec, ValidationError, generate,
                        generate_ensemble, load_synth_spec)
 
 
+def same_samples(p, q):
+    return np.array_equal(p.eta, q.eta) and np.array_equal(p.phi, q.phi)
+
+
 def base_spec(**overrides):
     kwargs = dict(ln_re=10.69, break_ln_eta=6.0,
                   ln_eta_range=(2.0, 9.0), n_points=30)
@@ -29,6 +33,18 @@ class TestSpecValidation:
         dict(n_points=6),
         dict(noise_sigma=-0.1),
         dict(plateau_points=27),  # > n_points - 4
+        dict(ln_re=math.nan),
+        dict(ln_re=math.inf),
+        dict(beta=math.inf),
+        dict(beta=math.nan),
+        dict(noise_sigma=math.nan),
+        dict(noise_sigma=math.inf),
+        dict(shift=-math.inf),
+        dict(break_ln_eta=math.nan),
+        dict(ln_eta_range=(2.0, math.inf)),
+        dict(ln_eta_range=(-math.inf, 9.0)),
+        dict(seed=-1),
+        dict(seed=-1, noise_sigma=0.01),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
@@ -39,9 +55,9 @@ class TestGenerate:
     def test_grid_and_region_values(self):
         spec = base_spec()
         profile = generate(spec)
-        ln_eta = np.log(profile.eta())
+        ln_eta = np.log(profile.eta)
         assert np.allclose(ln_eta, np.linspace(2.0, 9.0, 30), atol=1e-12)
-        phi = profile.phi()
+        phi = profile.phi
         a, alpha, beta = spec.prefactor, spec.alpha, spec.beta
         b = a * math.exp(spec.break_ln_eta * (alpha - beta))
         for x, p in zip(ln_eta, phi):
@@ -60,19 +76,19 @@ class TestGenerate:
     def test_noiseless_is_deterministic_and_seed_free(self):
         p1 = generate(base_spec(seed=0))
         p2 = generate(base_spec(seed=99))
-        assert p1.samples == p2.samples
+        assert same_samples(p1, p2)
 
     def test_seeded_noise_reproducible(self):
         p1 = generate(base_spec(noise_sigma=0.02, seed=5))
         p2 = generate(base_spec(noise_sigma=0.02, seed=5))
         p3 = generate(base_spec(noise_sigma=0.02, seed=6))
-        assert p1.samples == p2.samples
-        assert p1.samples != p3.samples
+        assert same_samples(p1, p2)
+        assert not same_samples(p1, p3)
 
     def test_noise_is_lognormal_multiplicative(self):
         spec = base_spec(noise_sigma=0.02, seed=11)
-        clean = generate(base_spec()).phi()
-        noisy = generate(spec).phi()
+        clean = generate(base_spec()).phi
+        noisy = generate(spec).phi
         draws = np.random.default_rng(11).normal(0.0, 0.02, 30)
         assert np.allclose(noisy, clean * np.exp(draws), rtol=1e-12)
 
@@ -81,8 +97,8 @@ class TestGenerate:
         clean = generate(base_spec())
         shifted = generate(spec)
         factor = math.exp(-spec.alpha * 0.7)
-        ln_eta = np.log(clean.eta())
-        for x, pc, ps in zip(ln_eta, clean.phi(), shifted.phi()):
+        ln_eta = np.log(clean.eta)
+        for x, pc, ps in zip(ln_eta, clean.phi, shifted.phi):
             if x < spec.break_ln_eta:
                 assert ps == pytest.approx(pc * factor, rel=1e-12)
             else:
@@ -90,7 +106,7 @@ class TestGenerate:
 
     def test_plateau_pinned_after_noise(self):
         spec = base_spec(noise_sigma=0.02, seed=3, plateau_points=5)
-        phi = generate(spec).phi()
+        phi = generate(spec).phi
         assert np.all(phi[-5:] == phi[-6])
 
     def test_default_label(self):
@@ -105,9 +121,9 @@ class TestEnsemble:
         spec = base_spec(noise_sigma=0.02, seed=10)
         ensemble = generate_ensemble(spec, 3)
         assert len(ensemble) == 3
-        assert ensemble[1].samples == generate(base_spec(
-            noise_sigma=0.02, seed=11)).samples
-        assert ensemble[0].samples != ensemble[2].samples
+        assert same_samples(ensemble[1], generate(base_spec(
+            noise_sigma=0.02, seed=11)))
+        assert not same_samples(ensemble[0], ensemble[2])
 
     def test_rejects_zero(self):
         with pytest.raises(ValidationError):
