@@ -1,6 +1,7 @@
-"""Time profile loading, excision and the whole analysis, per source tree.
+"""Time profile loading, excision, the whole analysis and the plot-data
+writes, per source tree.
 
-    python3 benchmarks/profile_timing.py --out BENCH_5.json \
+    python3 benchmarks/profile_timing.py --out BENCH_6.json \
         --tree parent=/path/to/parent/src --tree change=src
 
 The profiles are written once, with numpy and ``repr`` only, so every tree
@@ -10,7 +11,9 @@ flat plateau, so that both excision steps drop samples.  Each
 ``NAME=SRC`` tree is measured in one child interpreter with
 ``PYTHONPATH=SRC``; every number is the best of ``--repeats``
 ``time.perf_counter`` measurements of one call of ``load_profile``,
-``select_intermediate`` or ``analyze_profile`` (default options).
+``select_intermediate``, ``analyze_profile`` (default options) or
+``emit_plotdata`` of that analysis into a temporary directory whose files
+already hold the bytes to write, as in a repeated run.
 """
 
 from __future__ import annotations
@@ -52,22 +55,29 @@ def best_of(fn, repeats):
 
 
 def in_process(directory: Path, repeats: int):
-    """Run inside the child interpreter: time the three calls per size."""
-    from wallscale import analyze_profile, load_profile, select_intermediate
+    """Run inside the child interpreter: time the four calls per size."""
+    from wallscale import (analyze_profile, emit_plotdata, load_profile,
+                           select_intermediate)
 
     rows = []
-    for n in SIZES:
-        path = directory / f"n{n}.dat"
-        profile = load_profile(path)
-        rows.append({
-            "n": n,
-            "kept": len(select_intermediate(profile)),
-            "load_profile_s": best_of(lambda: load_profile(path), repeats),
-            "select_intermediate_s": best_of(
-                lambda: select_intermediate(profile), repeats),
-            "analyze_profile_s": best_of(lambda: analyze_profile(profile),
-                                         repeats),
-        })
+    with tempfile.TemporaryDirectory() as out:
+        for n in SIZES:
+            path = directory / f"n{n}.dat"
+            profile = load_profile(path)
+            bundle = analyze_profile(profile)
+            emit_plotdata(bundle, out, stem=f"n{n}")
+            rows.append({
+                "n": n,
+                "kept": len(select_intermediate(profile)),
+                "load_profile_s": best_of(lambda: load_profile(path), repeats),
+                "select_intermediate_s": best_of(
+                    lambda: select_intermediate(profile), repeats),
+                "analyze_profile_s": best_of(
+                    lambda: analyze_profile(profile), repeats),
+                "emit_plotdata_s": best_of(
+                    lambda: emit_plotdata(bundle, out, stem=f"n{n}"),
+                    repeats),
+            })
     return rows
 
 
@@ -101,11 +111,12 @@ def main(argv=None):
                 print(f"{name:8s} n={row['n']:5d}  "
                       f"load {row['load_profile_s'] * 1e3:8.3f} ms  "
                       f"select {row['select_intermediate_s'] * 1e3:7.3f} ms  "
-                      f"analyze {row['analyze_profile_s'] * 1e3:8.3f} ms")
+                      f"analyze {row['analyze_profile_s'] * 1e3:8.3f} ms  "
+                      f"emit {row['emit_plotdata_s'] * 1e3:8.3f} ms")
 
     record = {
-        "what": "load_profile, select_intermediate and analyze_profile, "
-                "best-of-N perf_counter seconds per call",
+        "what": "load_profile, select_intermediate, analyze_profile and "
+                "emit_plotdata, best-of-N perf_counter seconds per call",
         "command": "python3 benchmarks/profile_timing.py --tree NAME=SRC ...",
         "python": platform.python_version(),
         "numpy": np.__version__,

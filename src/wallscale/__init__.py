@@ -5,10 +5,9 @@ from .diagnostics import (COLLAPSED, SHIFTED_ABOVE, SHIFTED_BELOW,
                           ReynoldsDiagnostics, UniversalSeries,
                           build_universal_series, classify_shift,
                           combine_reynolds, ln_re1_from_prefactor,
-                          ln_re2_from_exponent, psi_transform,
-                          turbulence_shift_x)
-from .errors import (DomainError, FitError, ParseError, PipelineError,
-                     ValidationError, WallscaleError)
+                          ln_re2_from_exponent, psi_transform)
+from .errors import (DomainError, FitError, InputOutputError, ParseError,
+                     PipelineError, ValidationError, WallscaleError)
 from .fitting import (BrokenLineFit, PowerLawSegment, fit_broken_line,
                       fit_power_law, significant_break)
 from .profiles import (ProfileMetadata, VelocityProfile, load_profile,

@@ -8,7 +8,8 @@ Verbs:
     oracle            run the published-table recomputation suite
 
 Exit codes: 0 success; 10 parse failure; 11 validation failure; 12 fit or
-numeric failure; 13 partial batch failure; 1 oracle-suite failure.
+numeric failure; 13 partial batch failure; 14 an input file or directory
+could not be read; 1 oracle-suite failure.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import reference, report, scaling, synthetic
-from .errors import (ParseError, PipelineError, ValidationError,
-                     WallscaleError)
+from .errors import (InputOutputError, ParseError, PipelineError,
+                     ValidationError, WallscaleError)
 from .profiles import atomic_write_text, save_profile
 
 EXIT_OK = 0
@@ -28,6 +29,7 @@ EXIT_PARSE = 10
 EXIT_VALIDATION = 11
 EXIT_FIT = 12
 EXIT_PARTIAL = 13
+EXIT_IO = 14
 
 
 def _exit_code_for(exc: WallscaleError) -> int:
@@ -37,6 +39,8 @@ def _exit_code_for(exc: WallscaleError) -> int:
         return EXIT_PARSE
     if isinstance(exc, ValidationError):
         return EXIT_VALIDATION
+    if isinstance(exc, InputOutputError):
+        return EXIT_IO
     return EXIT_FIT
 
 
@@ -98,10 +102,11 @@ def _cmd_batch(args) -> int:
     print(report.format_table([b.report for b in bundles]), end="")
     for path, exc in failures:
         print(f"error: {path}: {exc}", file=sys.stderr)
-    if args.out_dir is not None:
+    if args.out_dir is not None and bundles:
+        envelope = report.envelope_table()
         for bundle in bundles:
             report.emit_plotdata(bundle, args.out_dir,
-                                 stem=bundle.source.stem)
+                                 stem=bundle.source.stem, envelope=envelope)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

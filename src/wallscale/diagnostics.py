@@ -116,28 +116,24 @@ def psi_transform(phi: float, alpha: float) -> float:
 
 def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
     """Map region-(I) samples, given as eta and phi columns, to
-    (ln eta, psi) and measure the bisectrix shift."""
+    (ln eta, psi) and measure the bisectrix shift.
+
+    ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
+    law with this alpha, positive below the bisectrix, which is where
+    free-stream turbulence or roughness moves a point."""
+    eta = np.asarray(eta, dtype=float)
     if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
+    if not (eta > 0).all():
+        raise DomainError("eta must be positive")
     points = tuple((math.log(e), psi_transform(p, alpha))
-                   for e, p in zip(np.asarray(eta, dtype=float).tolist(),
+                   for e, p in zip(eta.tolist(),
                                    np.asarray(phi, dtype=float).tolist()))
     deviations = [ln_eta - psi for ln_eta, psi in points]
     mean_shift = sum(deviations) / len(deviations)
     rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)
                     / len(deviations))
     return UniversalSeries(points=points, mean_shift=mean_shift, rms_scatter=rms)
-
-
-def turbulence_shift_x(eta: float, phi: float, ln_re: float) -> float:
-    """Abscissa x = ln eta - psi at the given effective Reynolds number.
-
-    Exact scaling-law points give x = 0; deviations reflect free-stream
-    turbulence (or roughness) raising the effective viscosity.
-    """
-    if not eta > 0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
-    return math.log(eta) - psi_transform(phi, alpha_of_ln_re(ln_re))
 
 
 def classify_shift(series: UniversalSeries,

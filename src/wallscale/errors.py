@@ -25,6 +25,11 @@ class ParseError(WallscaleError):
         super().__init__(where + message)
 
 
+class InputOutputError(WallscaleError):
+    """An input file or directory could not be read (it is missing, is
+    not a file or directory as expected, or is not readable)."""
+
+
 class ValidationError(WallscaleError):
     """Data violates a structural invariant (named in the message)."""
 

@@ -39,9 +39,6 @@ class PowerLawSegment:
     rss: float
     stderr_exponent: float
 
-    def phi_at(self, eta):
-        return self.prefactor * np.asarray(eta, dtype=float) ** self.exponent
-
     def ln_phi_at(self, ln_eta):
         return math.log(self.prefactor) + self.exponent * np.asarray(ln_eta, dtype=float)
 

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, fitting, profiles, scaling
-from .errors import (ParseError, PipelineError, ValidationError,
-                     WallscaleError)
+from .errors import (InputOutputError, ParseError, PipelineError,
+                     ValidationError, WallscaleError)
 
 ALPHA_SOURCE_MEAN = "mean"
 ALPHA_SOURCE_LNRE1 = "lnRe1"
@@ -189,12 +189,17 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
     of (path, exception).  Individual failures do not abort the batch.
     Output files are named by each input's stem, so a file whose stem an
     earlier file (in name order) already has is a ValidationError failure
-    and is not analyzed.  Raises ValidationError if the directory holds no
-    files at all.
+    and is not analyzed.  A file that cannot be read is an InputOutputError
+    failure.  Raises InputOutputError if the directory cannot be listed and
+    ValidationError if it holds no files at all.
     """
     dir_path = Path(dir_path)
-    paths = sorted(p for p in dir_path.iterdir()
-                   if p.is_file() and not p.name.startswith("."))
+    try:
+        paths = sorted(p for p in dir_path.iterdir()
+                       if p.is_file() and not p.name.startswith("."))
+    except OSError as exc:
+        raise InputOutputError(f"cannot list {dir_path}: "
+                               f"{exc.strerror or exc}") from exc
     if not paths:
         raise ValidationError(f"{dir_path}: no profile files found")
     bundles = []
@@ -321,14 +326,15 @@ def format_table(reports) -> str:
 # --- plot data -------------------------------------------------------------
 
 def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
-                  envelope_ln_eta_range=(5.0, 10.0),
-                  envelope_points: int = 50) -> list[Path]:
+                  envelope: str | None = None) -> list[Path]:
     """Write plain-text, plot-ready data files for one analysis.
 
     Emits the log-log profile with both fitted lines, the universal series
     with its bisectrix reference, the turbulence-shift series, the
     envelope against the classical log law, and the machine-readable
-    report.  Files are written atomically and are byte-identical across
+    report.  ``envelope`` is the text of ``envelope_table()``, which a
+    caller writing many analyses builds once; it is built here when not
+    given.  Files are written atomically and are byte-identical across
     repeated runs.
     """
     out_dir = Path(out_dir)
@@ -336,44 +342,40 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
     if stem is None:
         stem = "".join(ch if ch.isalnum() or ch in "-_." else "_"
                        for ch in bundle.report.label) or "profile"
+    profile = bundle.profile
 
-    written = []
+    ln_eta = np.log(profile.eta)
+    columns = (ln_eta, np.log(profile.phi),
+               bundle.fit.region1.ln_phi_at(ln_eta),
+               bundle.fit.region2.ln_phi_at(ln_eta))
+    loglog = ["ln_eta ln_phi fit_region1 fit_region2"] + [
+        f"{a!r} {b!r} {c!r} {d!r}"
+        for a, b, c, d in zip(*(column.tolist() for column in columns))]
 
-    ln_eta = np.log(bundle.profile.eta)
-    ln_phi = np.log(bundle.profile.phi)
-    fit1 = bundle.fit.region1.ln_phi_at(ln_eta)
-    fit2 = bundle.fit.region2.ln_phi_at(ln_eta)
-    lines = ["ln_eta ln_phi fit_region1 fit_region2"]
-    for row in zip(ln_eta, ln_phi, fit1, fit2):
-        lines.append(" ".join(repr(float(v)) for v in row))
-    path = out_dir / f"{stem}_loglog.dat"
-    profiles.atomic_write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-
-    lines = ["ln_eta psi bisectrix"]
+    universal = ["ln_eta psi bisectrix"]
     for x, psi in bundle.series.points:
-        lines.append(f"{x!r} {psi!r} {x!r}")
-    path = out_dir / f"{stem}_universal.dat"
-    profiles.atomic_write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
+        x = repr(x)
+        universal.append(f"{x} {psi!r} {x}")
 
-    lines = ["x phi"]
-    for eta, phi in zip(bundle.profile.eta.tolist(),
-                        bundle.profile.phi.tolist()):
-        x = diagnostics.turbulence_shift_x(eta, phi, bundle.report.ln_re)
-        lines.append(f"{x!r} {phi!r}")
-    path = out_dir / f"{stem}_shift.dat"
-    profiles.atomic_write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
+    # x = ln eta - psi at the report's ln Re, over the whole selected range.
+    series = diagnostics.build_universal_series(
+        profile.eta, profile.phi, scaling.alpha_of_ln_re(bundle.report.ln_re))
+    shift = ["x phi"] + [
+        f"{ln_eta - psi!r} {phi!r}"
+        for (ln_eta, psi), phi in zip(series.points, profile.phi.tolist())]
 
-    path = out_dir / "envelope.dat"
-    profiles.atomic_write_text(
-        path, envelope_table(envelope_ln_eta_range, envelope_points))
-    written.append(path)
-
-    path = out_dir / f"{stem}_report.txt"
-    profiles.atomic_write_text(path, report_to_text(bundle.report))
-    written.append(path)
+    texts = {
+        f"{stem}_loglog.dat": "\n".join(loglog) + "\n",
+        f"{stem}_universal.dat": "\n".join(universal) + "\n",
+        f"{stem}_shift.dat": "\n".join(shift) + "\n",
+        "envelope.dat": envelope_table() if envelope is None else envelope,
+        f"{stem}_report.txt": report_to_text(bundle.report),
+    }
+    written = []
+    for name, text in texts.items():
+        path = out_dir / name
+        profiles.atomic_write_text(path, text)
+        written.append(path)
     return written
 
 

@@ -26,11 +26,6 @@ from .fitting import _ols
 
 SQRT3 = math.sqrt(3.0)
 
-# Universal constants of the scaling law phi = (C0 ln Re + C1) eta^(c/ln Re).
-SCALING_C = 1.5
-SCALING_C0 = 1.0 / SQRT3
-SCALING_C1 = 2.5
-
 
 @dataclass(frozen=True)
 class LogLawParams:

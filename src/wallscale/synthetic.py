@@ -77,6 +77,16 @@ class SynthSpec:
             raise ValidationError(
                 f"plateau_points must be in [0, n_points - 4], "
                 f"got {self.plateau_points}")
+        for name, exponent in (
+                ("eta = exp(ln_eta_max)", hi),
+                ("the continuity factor exp(break_ln_eta * (alpha - beta))",
+                 self.break_ln_eta * (self.alpha - self.beta))):
+            try:
+                math.exp(exponent)
+            except OverflowError:
+                raise ValidationError(f"{name} overflows: exponent "
+                                      f"{exponent!r} is too large") from None
+        ProfileMetadata(label=self.label)   # a label must be one line
 
     @property
     def alpha(self) -> float:

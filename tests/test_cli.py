@@ -7,8 +7,8 @@ import pytest
 
 import wallscale
 from wallscale import AnalyzeOptions, SynthSpec, generate, save_profile
-from wallscale.cli import (EXIT_FIT, EXIT_OK, EXIT_PARSE, EXIT_PARTIAL,
-                           EXIT_VALIDATION, main)
+from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
+                           EXIT_PARTIAL, EXIT_VALIDATION, main)
 from wallscale.report import envelope_table
 
 
@@ -99,6 +99,21 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == EXIT_FIT
         assert "reynolds_extraction: ln Re = 7" in capsys.readouterr().err
 
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "nonexistent.dat"
+        assert main(["analyze", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: No such file or directory" in err
+        assert "Traceback" not in err
+
+    def test_infinite_metadata_is_validation(self, tmp_path, capsys):
+        path = tmp_path / "case.dat"
+        write_profile(path)
+        path.write_text("re_theta=inf\n" + path.read_text())
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "re_theta must be positive and finite, got inf" in err
+
     def test_fit_error_exit_code(self, tmp_path, capsys):
         # too few intermediate points for the two-segment fit
         path = tmp_path / "short.dat"
@@ -130,6 +145,32 @@ class TestBatch:
         assert code == EXIT_PARTIAL
         assert "good" in captured.out
         assert "bad.dat" in captured.err
+
+    @pytest.mark.parametrize("name", ["nonexistent_dir", "file.dat"])
+    def test_unlistable_dir_is_io_error(self, tmp_path, capsys, name):
+        (tmp_path / "file.dat").write_text("40 9.8\n")
+        assert main(["batch", str(tmp_path / name)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"cannot list {tmp_path / name}" in err
+        assert "Traceback" not in err
+
+    def test_unreadable_file_is_one_failure(self, tmp_path, capsys,
+                                            monkeypatch):
+        write_profile(tmp_path / "good.dat")
+        write_profile(tmp_path / "locked.dat")
+        read_bytes = Path.read_bytes
+
+        def refuse_locked(path):
+            if path.name == "locked.dat":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse_locked)
+        code = main(["batch", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARTIAL
+        assert "good" in captured.out
+        assert "locked.dat: Permission denied" in captured.err
 
     def test_all_good(self, tmp_path, capsys):
         write_profile(tmp_path / "a.dat")
@@ -198,6 +239,24 @@ class TestSynth:
         out = tmp_path / "prof.dat"
         assert main(["synth", str(specfile), "-o", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(ln_eta_max=800), "eta = exp(ln_eta_max) overflows"),
+        (dict(ln_re=0.001), "continuity factor"),
+    ])
+    def test_overflowing_spec_is_validation(self, tmp_path, capsys,
+                                            overrides, message):
+        specfile = tmp_path / "s.spec"
+        write_specfile(specfile, **overrides)
+        code = main(["synth", str(specfile), "-o", str(tmp_path / "o.dat")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert message in err and "Traceback" not in err
+
+    def test_missing_spec_is_io_error(self, tmp_path, capsys):
+        code = main(["synth", str(tmp_path / "none.spec"), "-o",
+                     str(tmp_path / "o.dat")])
+        assert code == EXIT_IO
 
     def test_synth_deterministic(self, tmp_path, capsys):
         specfile = tmp_path / "s.spec"

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from wallscale import (COLLAPSED, DomainError, SHIFTED_ABOVE, SHIFTED_BELOW,
-                       build_universal_series, classify_shift,
+                       alpha_of_ln_re, build_universal_series, classify_shift,
                        combine_reynolds, ln_re1_from_prefactor,
-                       ln_re2_from_exponent, psi_transform, scaling_law_phi,
-                       turbulence_shift_x)
+                       ln_re2_from_exponent, psi_transform, scaling_law_phi)
 
 
 class TestReynoldsEstimates:
@@ -84,6 +83,14 @@ class TestPsiTransform:
             psi_transform(0.0, 0.14)
         with pytest.raises(DomainError):
             psi_transform(10.0, -0.1)
+
+
+def turbulence_shift_x(eta, phi, ln_re):
+    """The shift abscissa ln eta - psi at ln Re, as emit_plotdata builds
+    its shift column: one universal series at alpha(ln Re)."""
+    series = build_universal_series([eta], [phi], alpha_of_ln_re(ln_re))
+    ((ln_eta, psi),) = series.points
+    return ln_eta - psi
 
 
 class TestTurbulenceShiftX:

@@ -107,6 +107,20 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             ProfileMetadata(re_theta=-5.0)
 
+    @pytest.mark.parametrize("field", ["re_theta", "turbulence_level",
+                                       "free_stream_velocity", "nu",
+                                       "u_star"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_metadata_finite(self, field, value):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            ProfileMetadata(**{field: value})
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\r", "\n", "a\x0bb",
+                                       "a\u2028b", None])
+    def test_label_is_one_line_of_text(self, label):
+        with pytest.raises(ValidationError, match="one line"):
+            ProfileMetadata(label=label)
+
 
 class TestLoadProfile:
     def test_wall_units_with_metadata(self, tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from wallscale import (AnalyzeOptions, COLLAPSED, ParseError, PipelineError,
-                       SHIFTED_BELOW, SynthSpec, ValidationError, analyze,
-                       analyze_profile, batch, emit_plotdata, generate,
+                       SHIFTED_BELOW, SynthSpec, ValidationError,
+                       alpha_of_ln_re, analyze, analyze_profile, batch,
+                       emit_plotdata, generate, psi_transform, report,
                        save_profile)
+from wallscale.cli import main
 from wallscale.report import (envelope_table, format_table, report_from_text,
                               report_to_text)
 
@@ -188,6 +190,47 @@ class TestPlotData:
         assert envelope in written
         assert envelope.stat().st_ino == inode
         assert len(list(tmp_path.iterdir())) == 9
+
+    def test_shift_file_is_x_of_every_sample(self, tmp_path):
+        # x = ln eta - psi(phi, alpha(ln Re)) row by row, bit for bit
+        bundle = analyze_profile(generate(clean_spec(noise_sigma=0.02,
+                                                     shift=0.3, seed=4)),
+                                 OPTIONS)
+        emit_plotdata(bundle, tmp_path, stem="s")
+        lines = (tmp_path / "s_shift.dat").read_text().splitlines()
+        alpha = alpha_of_ln_re(bundle.report.ln_re)
+        assert lines[0] == "x phi"
+        assert lines[1:] == [
+            f"{math.log(eta) - psi_transform(phi, alpha)!r} {phi!r}"
+            for eta, phi in zip(bundle.profile.eta.tolist(),
+                                bundle.profile.phi.tolist())]
+
+    def test_envelope_text_passed_in_is_written(self, tmp_path):
+        bundle = analyze_profile(generate(clean_spec()), OPTIONS)
+        emit_plotdata(bundle, tmp_path / "default", stem="d")
+        assert ((tmp_path / "default" / "envelope.dat").read_text()
+                == envelope_table())
+        text = envelope_table((2.0, 3.0), 5)
+        emit_plotdata(bundle, tmp_path / "given", stem="d", envelope=text)
+        assert (tmp_path / "given" / "envelope.dat").read_text() == text
+
+    def test_batch_builds_the_envelope_once(self, tmp_path, monkeypatch):
+        for name in "abc":
+            save_profile(generate(clean_spec(label=name)),
+                         tmp_path / f"{name}.dat")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return envelope_table(*args)
+
+        monkeypatch.setattr(report, "envelope_table", counted)
+        code = main(["batch", str(tmp_path), "--lg-eta-min", "0.5",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert calls == [()]
+        assert ((tmp_path / "out" / "envelope.dat").read_text()
+                == envelope_table())
 
     def test_universal_file_bisectrix(self, tmp_path):
         bundle = analyze_profile(generate(clean_spec()), OPTIONS)

@@ -45,6 +45,11 @@ class TestSpecValidation:
         dict(ln_eta_range=(-math.inf, 9.0)),
         dict(seed=-1),
         dict(seed=-1, noise_sigma=0.01),
+        dict(ln_eta_range=(2.0, 800.0)),            # exp(ln_eta) overflows
+        dict(ln_re=0.001),     # exp(break * (alpha - beta)) overflows
+        dict(beta=-200.0, break_ln_eta=5.0),        # the same, beta < 0
+        dict(label="a\nb"),
+        dict(label="a\x85b"),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
