@@ -111,7 +111,16 @@ def psi_transform(phi: float, alpha: float) -> float:
         raise DomainError(f"phi must be positive, got {phi!r}")
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return math.log(2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)) / alpha
+    return _psi_at(alpha)(phi)
+
+
+def _psi_at(alpha: float):
+    """psi as a function of phi at one alpha, for many phi.  The factors
+    that depend on alpha alone are computed once, by the same operations
+    in the same order as the formula, so every value has the same bits."""
+    two_alpha = 2.0 * alpha
+    scale = SQRT3 + 5.0 * alpha
+    return lambda phi: math.log(two_alpha * phi / scale) / alpha
 
 
 def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
@@ -122,13 +131,20 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point."""
     eta = np.asarray(eta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
     if not (eta > 0).all():
         raise DomainError("eta must be positive")
-    points = tuple((math.log(e), psi_transform(p, alpha))
-                   for e, p in zip(eta.tolist(),
-                                   np.asarray(phi, dtype=float).tolist()))
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    bad = ~(phi > 0)
+    if bad.any():
+        raise DomainError(
+            f"phi must be positive, got {phi[bad.argmax()].item()!r}")
+    psi_of, log = _psi_at(alpha), math.log
+    points = tuple((log(e), psi_of(p)) for e, p in zip(eta.tolist(),
+                                                       phi.tolist()))
     deviations = [ln_eta - psi for ln_eta, psi in points]
     mean_shift = sum(deviations) / len(deviations)
     rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)

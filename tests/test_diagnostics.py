@@ -155,6 +155,24 @@ class TestUniversalSeries:
         with pytest.raises(DomainError):
             build_universal_series([], [], 0.14)
 
+    @pytest.mark.parametrize("phi, alpha, message", [
+        ([5.0, 0.0, -1.0], 0.14, "phi must be positive, got 0.0"),
+        ([5.0, math.nan, 6.0], 0.14, "phi must be positive, got nan"),
+        ([5.0, 6.0, 7.0], 0.0, "alpha must be positive"),
+        ([5.0, 6.0, 7.0], math.nan, "alpha must be positive"),
+    ])
+    def test_domain(self, phi, alpha, message):
+        with pytest.raises(DomainError, match=message):
+            build_universal_series([10.0, 20.0, 30.0], phi, alpha)
+
+    def test_psi_is_psi_transform_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for alpha in rng.uniform(0.01, 2.0, 20).tolist():
+            phi = rng.uniform(1e-3, 1e3, 30)
+            series = build_universal_series(np.arange(1.0, 31.0), phi, alpha)
+            assert [psi for _, psi in series.points] == [
+                psi_transform(p, alpha) for p in phi.tolist()]
+
 
 class TestClassifyShift:
     def test_thresholds(self):

@@ -71,7 +71,7 @@ ODD_LINE = st.sampled_from([
 
 
 CLEAN = clean_rows()
-ODD = {"odd rows": odd_rows(), "odd lines": ODD_LINE}
+ODD = {"odd rows": odd_rows(), "odd lines": ODD_LINE | METADATA}
 EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
          "underscore", "comment", "width")
 
@@ -79,10 +79,11 @@ EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
 @st.composite
 def profile_files(draw):
     """(text, whether it was edited): metadata and clean rows, edited by
-    putting one or two odd rows or odd lines anywhere, by drawing each
-    row's separator anew, by an underscore in one number (``1_0`` reads as
-    10 with ``float`` but not with ``loadtxt``), by a trailing comment on
-    one row, or by giving every row one or three columns."""
+    putting one or two odd rows, or odd or metadata lines, anywhere (after
+    the rows too), by drawing each row's separator anew, by an underscore
+    in one number (``1_0`` reads as 10 with ``float`` but not with
+    ``loadtxt``), by a trailing comment on one row, or by giving every row
+    one or three columns."""
     rows = draw(CLEAN)
     edit = draw(st.sampled_from(EDITS))
     if edit == "mixed separators":
