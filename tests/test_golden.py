@@ -100,8 +100,8 @@ def run_cases(tmp: Path) -> dict:
         outputs = {"stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
                    "stderr": stderr.getvalue().replace(str(tmp), "<tmp>")}
         for path in sorted(out.rglob("*")):
-            outputs[f"file {path.relative_to(out)}"] = path.read_text(
-                encoding="utf-8")
+            outputs[f"file {path.relative_to(out)}"] = (
+                path.read_bytes().decode("utf-8"))
         results[name] = {"exit": code, **outputs}
     return results
 
