@@ -1,5 +1,5 @@
-"""Time profile loading, excision, the whole analysis and the plot-data
-writes, per source tree.
+"""Time profile loading, excision, the analysis, the plot-data writes and
+the whole ``analyze`` command, per source tree.
 
     python3 benchmarks/profile_timing.py --out BENCH_6.json \
         --tree parent=/path/to/parent/src --tree change=src
@@ -13,12 +13,16 @@ flat plateau, so that both excision steps drop samples.  Each
 ``time.perf_counter`` measurements of one call of ``load_profile``,
 ``select_intermediate``, ``analyze_profile`` (default options) or
 ``emit_plotdata`` of that analysis into a temporary directory whose files
-already hold the bytes to write, as in a repeated run.
+already hold the bytes to write, as in a repeated run, or of
+``cli.main(["analyze", FILE])`` (parser, load, analysis and the printed
+row, which goes to a string buffer).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -58,6 +62,11 @@ def in_process(directory: Path, repeats: int):
     """Run inside the child interpreter: time the four calls per size."""
     from wallscale import (analyze_profile, emit_plotdata, load_profile,
                            select_intermediate)
+    from wallscale.cli import main
+
+    def cli_analyze(path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["analyze", str(path)])
 
     rows = []
     with tempfile.TemporaryDirectory() as out:
@@ -77,6 +86,7 @@ def in_process(directory: Path, repeats: int):
                 "emit_plotdata_s": best_of(
                     lambda: emit_plotdata(bundle, out, stem=f"n{n}"),
                     repeats),
+                "cli_analyze_s": best_of(lambda: cli_analyze(path), repeats),
             })
     return rows
 
@@ -112,11 +122,13 @@ def main(argv=None):
                       f"load {row['load_profile_s'] * 1e3:8.3f} ms  "
                       f"select {row['select_intermediate_s'] * 1e3:7.3f} ms  "
                       f"analyze {row['analyze_profile_s'] * 1e3:8.3f} ms  "
-                      f"emit {row['emit_plotdata_s'] * 1e3:8.3f} ms")
+                      f"emit {row['emit_plotdata_s'] * 1e3:8.3f} ms  "
+                      f"cli {row['cli_analyze_s'] * 1e3:8.3f} ms")
 
     record = {
-        "what": "load_profile, select_intermediate, analyze_profile and "
-                "emit_plotdata, best-of-N perf_counter seconds per call",
+        "what": "load_profile, select_intermediate, analyze_profile, "
+                "emit_plotdata and cli.main analyze, best-of-N "
+                "perf_counter seconds per call",
         "command": "python3 benchmarks/profile_timing.py --tree NAME=SRC ...",
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -111,16 +111,7 @@ def psi_transform(phi: float, alpha: float) -> float:
         raise DomainError(f"phi must be positive, got {phi!r}")
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return _psi_at(alpha)(phi)
-
-
-def _psi_at(alpha: float):
-    """psi as a function of phi at one alpha, for many phi.  The factors
-    that depend on alpha alone are computed once, by the same operations
-    in the same order as the formula, so every value has the same bits."""
-    two_alpha = 2.0 * alpha
-    scale = SQRT3 + 5.0 * alpha
-    return lambda phi: math.log(two_alpha * phi / scale) / alpha
+    return math.log(2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)) / alpha
 
 
 def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
@@ -130,21 +121,15 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point."""
-    eta = np.asarray(eta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
+    eta = np.asarray(eta, dtype=float)
     if not (eta > 0).all():
-        raise DomainError("eta must be positive")
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    bad = ~(phi > 0)
-    if bad.any():
         raise DomainError(
-            f"phi must be positive, got {phi[bad.argmax()].item()!r}")
-    psi_of, log = _psi_at(alpha), math.log
-    points = tuple((log(e), psi_of(p)) for e, p in zip(eta.tolist(),
-                                                       phi.tolist()))
+            f"eta must be positive, got {eta[~(eta > 0)][0].item()!r}")
+    points = tuple((math.log(e), psi_transform(p, alpha))
+                   for e, p in zip(eta.tolist(),
+                                   np.asarray(phi, dtype=float).tolist()))
     deviations = [ln_eta - psi for ln_eta, psi in points]
     mean_shift = sum(deviations) / len(deviations)
     rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)

@@ -153,95 +153,57 @@ def _parse_number(text: str, key: str, path, lineno: int) -> float:
                          path=path, line=lineno) from None
 
 
-def _parse_metadata(text: str, meta_kwargs: dict, path, lineno: int) -> None:
-    """Parse one ``key=value`` line into ``meta_kwargs``."""
-    key, _, value = text.partition("=")
-    key = key.strip()
-    value = value.strip()
-    if key not in _METADATA_KEYS:
-        raise ParseError(f"unknown metadata key {key!r}",
-                         path=path, line=lineno)
-    field = _METADATA_KEYS[key]
-    if field == "label":
-        meta_kwargs[field] = value
-    else:
-        meta_kwargs[field] = _parse_number(value, key, path, lineno)
+def load_profile(path, format: str = "wall_units") -> VelocityProfile:
+    """Load and validate a velocity profile from a text file.
 
+    ``format`` is ``"wall_units"`` (rows are eta, phi) or ``"raw"`` (rows
+    are y, u in SI units; requires u_star and nu metadata, and each row is
+    normalized to eta = u_star * y / nu, phi = u / u_star).  Rows must be
+    ascending in eta; duplicate or decreasing eta values are rejected.
 
-def _parse_lines(lines, path=None):
-    """Parse the lines of a profile file one at a time.
-
-    Returns ``(metadata keyword arguments, first column, second column)``.
     A blank line or one starting with ``#`` is skipped, a line holding
     ``=`` is metadata, and any other line is a data row of two numbers
     split at commas if it holds one and at whitespace otherwise, each read
     by ``float``.  The first bad line, in line order, is a ParseError that
-    names it.  ``load_profile`` reads the same grammar faster and falls
-    back to this parser whenever its faster path does not apply.
+    names it; a row's checks are spelled out only once it fails to read.
     """
+    if format not in ("wall_units", "raw"):
+        raise ValidationError(f"unknown format {format!r}")
+    path = Path(path)
     meta_kwargs: dict = {}
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(lines, start=1):
+    values: list[float] = []
+    for lineno, line in enumerate(read_lines(path), start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" in text:
-            _parse_metadata(text, meta_kwargs, path, lineno)
-            continue
-        parts = text.split(",") if "," in text else text.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 columns, got {len(parts)}",
-                             path=path, line=lineno)
-        a = _parse_number(parts[0].strip(), "column 1", path, lineno)
-        b = _parse_number(parts[1].strip(), "column 2", path, lineno)
-        rows.append((a, b))
-    first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
-    return meta_kwargs, first, second
-
-
-def _parse_columns(lines):
-    """``_parse_lines`` for a file without errors, with every data row
-    parsed by one ``np.loadtxt`` call; None where the two could differ.
-
-    The rows are split at commas if the first one holds a comma and at
-    whitespace otherwise.  A file whose rows do not all split the same
-    way, any row that is not two numbers, a number ``loadtxt`` does not
-    read (such as ``1_0``, which ``float`` reads) and any bad metadata line
-    give None, so that ``_parse_lines`` can name the first bad line.
-    """
-    metadata: list[str] = []
-    data: list[str] = []
-    for text in map(str.strip, lines):
         if not text or text[0] == "#":
             continue
         if "=" in text:
-            metadata.append(text)
-        else:
-            data.append(text)
-    meta_kwargs: dict = {}
-    try:
-        for text in metadata:
-            _parse_metadata(text, meta_kwargs, None, None)
-    except ParseError:
-        return None
-    if not data:
-        return meta_kwargs, np.empty(0), np.empty(0)
-    try:
-        rows = np.loadtxt(data, delimiter="," if "," in data[0] else None,
-                          comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        return None
-    if rows.shape != (len(data), 2):
-        return None
-    return meta_kwargs, rows[:, 0], rows[:, 1]
-
-
-def _profile_from_columns(path, format: str, meta_kwargs: dict, first,
-                         second) -> VelocityProfile:
-    """Validate parsed metadata and columns as a profile of ``format``;
-    a ValidationError names ``path``."""
+            key, _, value = text.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in _METADATA_KEYS:
+                raise ParseError(f"unknown metadata key {key!r}",
+                                 path=path, line=lineno)
+            field = _METADATA_KEYS[key]
+            if field == "label":
+                meta_kwargs[field] = value
+            else:
+                meta_kwargs[field] = _parse_number(value, key, path, lineno)
+            continue
+        parts = text.split(",") if "," in text else text.split()
+        try:
+            # float strips the whitespace that str.strip does.
+            a, b = parts
+            values += float(a), float(b)
+        except ValueError:
+            if len(parts) != 2:
+                raise ParseError(f"expected 2 columns, got {len(parts)}",
+                                 path=path, line=lineno) from None
+            _parse_number(parts[0].strip(), "column 1", path, lineno)
+            _parse_number(parts[1].strip(), "column 2", path, lineno)
+            raise
     try:
         metadata = ProfileMetadata(**meta_kwargs)
+        first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
         if format == "raw":
             if metadata.u_star is None or metadata.nu is None:
                 raise ValidationError(
@@ -252,24 +214,6 @@ def _profile_from_columns(path, format: str, meta_kwargs: dict, first,
         return VelocityProfile(first, second, metadata)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def load_profile(path, format: str = "wall_units") -> VelocityProfile:
-    """Load and validate a velocity profile from a text file.
-
-    ``format`` is ``"wall_units"`` (rows are eta, phi) or ``"raw"`` (rows
-    are y, u in SI units; requires u_star and nu metadata, and each row is
-    normalized to eta = u_star * y / nu, phi = u / u_star).  Rows must be
-    ascending in eta; duplicate or decreasing eta values are rejected.
-    The values read, and the error raised for a bad file, are those of
-    ``_parse_lines``.
-    """
-    if format not in ("wall_units", "raw"):
-        raise ValidationError(f"unknown format {format!r}")
-    path = Path(path)
-    lines = read_lines(path).readlines()
-    parsed = _parse_columns(lines) or _parse_lines(lines, path)
-    return _profile_from_columns(path, format, *parsed)
 
 
 def save_profile(profile: VelocityProfile, path) -> None:

@@ -80,7 +80,9 @@ class SynthSpec:
         for name, exponent in (
                 ("eta = exp(ln_eta_max)", hi),
                 ("the continuity factor exp(break_ln_eta * (alpha - beta))",
-                 self.break_ln_eta * (self.alpha - self.beta))):
+                 self.break_ln_eta * (self.alpha - self.beta)),
+                ("the shift factor exp(-alpha * shift)",
+                 -self.alpha * self.shift)):
             try:
                 math.exp(exponent)
             except OverflowError:

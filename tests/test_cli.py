@@ -1,14 +1,19 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wallscale
 from wallscale import AnalyzeOptions, SynthSpec, generate, save_profile
 from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                           EXIT_PARTIAL, EXIT_VALIDATION, main)
+                           EXIT_PARTIAL, EXIT_VALIDATION, VERBS, build_parser,
+                           main)
 from wallscale.report import envelope_table
 
 
@@ -243,6 +248,7 @@ class TestSynth:
     @pytest.mark.parametrize("overrides, message", [
         (dict(ln_eta_max=800), "eta = exp(ln_eta_max) overflows"),
         (dict(ln_re=0.001), "continuity factor"),
+        (dict(ln_re=10.0, shift=-6000.0), "shift factor"),
     ])
     def test_overflowing_spec_is_validation(self, tmp_path, capsys,
                                             overrides, message):
@@ -329,3 +335,59 @@ class TestOracle:
         assert "oracle suite: PASS" in out
         assert "50 rows checked" in out
         assert "Fig.13(e)" in out
+
+
+def _parse(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace, or the exit code
+    and everything printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "f.dat"],
+        ["analyze", "f.dat", "--format", "raw", "--lg-eta-min", "2",
+         "--out-dir", "o", "--alpha-source", "lnRe1"],
+        ["analyze", "f.dat", "--form", "raw", "--min", "4"],
+        ["analyze"], ["analyze", "--help"], ["analyze", "f.dat", "-h"],
+        ["analyze", "f.dat", "--bogus"], ["analyze", "f.dat", "--min-seg", "x"],
+        ["analyze", "f.dat", "--alpha-source", "bad"],
+        ["analyze", "a.dat", "b.dat"], ["analyze", "--", "-f.dat"],
+        ["batch", "d"], ["batch", "d", "--shift-tol", "0.2"], ["batch", "-h"],
+        ["batch"], ["synth", "s.spec"], ["synth", "s.spec", "-o", "x.dat"],
+        ["synth", "s.spec", "--out", "x.dat"], ["synth", "--help"],
+        ["envelope"], ["envelope", "--n-points", "5", "--ln-eta-max", "9"],
+        ["envelope", "extra"], ["envelope", "-h"],
+        ["oracle"], ["oracle", "x"], ["oracle", "--help"],
+        ["batch", "d", "--bogus"], ["synth", "s", "-o", "x", "extra"],
+        ["envelope", "--bogus"], ["analyze", "f.dat", "--he"],
+    ], ids=" ".join)
+    def test_one_verb_parser_reads_argv_as_full_parser(self, argv):
+        assert argv[0] in VERBS
+        assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(),
+                                                             argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(verb=st.sampled_from(list(VERBS)), words=st.lists(st.sampled_from([
+        "f.dat", "x", "-", "--", "-h", "--help", "--he", "-o", "--out",
+        "--output", "--format", "raw", "--min-seg", "4", "--n-points", "5",
+        "--ln-eta", "--ln-eta-min", "-1e3", "--alpha-source", "lnRe1",
+        "--out-dir", "analyze", "--bogus", "-x", "=", "--min-seg=x"]),
+        max_size=6))
+    def test_one_verb_parser_on_drawn_argv(self, verb, words):
+        argv = [verb, *words]
+        assert _parse(build_parser(verb), argv) == _parse(build_parser(),
+                                                          argv)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["analyz"],
+                                      ["--version"]], ids=repr)
+    def test_argv_without_a_verb_gets_the_full_parser(self, argv, capsys):
+        want = _parse(build_parser(), argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, *capsys.readouterr()) == want

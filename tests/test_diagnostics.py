@@ -165,13 +165,11 @@ class TestUniversalSeries:
         with pytest.raises(DomainError, match=message):
             build_universal_series([10.0, 20.0, 30.0], phi, alpha)
 
-    def test_psi_is_psi_transform_bit_for_bit(self):
-        rng = np.random.default_rng(3)
-        for alpha in rng.uniform(0.01, 2.0, 20).tolist():
-            phi = rng.uniform(1e-3, 1e3, 30)
-            series = build_universal_series(np.arange(1.0, 31.0), phi, alpha)
-            assert [psi for _, psi in series.points] == [
-                psi_transform(p, alpha) for p in phi.tolist()]
+    @pytest.mark.parametrize("eta, bad", [([10.0, 0.0, -1.0], "0.0"),
+                                          ([10.0, math.nan, 30.0], "nan")])
+    def test_eta_domain(self, eta, bad):
+        with pytest.raises(DomainError, match=f"eta must be positive, got {bad}"):
+            build_universal_series(eta, [5.0, 6.0, 7.0], 0.14)
 
 
 class TestClassifyShift:

@@ -48,6 +48,7 @@ class TestSpecValidation:
         dict(ln_eta_range=(2.0, 800.0)),            # exp(ln_eta) overflows
         dict(ln_re=0.001),     # exp(break * (alpha - beta)) overflows
         dict(beta=-200.0, break_ln_eta=5.0),        # the same, beta < 0
+        dict(ln_re=10.0, shift=-6000.0),   # exp(-alpha * shift) overflows
         dict(label="a\nb"),
         dict(label="a\x85b"),
     ])
