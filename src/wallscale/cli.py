@@ -8,20 +8,21 @@ Verbs:
     oracle            run the published-table recomputation suite
 
 Exit codes: 0 success; 10 parse failure; 11 validation failure; 12 fit or
-numeric failure; 13 partial batch failure; 14 an input file or directory
-could not be read; 1 oracle-suite failure.
+numeric failure; 13 partial batch failure; 14 an input or output file or
+directory could not be read or written; 1 oracle-suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import reference, report, scaling, synthetic
 from .errors import (InputOutputError, ParseError, PipelineError,
                      ValidationError, WallscaleError)
-from .profiles import atomic_write_text, save_profile
+from .profiles import atomic_write_text, make_output_dir, save_profile
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -45,24 +46,36 @@ def _exit_code_for(exc: WallscaleError) -> int:
 
 
 def _add_analyze_options(parser: argparse.ArgumentParser) -> None:
+    # A dataclass holds each field's default as a class attribute, so
+    # main, which builds a parser on every call, builds no options here.
+    defaults = report.AnalyzeOptions
     parser.add_argument("--format", choices=["wall_units", "raw"],
                         default="wall_units", help="input file format")
-    parser.add_argument("--lg-eta-min", type=float, default=1.5,
-                        help="sublayer cutoff in log10(eta) (default 1.5)")
-    parser.add_argument("--plateau-tol", type=float, default=0.002,
+    parser.add_argument("--lg-eta-min", type=float,
+                        default=defaults.lg_eta_min,
+                        help="sublayer cutoff in log10(eta) (default "
+                             "%(default)s)")
+    parser.add_argument("--plateau-tol", type=float,
+                        default=defaults.phi_plateau_tol,
                         help="relative tolerance of the free-stream plateau "
-                             "heuristic (default 0.002)")
-    parser.add_argument("--min-seg", type=int, default=3,
-                        help="minimum points per fitted segment (default 3)")
-    parser.add_argument("--consistency-tol", type=float, default=0.03,
-                        help="relative ln Re discrepancy threshold (default 0.03)")
-    parser.add_argument("--shift-tol", type=float, default=0.1,
+                             "heuristic (default %(default)s)")
+    parser.add_argument("--min-seg", type=int, default=defaults.min_seg,
+                        help="minimum points per fitted segment (default "
+                             "%(default)s)")
+    parser.add_argument("--consistency-tol", type=float,
+                        default=defaults.consistency_tol,
+                        help="relative ln Re discrepancy threshold (default "
+                             "%(default)s)")
+    parser.add_argument("--shift-tol", type=float,
+                        default=defaults.shift_tol,
                         help="bisectrix shift classification threshold "
-                             "(default 0.1)")
-    parser.add_argument("--alpha-source", choices=["mean", "lnRe1"],
-                        default="mean",
+                             "(default %(default)s)")
+    parser.add_argument("--alpha-source",
+                        choices=[report.ALPHA_SOURCE_MEAN,
+                                 report.ALPHA_SOURCE_LNRE1],
+                        default=defaults.alpha_source,
                         help="Reynolds estimate used for the universal "
-                             "transform (default mean)")
+                             "transform (default %(default)s)")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="directory for plot data and structured reports")
 
@@ -79,12 +92,7 @@ def _options_from_args(args) -> report.AnalyzeOptions:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        bundle = report.analyze(args.file, _options_from_args(args),
-                                args.format)
-    except WallscaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+    bundle = report.analyze(args.file, _options_from_args(args), args.format)
     print(report.format_table([bundle.report]), end="")
     if args.out_dir is not None:
         report.emit_plotdata(bundle, args.out_dir,
@@ -93,12 +101,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    try:
-        bundles, failures = report.batch(args.dir, _options_from_args(args),
-                                         args.format)
-    except WallscaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+    bundles, failures = report.batch(args.dir, _options_from_args(args),
+                                     args.format)
     print(report.format_table([b.report for b in bundles]), end="")
     for path, exc in failures:
         print(f"error: {path}: {exc}", file=sys.stderr)
@@ -111,30 +115,29 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        spec = synthetic.load_synth_spec(args.specfile)
-        profile = synthetic.generate(spec)
-        save_profile(profile, args.output)
-    except WallscaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+    profile = synthetic.generate(synthetic.load_synth_spec(args.specfile))
+    save_profile(profile, args.output)
     print(f"wrote {len(profile)} samples to {args.output}")
     return EXIT_OK
 
 
 def _cmd_envelope(args) -> int:
-    try:
-        table = report.envelope_table((args.ln_eta_min, args.ln_eta_max),
-                                      args.n_points)
-        line = scaling.envelope_line_fit((args.ln_eta_min, args.ln_eta_max),
-                                         args.n_points)
-    except WallscaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+    lo, hi, n = args.ln_eta_min, args.ln_eta_max, args.n_points
+    # The checks of envelope_line_fit and envelope_at, made on the
+    # arguments before anything is computed.
+    if n < 10:
+        raise ValidationError(f"n_points must be at least 10, got {n}")
+    if not lo < hi:
+        raise ValidationError(f"invalid ln_eta range {(lo, hi)!r}")
+    for ln_eta in (lo, hi):
+        if not 0 < ln_eta < math.inf:
+            raise ValidationError(
+                f"ln_eta must be positive and finite, got {ln_eta!r}")
+    table = report.envelope_table((lo, hi), n)
+    line = scaling.envelope_line_fit((lo, hi), n)
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out_dir / "envelope.dat", table)
+        atomic_write_text(make_output_dir(args.out_dir) / "envelope.dat",
+                          table)
     else:
         print(table, end="")
     print(f"effective log law: kappa={line.kappa:.4f} "
@@ -223,7 +226,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     verb = argv[0] if argv and argv[0] in VERBS else None
     args = build_parser(verb).parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except WallscaleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code_for(exc)
 
 
 def entrypoint() -> None:

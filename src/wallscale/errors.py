@@ -25,9 +25,11 @@ class ParseError(WallscaleError):
         super().__init__(where + message)
 
 
-class InputOutputError(WallscaleError):
-    """An input file or directory could not be read (it is missing, is
-    not a file or directory as expected, or is not readable)."""
+class InputOutputError(WallscaleError, OSError):
+    """An input or output file or directory could not be read or written
+    (it is missing, is not a file or directory as expected, or is not
+    readable or writable).  It is an OSError too, so code that catches
+    the OSError of a file operation still catches it."""
 
 
 class ValidationError(WallscaleError):

@@ -246,7 +246,8 @@ def atomic_write_text(path, text: str) -> None:
     itself; it is removed if the write or the rename fails.  A ``path``
     that already holds exactly these bytes is left as it is: a batch
     writes the same envelope table once per profile, and replacing it each
-    time would allocate a new file and free the old one for nothing.
+    time would allocate a new file and free the old one for nothing.  A
+    write that fails is an InputOutputError.
     """
     path = Path(path)
     try:
@@ -256,14 +257,31 @@ def atomic_write_text(path, text: str) -> None:
     except (OSError, UnicodeDecodeError):
         pass
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise InputOutputError(f"cannot write {path}: "
+                               f"{exc.strerror or exc}") from exc
+
+
+def make_output_dir(path) -> Path:
+    """Create the directory ``path`` and its missing parents, and return
+    it as a Path.  An existing directory is kept; a path that cannot be a
+    directory, such as a regular file, is an InputOutputError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputOutputError(f"cannot create directory {path}: "
+                               f"{exc.strerror or exc}") from exc
+    return path
 
 
 def select_intermediate(profile: VelocityProfile,

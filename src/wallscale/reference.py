@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagnostics import ln_re1_from_prefactor, ln_re2_from_exponent
+from .diagnostics import (combine_reynolds, ln_re1_from_prefactor,
+                          ln_re2_from_exponent)
 
 # Strict tolerances for the recomputation checks.
 TOL_LN_RE1 = 0.01
@@ -161,20 +162,6 @@ class RowCheck:
     roundoff_ok: bool
 
 
-def recompute(row: ReferenceRow) -> dict:
-    """Derived columns recomputed from (A, alpha) alone."""
-    ln_re1 = ln_re1_from_prefactor(row.prefactor)
-    ln_re2 = ln_re2_from_exponent(row.alpha)
-    mean = 0.5 * (ln_re1 + ln_re2)
-    return {
-        "ln_re1": ln_re1,
-        "ln_re2": ln_re2,
-        "ln_re_mean": mean,
-        "re_theta_over_re": row.re_theta / math.exp(mean),
-        "rel_discrepancy": abs(ln_re1 - ln_re2) / mean,
-    }
-
-
 def _interval_roundoff_feasible(row: ReferenceRow) -> bool:
     """Whether some unrounded (A*, alpha*) within half an ulp of the
     printed values reproduces every printed column within its tolerance.
@@ -216,25 +203,29 @@ def _interval_roundoff_feasible(row: ReferenceRow) -> bool:
 
 
 def check_row(row: ReferenceRow) -> RowCheck:
-    """Strict recomputation check of one row, with the flag machinery."""
-    derived = recompute(row)
+    """Strict recomputation check of one row, with the flag machinery.
+
+    The derived columns are recomputed from (A, alpha) alone, through
+    the same combine_reynolds that the analysis uses."""
+    derived = combine_reynolds(ln_re1_from_prefactor(row.prefactor),
+                               ln_re2_from_exponent(row.alpha), row.re_theta)
     ln1_col, ln2_col = row.ln_re1, row.ln_re2
     if row.columns_swapped:
         ln1_col, ln2_col = ln2_col, ln1_col
-    d1 = abs(derived["ln_re1"] - ln1_col)
-    d2 = abs(derived["ln_re2"] - ln2_col)
-    dm = abs(derived["ln_re_mean"] - row.ln_re)
-    dr = abs(derived["re_theta_over_re"] - row.re_theta_over_re)
+    d1 = abs(derived.ln_re1 - ln1_col)
+    d2 = abs(derived.ln_re2 - ln2_col)
+    dm = abs(derived.ln_re_mean - row.ln_re)
+    dr = abs(derived.re_theta_over_re - row.re_theta_over_re)
     strict_ok = (d1 <= TOL_LN_RE1 and d2 <= TOL_LN_RE2
                  and dm <= TOL_LN_RE_MEAN and dr <= TOL_RATIO)
     flagged = row.label in KNOWN_PRINT_DISCREPANCIES
     return RowCheck(
         row=row,
-        ln_re1=derived["ln_re1"],
-        ln_re2=derived["ln_re2"],
-        ln_re_mean=derived["ln_re_mean"],
-        re_theta_over_re=derived["re_theta_over_re"],
-        rel_discrepancy=derived["rel_discrepancy"],
+        ln_re1=derived.ln_re1,
+        ln_re2=derived.ln_re2,
+        ln_re_mean=derived.ln_re_mean,
+        re_theta_over_re=derived.re_theta_over_re,
+        rel_discrepancy=derived.rel_discrepancy,
         d_ln_re1=d1,
         d_ln_re2=d2,
         d_ln_re_mean=dm,

@@ -169,14 +169,22 @@ def analyze_profile(profile: profiles.VelocityProfile,
 
 def analyze(profile_path, options: AnalyzeOptions = AnalyzeOptions(),
             format: str = "wall_units") -> AnalysisBundle:
-    """Load a profile file and run the pipeline; pure in (file bytes, options)."""
+    """Load a profile file and run the pipeline; pure in (file bytes, options).
+
+    A profile without a label takes the file's stem as its label, and a
+    stem that is not one line is a ValidationError."""
     profile_path = Path(profile_path)
     profile = _stage("load_profile", profiles.load_profile,
                      profile_path, format)
     bundle = analyze_profile(profile, options)
     report = bundle.report
     if not report.label:
-        # Fall back to the file name so batch summaries stay identifiable.
+        # Fall back to the file name so batch summaries stay identifiable;
+        # it must be one line, as a label in the file must.
+        try:
+            profiles.ProfileMetadata(label=profile_path.stem)
+        except ValidationError as exc:
+            raise ValidationError(f"{profile_path}: {exc}") from exc
         report = replace(report, label=profile_path.stem)
     return replace(bundle, report=report, source=profile_path)
 
@@ -335,10 +343,10 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
     report.  ``envelope`` is the text of ``envelope_table()``, which a
     caller writing many analyses builds once; it is built here when not
     given.  Files are written atomically and are byte-identical across
-    repeated runs.
+    repeated runs.  A directory or file that cannot be written is an
+    InputOutputError.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = profiles.make_output_dir(out_dir)
     if stem is None:
         stem = "".join(ch if ch.isalnum() or ch in "-_." else "_"
                        for ch in bundle.report.label) or "profile"

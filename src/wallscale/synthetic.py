@@ -108,14 +108,18 @@ def generate(spec: SynthSpec) -> VelocityProfile:
     # Continuity at the break: B = A * exp(break * (alpha - beta)).
     b = a * math.exp(spec.break_ln_eta * (alpha - spec.beta))
     inner = ln_eta < spec.break_ln_eta
-    phi = np.where(inner,
-                   a * np.exp(alpha * ln_eta),
-                   b * np.exp(spec.beta * ln_eta))
-    if spec.shift != 0.0:
-        phi = np.where(inner, phi * math.exp(-alpha * spec.shift), phi)
-    if spec.noise_sigma > 0.0:
-        rng = np.random.default_rng(spec.seed)
-        phi = phi * np.exp(rng.normal(0.0, spec.noise_sigma, spec.n_points))
+    # A phi that overflows to inf is reported by VelocityProfile's check,
+    # without a numpy warning first.
+    with np.errstate(over="ignore"):
+        phi = np.where(inner,
+                       a * np.exp(alpha * ln_eta),
+                       b * np.exp(spec.beta * ln_eta))
+        if spec.shift != 0.0:
+            phi = np.where(inner, phi * math.exp(-alpha * spec.shift), phi)
+        if spec.noise_sigma > 0.0:
+            rng = np.random.default_rng(spec.seed)
+            phi = phi * np.exp(rng.normal(0.0, spec.noise_sigma,
+                                          spec.n_points))
     if spec.plateau_points > 0:
         phi[-spec.plateau_points:] = phi[-spec.plateau_points - 1]
 

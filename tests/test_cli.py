@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import subprocess
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wallscale
-from wallscale import AnalyzeOptions, SynthSpec, generate, save_profile
+from wallscale import (AnalyzeOptions, SynthSpec, generate, report,
+                       save_profile)
 from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
                            EXIT_PARTIAL, EXIT_VALIDATION, VERBS, build_parser,
                            main)
@@ -29,6 +31,13 @@ def write_specfile(path, **overrides):
                   ln_eta_max=9.5, n_points=36)
     kwargs.update(overrides)
     path.write_text("".join(f"{k}={v}\n" for k, v in kwargs.items()))
+
+
+def write_unlabeled_profile(path):
+    write_profile(path, label="dropped")
+    path.write_text("".join(
+        line for line in path.read_text().splitlines(keepends=True)
+        if not line.startswith("label=")))
 
 
 def write_overflowing_profile(path):
@@ -119,6 +128,30 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "re_theta must be positive and finite, got inf" in err
 
+    def test_out_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        path, taken = tmp_path / "case.dat", tmp_path / "taken"
+        write_profile(path)
+        taken.write_text("a file\n")
+        code = main(["analyze", str(path), "--out-dir", str(taken)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert f"cannot create directory {taken}: File exists" in err
+        assert "Traceback" not in err
+
+    def test_stem_label_must_be_one_line(self, tmp_path, capsys):
+        # an unlabeled profile takes its file's stem as the label
+        path = tmp_path / "c\nd.dat"
+        write_unlabeled_profile(path)
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "label must be one line of text, got 'c\\nd'" in captured.err
+        write_profile(tmp_path / "good.dat")
+        assert main(["batch", str(tmp_path)]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2      # header, good
+        assert captured.err.count("error:") == 1
+
     def test_fit_error_exit_code(self, tmp_path, capsys):
         # too few intermediate points for the two-segment fit
         path = tmp_path / "short.dat"
@@ -176,6 +209,17 @@ class TestBatch:
         assert code == EXIT_PARTIAL
         assert "good" in captured.out
         assert "locked.dat: Permission denied" in captured.err
+
+    def test_out_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        in_dir, taken = tmp_path / "in", tmp_path / "taken"
+        in_dir.mkdir()
+        write_profile(in_dir / "a.dat")
+        taken.write_text("a file\n")
+        code = main(["batch", str(in_dir), "--out-dir", str(taken)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert f"cannot create directory {taken}: File exists" in err
+        assert "Traceback" not in err
 
     def test_all_good(self, tmp_path, capsys):
         write_profile(tmp_path / "a.dat")
@@ -259,6 +303,15 @@ class TestSynth:
         assert code == EXIT_VALIDATION
         assert message in err and "Traceback" not in err
 
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        specfile, out = tmp_path / "s.spec", tmp_path / "missing" / "x.dat"
+        write_specfile(specfile)
+        code = main(["synth", str(specfile), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert f"cannot write {out}: No such file or directory" in err
+        assert "Traceback" not in err
+
     def test_missing_spec_is_io_error(self, tmp_path, capsys):
         code = main(["synth", str(tmp_path / "none.spec"), "-o",
                      str(tmp_path / "o.dat")])
@@ -299,6 +352,27 @@ class TestEnvelope:
         assert ((tmp_path / "envelope.dat").read_text()
                 == envelope_table((5.0, 10.0), 12))
 
+    def test_out_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        code = main(["envelope", "--out-dir", str(taken)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert f"cannot create directory {taken}: File exists" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        ("--n-points -1", "n_points must be at least 10, got -1"),
+        ("--n-points 5", "n_points must be at least 10, got 5"),
+        ("--ln-eta-min 10 --ln-eta-max 5", "invalid ln_eta range (10.0, 5.0)"),
+        ("--ln-eta-min 0", "ln_eta must be positive and finite, got 0.0"),
+        ("--ln-eta-max inf", "ln_eta must be positive and finite, got inf"),
+    ])
+    def test_bad_argument_is_validation(self, capsys, args, message):
+        assert main(["envelope", *args.split()]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_small_ln_eta(self, capsys):
         # the closed-form touch point holds for every ln eta > 0, here
@@ -383,6 +457,23 @@ class TestParser:
         argv = [verb, *words]
         assert _parse(build_parser(verb), argv) == _parse(build_parser(),
                                                           argv)
+
+    def test_analysis_defaults_come_from_analyze_options(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Other(AnalyzeOptions):
+            lg_eta_min: float = 2.5
+            phi_plateau_tol: float = 0.01
+            min_seg: int = 4
+            consistency_tol: float = 0.05
+            shift_tol: float = 0.2
+            alpha_source: str = "lnRe1"
+
+        monkeypatch.setattr(report, "AnalyzeOptions", Other)
+        for verb in ("analyze", "batch"):
+            args = build_parser(verb).parse_args([verb, "x"])
+            assert (args.lg_eta_min, args.plateau_tol, args.min_seg,
+                    args.consistency_tol, args.shift_tol,
+                    args.alpha_source) == (2.5, 0.01, 4, 0.05, 0.2, "lnRe1")
 
     @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["analyz"],
                                       ["--version"]], ids=repr)

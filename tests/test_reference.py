@@ -3,9 +3,10 @@ import math
 import pytest
 
 from wallscale import reference
+from wallscale.diagnostics import (combine_reynolds, ln_re1_from_prefactor,
+                                   ln_re2_from_exponent)
 from wallscale.reference import (KNOWN_PRINT_DISCREPANCIES, REFERENCE_ROWS,
-                                 all_checks_pass, check_all, check_row,
-                                 recompute)
+                                 all_checks_pass, check_all, check_row)
 
 
 def row(label):
@@ -34,20 +35,26 @@ class TestTableShape:
             ["Fig.8(a)", "Fig.8(b)"]
 
 
-class TestRecompute:
+def combined(r):
+    """combine_reynolds on the Reynolds estimates of a row's (A, alpha)."""
+    return combine_reynolds(ln_re1_from_prefactor(r.prefactor),
+                            ln_re2_from_exponent(r.alpha), r.re_theta)
+
+
+class TestCombineReynolds:
     def test_collins_first_row(self):
-        derived = recompute(row("Fig.2(a)"))
-        assert derived["ln_re1"] == pytest.approx(11.43, abs=0.01)
-        assert derived["ln_re2"] == pytest.approx(11.63, abs=0.015)
-        assert derived["ln_re_mean"] == pytest.approx(11.53, abs=0.01)
-        assert derived["re_theta_over_re"] == pytest.approx(0.06, abs=0.01)
+        derived = combined(row("Fig.2(a)"))
+        assert derived.ln_re1 == pytest.approx(11.43, abs=0.01)
+        assert derived.ln_re2 == pytest.approx(11.63, abs=0.015)
+        assert derived.ln_re_mean == pytest.approx(11.53, abs=0.01)
+        assert derived.re_theta_over_re == pytest.approx(0.06, abs=0.01)
 
     def test_formulas(self):
         r = row("Fig.8(a)")
-        derived = recompute(r)
-        assert derived["ln_re1"] == pytest.approx(
+        derived = combined(r)
+        assert derived.ln_re1 == pytest.approx(
             math.sqrt(3) * (r.prefactor - 2.5), rel=1e-12)
-        assert derived["ln_re2"] == pytest.approx(3 / (2 * r.alpha), rel=1e-12)
+        assert derived.ln_re2 == pytest.approx(3 / (2 * r.alpha), rel=1e-12)
 
 
 class TestChecks:

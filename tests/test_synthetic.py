@@ -121,6 +121,13 @@ class TestGenerate:
         assert "seed=4" in profile.metadata.label
         assert generate(base_spec(label="mine")).metadata.label == "mine"
 
+    @pytest.mark.filterwarnings("error")
+    def test_phi_overflow_is_validation_without_a_warning(self):
+        spec = base_spec(beta=3.0, ln_eta_range=(2.0, 700.0))
+        with pytest.raises(ValidationError,
+                           match="phi must be positive and finite, got inf"):
+            generate(spec)
+
 
 class TestEnsemble:
     def test_sequential_seeds(self):
