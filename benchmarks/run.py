@@ -20,11 +20,13 @@ the ``fit_power_law`` calls of that fit.  It then takes the best of
 ``load_profile``, ``select_intermediate``, ``fit_broken_line``,
 ``analyze_profile`` (default options), ``emit_plotdata`` into a directory
 whose files already hold the bytes to write, ``cli.main(["analyze",
-FILE])`` and ``cli.main(["batch", DIR, "--out-dir", OUT])`` (their stdout
-goes to a buffer).  It also times ``scaling.envelope_at`` per call (a
-sweep over the 50 abscissae ln eta = 5..10, divided by 50) and
-``report.envelope_table((5, 10), 50)``.  Then ``--repeats`` fresh
-interpreters run ``import wallscale.cli``: the best wall time and the
+FILE])`` and ``cli.main(["batch", DIR, "--out-dir", OUT])`` (their
+stdout and stderr go to buffers).  It also times ``scaling.envelope_at``
+per call (a sweep over the 50 abscissae ln eta = 5..10, divided by 50),
+``report.envelope_table((5, 10), 50)`` and ``cli.main(ENVELOPE_ARGV)``,
+the 2000-point envelope of the benchmark's ``envelope_grid`` workload,
+whose ``scaling.envelope_at`` calls it also counts.  Then ``--repeats``
+fresh interpreters run ``import wallscale.cli``: the best wall time and the
 smallest peak RSS are kept.
 
 The trees are measured for ``ROUNDS`` rounds, in alternating order, so a
@@ -58,6 +60,8 @@ SIZES = (40, 200, 1000, 4000)
 PROFILES = 4
 ROUNDS = 5
 ENVELOPE_XS = np.linspace(5.0, 10.0, 50).tolist()
+ENVELOPE_ARGV = ("envelope", "--ln-eta-min", "2", "--ln-eta-max", "30",
+                 "--n-points", "2000")
 
 
 def write_corpus(root: Path) -> None:
@@ -110,17 +114,22 @@ def child(corpus: Path, repeats: int) -> dict:
     exhaustive = exhaustive_reference()
 
     def run_cli(*argv):
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv) != cli.EXIT_OK:
-                raise SystemExit(f"wallscale {' '.join(argv)} failed")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            raise SystemExit(f"wallscale {' '.join(argv)} failed: "
+                             f"{err.getvalue()}")
 
-    def fit_counting_calls(eta, phi):
-        real, calls = fitting.fit_power_law, []
-        fitting.fit_power_law = lambda *a: calls.append(a) or real(*a)
+    def counting_calls(module, name, fn):
+        """``fn()`` and the number of calls it made to ``module.name``."""
+        real, calls = getattr(module, name), []
+        setattr(module, name, lambda *a: calls.append(a) or real(*a))
         try:
-            return fitting.fit_broken_line(eta, phi), len(calls)
+            return fn(), len(calls)
         finally:
-            fitting.fit_power_law = real
+            setattr(module, name, real)
 
     record = {}
     with tempfile.TemporaryDirectory() as out:
@@ -129,7 +138,9 @@ def child(corpus: Path, repeats: int) -> dict:
             path = folder / "p0.dat"
             profile = load_profile(path)
             inter = select_intermediate(profile)
-            fit, calls = fit_counting_calls(inter.eta, inter.phi)
+            fit, calls = counting_calls(
+                fitting, "fit_power_law",
+                lambda: fitting.fit_broken_line(inter.eta, inter.phi))
             if fit != exhaustive(inter.eta, inter.phi):
                 raise SystemExit(f"n={n}: fit_broken_line differs from the "
                                  "exhaustive search")
@@ -159,6 +170,10 @@ def child(corpus: Path, repeats: int) -> dict:
     record["envelope_at_s"] = best_of(sweep, repeats) / len(ENVELOPE_XS)
     record["envelope_table_5_10_50_s"] = best_of(
         lambda: report.envelope_table((5.0, 10.0), 50), repeats)
+    _, record["cli_envelope_2_30_2000.envelope_at_calls"] = counting_calls(
+        scaling, "envelope_at", lambda: run_cli(*ENVELOPE_ARGV))
+    record["cli_envelope_2_30_2000_s"] = best_of(
+        lambda: run_cli(*ENVELOPE_ARGV), repeats)
     return record
 
 

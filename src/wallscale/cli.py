@@ -124,7 +124,7 @@ def _cmd_synth(args) -> int:
 def _cmd_envelope(args) -> int:
     lo, hi, n = args.ln_eta_min, args.ln_eta_max, args.n_points
     # The checks of envelope_line_fit and envelope_at, made on the
-    # arguments before anything is computed.
+    # arguments before anything is computed; scaling.grid bounds n first.
     if n < 10:
         raise ValidationError(f"n_points must be at least 10, got {n}")
     if not lo < hi:
@@ -133,8 +133,11 @@ def _cmd_envelope(args) -> int:
         if not 0 < ln_eta < math.inf:
             raise ValidationError(
                 f"ln_eta must be positive and finite, got {ln_eta!r}")
-    table = report.envelope_table((lo, hi), n)
-    line = scaling.envelope_line_fit((lo, hi), n)
+    # One solve per abscissa feeds both the table and the line fit.
+    points = scaling.envelope_curve((lo, hi), n)
+    table = report.format_envelope(points)
+    line = scaling.fit_log_law([p.ln_eta for p in points],
+                               [p.phi_env for p in points])
     if args.out_dir is not None:
         atomic_write_text(make_output_dir(args.out_dir) / "envelope.dat",
                           table)

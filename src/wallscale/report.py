@@ -391,13 +391,19 @@ def envelope_table(ln_eta_range=(5.0, 10.0), n_points: int = 50,
                    log_law: scaling.LogLawParams | None = None) -> str:
     """Envelope of the scaling family tabulated against the classical
     log law (kappa = 0.4, C = 5.1 by default)."""
+    return format_envelope(scaling.envelope_curve(ln_eta_range, n_points),
+                           log_law)
+
+
+def format_envelope(points, log_law: scaling.LogLawParams | None = None
+                    ) -> str:
+    """The text of ``envelope_table`` for envelope points already
+    computed, such as those of ``scaling.envelope_curve``."""
     if log_law is None:
         log_law = scaling.LogLawParams(kappa=0.4, c_offset=5.1)
-    xs = np.linspace(float(ln_eta_range[0]), float(ln_eta_range[1]), n_points)
     lines = ["ln_eta phi_env ln_re_touch log_law"]
-    for x in xs:
-        point = scaling.envelope_at(float(x))
-        reference = float(x) / log_law.kappa + log_law.c_offset
+    for point in points:
+        reference = point.ln_eta / log_law.kappa + log_law.c_offset
         lines.append(f"{point.ln_eta!r} {point.phi_env!r} "
                      f"{point.ln_re_touch!r} {reference!r}")
     return "\n".join(lines) + "\n"

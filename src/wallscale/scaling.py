@@ -21,10 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .fitting import _ols
 
 SQRT3 = math.sqrt(3.0)
+
+# The most points an evenly spaced grid may have.  Their float64 array
+# alone takes 2**62 bytes, which no host can allocate; above about 2**60
+# numpy refuses a count with a ValueError or an IndexError, depending on
+# the count, instead of a MemoryError.
+MAX_POINTS = 2**59
 
 
 @dataclass(frozen=True)
@@ -126,11 +132,38 @@ def envelope_at(ln_eta: float) -> EnvelopePoint:
     return EnvelopePoint(ln_eta=x, phi_env=phi_env, ln_re_touch=ln_re_touch)
 
 
+def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n_points)``.  A count above ``MAX_POINTS``
+    is a ValidationError naming n_points before anything is computed, and
+    so is a count whose array cannot be allocated."""
+    if n_points > MAX_POINTS:
+        raise ValidationError(
+            f"n_points must be at most 2**59, got {n_points}")
+    try:
+        return np.linspace(lo, hi, n_points)
+    except MemoryError:
+        raise ValidationError(f"n_points {n_points}: not enough memory "
+                              f"for that many points") from None
+
+
+def envelope_curve(ln_eta_range, n_points: int) -> list[EnvelopePoint]:
+    """The envelope at ``n_points`` evenly spaced ln eta over a range,
+    one ``envelope_at`` solve per abscissa."""
+    lo, hi = float(ln_eta_range[0]), float(ln_eta_range[1])
+    return [envelope_at(x) for x in grid(lo, hi, n_points).tolist()]
+
+
 def fit_log_law(ln_eta, phi) -> LogLawParams:
     """Ordinary least squares of phi against ln eta, as effective log-law
-    parameters: kappa = 1/slope, c_offset = intercept."""
-    slope, intercept, _, _ = _ols(np.asarray(ln_eta, dtype=float),
-                                  np.asarray(phi, dtype=float))
+    parameters: kappa = 1/slope, c_offset = intercept.  Sums that
+    overflow, as ln eta near the envelope's 8.9e153 limit makes them, are
+    a DomainError, without a numpy warning first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, intercept, _, _ = _ols(np.asarray(ln_eta, dtype=float),
+                                      np.asarray(phi, dtype=float))
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise DomainError(f"the line fit overflows: slope {slope!r}, "
+                          f"intercept {intercept!r}")
     if slope <= 0:
         raise DomainError(f"nonpositive slope {slope!r}, no effective kappa")
     return LogLawParams(kappa=1.0 / slope, c_offset=intercept)
@@ -149,6 +182,6 @@ def envelope_line_fit(ln_eta_range=(5.0, 10.0),
     lo, hi = float(ln_eta_range[0]), float(ln_eta_range[1])
     if not lo < hi:
         raise DomainError(f"invalid ln_eta range {ln_eta_range!r}")
-    xs = np.linspace(lo, hi, n_points)
-    ys = np.array([envelope_at(x).phi_env for x in xs])
-    return fit_log_law(xs, ys)
+    points = envelope_curve((lo, hi), n_points)
+    return fit_log_law([p.ln_eta for p in points],
+                       [p.phi_env for p in points])

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .profiles import ProfileMetadata, VelocityProfile, read_lines
-from .scaling import alpha_of_ln_re, prefactor_of_ln_re
+from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class SynthSpec:
 def generate(spec: SynthSpec) -> VelocityProfile:
     """Generate one profile; deterministic for a fixed spec."""
     lo, hi = spec.ln_eta_range
-    ln_eta = np.linspace(lo, hi, spec.n_points)
+    ln_eta = grid(lo, hi, spec.n_points)
     alpha = spec.alpha
     a = spec.prefactor
     # Continuity at the break: B = A * exp(break * (alpha - beta)).

@@ -4,15 +4,17 @@ import io
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wallscale
 from wallscale import (AnalyzeOptions, SynthSpec, generate, report,
-                       save_profile)
+                       save_profile, scaling)
 from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
                            EXIT_PARTIAL, EXIT_VALIDATION, VERBS, build_parser,
                            main)
@@ -293,6 +295,7 @@ class TestSynth:
         (dict(ln_eta_max=800), "eta = exp(ln_eta_max) overflows"),
         (dict(ln_re=0.001), "continuity factor"),
         (dict(ln_re=10.0, shift=-6000.0), "shift factor"),
+        (dict(n_points=10**20), "n_points must be at most 2**59"),
     ])
     def test_overflowing_spec_is_validation(self, tmp_path, capsys,
                                             overrides, message):
@@ -367,12 +370,40 @@ class TestEnvelope:
         ("--ln-eta-min 10 --ln-eta-max 5", "invalid ln_eta range (10.0, 5.0)"),
         ("--ln-eta-min 0", "ln_eta must be positive and finite, got 0.0"),
         ("--ln-eta-max inf", "ln_eta must be positive and finite, got inf"),
+        # numpy refuses this count before it allocates anything
+        ("--n-points 100000000000000000000",
+         "n_points must be at most 2**59, got 100000000000000000000"),
     ])
     def test_bad_argument_is_validation(self, capsys, args, message):
         assert main(["envelope", *args.split()]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_one_solve_per_abscissa(self, monkeypatch, capsys):
+        calls = []
+        solve = scaling.envelope_at
+        monkeypatch.setattr(scaling, "envelope_at",
+                            lambda x: calls.append(x) or solve(x))
+        assert main(["envelope", "--n-points", "37"]) == EXIT_OK
+        assert len(calls) == 37
+
+    @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10),
+                                           (2.0, 30.0, 2000)])
+    def test_table_and_line_equal_the_library_calls(self, monkeypatch, capsys,
+                                                    lo, hi, n):
+        fits = []
+        fit = scaling.fit_log_law
+        monkeypatch.setattr(scaling, "fit_log_law",
+                            lambda *a: fits.append(fit(*a)) or fits[-1])
+        assert main(["envelope", f"--ln-eta-min={lo!r}",
+                     f"--ln-eta-max={hi!r}", f"--n-points={n}"]) == EXIT_OK
+        captured = capsys.readouterr()
+        line = scaling.envelope_line_fit((lo, hi), n)
+        assert fits[0] == line
+        assert captured.out == envelope_table((lo, hi), n)
+        assert captured.err == (f"effective log law: kappa={line.kappa:.4f} "
+                                f"C={line.c_offset:.4f}\n")
 
     def test_small_ln_eta(self, capsys):
         # the closed-form touch point holds for every ln eta > 0, here
@@ -391,6 +422,37 @@ class TestEnvelope:
         err = capsys.readouterr().err
         assert err.startswith("error: ln_eta must be below about 8.9e153")
         assert "Warning" not in err
+
+    @settings(max_examples=200, deadline=None)
+    # what this test found: numpy's refusal of the count, and a line fit
+    # whose sums overflow
+    @example(ends=[2.0, 30.0], n=10**20, out_dir=None)
+    @example(ends=[1.0, 8.9e153], n=50, out_dir="dir")
+    @given(ends=st.lists(st.one_of(
+               st.floats(),
+               st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e154,
+                                8.9e153, 1e308, math.nan, math.inf,
+                                -math.inf]),
+               st.floats(0.01, 60.0)), min_size=2, max_size=2),
+           n=st.one_of(st.integers(-5, 3000), st.just(10**20)),
+           out_dir=st.sampled_from([None, "dir", "missing/nested", "file"]))
+    def test_drawn_arguments_fail_typed(self, ends, n, out_dir):
+        argv = ["envelope", f"--ln-eta-min={ends[0]!r}",
+                f"--ln-eta-max={ends[1]!r}", f"--n-points={n}"]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as root:
+            if out_dir is not None:
+                (Path(root) / "dir").mkdir()
+                (Path(root) / "file").write_text("a file\n")
+                argv += ["--out-dir", str(Path(root) / out_dir)]
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")    # a warning escapes
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_FIT, EXIT_IO)
+        assert code == EXIT_OK or out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
 
     def test_cli_import_leaves_scipy_out(self):
         src = str(Path(wallscale.__file__).resolve().parents[1])

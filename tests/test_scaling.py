@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wallscale import (DomainError, EnvelopePoint, LogLawParams, alpha_of_ln_re,
-                       envelope_at, envelope_line_fit, fit_log_law,
-                       ln_re2_from_exponent, log_law_phi, prefactor_of_ln_re,
-                       scaling_law_phi)
+                       envelope_at, envelope_curve, envelope_line_fit,
+                       fit_log_law, ln_re2_from_exponent, log_law_phi,
+                       prefactor_of_ln_re, scaling_law_phi)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -218,3 +219,15 @@ class TestEnvelopeLineFit:
     def test_too_few_points(self):
         with pytest.raises(DomainError):
             envelope_line_fit((5.0, 10.0), 5)
+
+    def test_overflowing_sums_are_a_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="the line fit overflows"):
+                envelope_line_fit((1.0, 8.9e153), 50)
+
+    @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10)])
+    def test_curve_is_one_solve_per_abscissa(self, lo, hi, n):
+        xs = np.linspace(lo, hi, n)
+        assert envelope_curve((lo, hi), n) == [envelope_at(float(x))
+                                               for x in xs]
