@@ -18,10 +18,12 @@ kept in ``tests/test_fitting.py`` (the run fails otherwise) and counts
 the ``fit_power_law`` calls of that fit.  It then takes the best of
 ``--repeats`` ``time.perf_counter`` measurements of one call of
 ``load_profile``, ``select_intermediate``, ``fit_broken_line``,
-``analyze_profile`` (default options), ``emit_plotdata`` into a directory
-whose files already hold the bytes to write, ``cli.main(["analyze",
-FILE])`` and ``cli.main(["batch", DIR, "--out-dir", OUT])`` (their
-stdout and stderr go to buffers).  It also times ``scaling.envelope_at``
+``analyze_profile`` (default options), ``emit_plotdata``,
+``cli.main(["analyze", FILE])`` and ``cli.main(["batch", DIR, "--out-dir",
+OUT])`` (their stdout and stderr go to buffers).  Each ``emit_plotdata``
+and ``batch`` call writes into a new directory, which it creates, as the
+passes of the benchmark's ``lab_batch`` workload do, so every tree
+creates the same files.  It also times ``scaling.envelope_at``
 per call (a sweep over the 50 abscissae ln eta = 5..10, divided by 50),
 ``report.envelope_table((5, 10), 50)`` and ``cli.main(ENVELOPE_ARGV)``,
 the 2000-point envelope of the benchmark's ``envelope_grid`` workload,
@@ -42,6 +44,7 @@ import argparse
 import ast
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -133,6 +136,11 @@ def child(corpus: Path, repeats: int) -> dict:
 
     record = {}
     with tempfile.TemporaryDirectory() as out:
+        fresh = itertools.count()
+
+        def new_dir():
+            return f"{out}/{next(fresh)}"
+
         for n in SIZES:
             folder = corpus / f"n{n}"
             path = folder / "p0.dat"
@@ -153,14 +161,13 @@ def child(corpus: Path, repeats: int) -> dict:
                 "fit_broken_line_s": lambda: fitting.fit_broken_line(
                     inter.eta, inter.phi),
                 "analyze_profile_s": lambda: analyze_profile(profile),
-                "emit_plotdata_s": lambda: emit_plotdata(bundle, out,
+                "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
                                                          stem=f"n{n}"),
                 "cli_analyze_s": lambda: run_cli("analyze", str(path)),
                 "cli_batch_s": lambda: run_cli("batch", str(folder),
-                                               "--out-dir", f"{out}/b{n}"),
+                                               "--out-dir", new_dir()),
             }
             for name, fn in stages.items():
-                fn()    # the first call writes what later calls find in place
                 record[f"n{n}.{name}"] = best_of(fn, repeats)
 
     def sweep():

@@ -9,9 +9,7 @@ fits an effective (kappa, C) line to it.
 import numpy as np
 
 from wallscale import envelope_at, envelope_line_fit, log_law_phi
-from wallscale.scaling import LogLawParams
-
-classical = LogLawParams(kappa=0.4, c_offset=5.1)
+from wallscale.scaling import CLASSICAL_LOG_LAW as classical
 
 print(f"{'ln_eta':>7} {'phi_env':>9} {'touch lnRe':>11} "
       f"{'log law':>9} {'rel diff':>9}")

@@ -91,12 +91,18 @@ def _options_from_args(args) -> report.AnalyzeOptions:
     )
 
 
+def _write_envelope(out_dir, table: str) -> None:
+    """Write the one envelope table of an output directory."""
+    atomic_write_text(make_output_dir(out_dir) / "envelope.dat", table)
+
+
 def _cmd_analyze(args) -> int:
     bundle = report.analyze(args.file, _options_from_args(args), args.format)
     print(report.format_table([bundle.report]), end="")
     if args.out_dir is not None:
         report.emit_plotdata(bundle, args.out_dir,
                              stem=bundle.source.stem)
+        _write_envelope(args.out_dir, report.envelope_table())
     return EXIT_OK
 
 
@@ -106,11 +112,12 @@ def _cmd_batch(args) -> int:
     print(report.format_table([b.report for b in bundles]), end="")
     for path, exc in failures:
         print(f"error: {path}: {exc}", file=sys.stderr)
+    # A batch in which no profile was analyzed creates no directory.
     if args.out_dir is not None and bundles:
-        envelope = report.envelope_table()
         for bundle in bundles:
             report.emit_plotdata(bundle, args.out_dir,
-                                 stem=bundle.source.stem, envelope=envelope)
+                                 stem=bundle.source.stem)
+        _write_envelope(args.out_dir, report.envelope_table())
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -139,8 +146,7 @@ def _cmd_envelope(args) -> int:
     line = scaling.fit_log_law([p.ln_eta for p in points],
                                [p.phi_env for p in points])
     if args.out_dir is not None:
-        atomic_write_text(make_output_dir(args.out_dir) / "envelope.dat",
-                          table)
+        _write_envelope(args.out_dir, table)
     else:
         print(table, end="")
     print(f"effective log law: kappa={line.kappa:.4f} "

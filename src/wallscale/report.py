@@ -333,18 +333,16 @@ def format_table(reports) -> str:
 
 # --- plot data -------------------------------------------------------------
 
-def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
-                  envelope: str | None = None) -> list[Path]:
+def emit_plotdata(bundle: AnalysisBundle, out_dir,
+                  stem: str | None = None) -> list[Path]:
     """Write plain-text, plot-ready data files for one analysis.
 
     Emits the log-log profile with both fitted lines, the universal series
-    with its bisectrix reference, the turbulence-shift series, the
-    envelope against the classical log law, and the machine-readable
-    report.  ``envelope`` is the text of ``envelope_table()``, which a
-    caller writing many analyses builds once; it is built here when not
-    given.  Files are written atomically and are byte-identical across
-    repeated runs.  A directory or file that cannot be written is an
-    InputOutputError.
+    with its bisectrix reference, the turbulence-shift series and the
+    machine-readable report, and returns their four paths; the envelope
+    table, the same for every profile, is not one of them.  Files are
+    written atomically and are byte-identical across repeated runs.  A
+    directory or file that cannot be written is an InputOutputError.
     """
     out_dir = profiles.make_output_dir(out_dir)
     if stem is None:
@@ -376,31 +374,22 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str | None = None,
         f"{stem}_loglog.dat": "\n".join(loglog) + "\n",
         f"{stem}_universal.dat": "\n".join(universal) + "\n",
         f"{stem}_shift.dat": "\n".join(shift) + "\n",
-        "envelope.dat": envelope_table() if envelope is None else envelope,
         f"{stem}_report.txt": report_to_text(bundle.report),
     }
-    written = []
     for name, text in texts.items():
-        path = out_dir / name
-        profiles.atomic_write_text(path, text)
-        written.append(path)
-    return written
+        profiles.atomic_write_text(out_dir / name, text)
+    return [out_dir / name for name in texts]
 
 
-def envelope_table(ln_eta_range=(5.0, 10.0), n_points: int = 50,
-                   log_law: scaling.LogLawParams | None = None) -> str:
-    """Envelope of the scaling family tabulated against the classical
-    log law (kappa = 0.4, C = 5.1 by default)."""
-    return format_envelope(scaling.envelope_curve(ln_eta_range, n_points),
-                           log_law)
+def envelope_table(ln_eta_range=(5.0, 10.0), n_points: int = 50) -> str:
+    """The envelope tabulated against ``scaling.CLASSICAL_LOG_LAW``."""
+    return format_envelope(scaling.envelope_curve(ln_eta_range, n_points))
 
 
-def format_envelope(points, log_law: scaling.LogLawParams | None = None
-                    ) -> str:
+def format_envelope(points) -> str:
     """The text of ``envelope_table`` for envelope points already
     computed, such as those of ``scaling.envelope_curve``."""
-    if log_law is None:
-        log_law = scaling.LogLawParams(kappa=0.4, c_offset=5.1)
+    log_law = scaling.CLASSICAL_LOG_LAW
     lines = ["ln_eta phi_env ln_re_touch log_law"]
     for point in points:
         reference = point.ln_eta / log_law.kappa + log_law.c_offset

@@ -25,6 +25,7 @@ from .errors import DomainError, ValidationError
 from .fitting import _ols
 
 SQRT3 = math.sqrt(3.0)
+EPS = float(np.finfo(float).eps)
 
 # The most points an evenly spaced grid may have.  Their float64 array
 # alone takes 2**62 bytes, which no host can allocate; above about 2**60
@@ -43,6 +44,10 @@ class LogLawParams:
     def __post_init__(self):
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
+
+
+# The classical logarithmic law the envelope is compared with.
+CLASSICAL_LOG_LAW = LogLawParams(kappa=0.4, c_offset=5.1)
 
 
 @dataclass(frozen=True)
@@ -157,15 +162,22 @@ def fit_log_law(ln_eta, phi) -> LogLawParams:
     """Ordinary least squares of phi against ln eta, as effective log-law
     parameters: kappa = 1/slope, c_offset = intercept.  Sums that
     overflow, as ln eta near the envelope's 8.9e153 limit makes them, are
-    a DomainError, without a numpy warning first."""
+    a DomainError, without a numpy warning first.  So is an intercept
+    ym - slope * xm (the means) whose rounding error, at most about
+    4 eps (|ym| + |slope * xm|), may exceed 5e-5, half a unit of the 4th
+    decimal the CLI prints: on the envelope, a mean ln eta above 1.2e10."""
+    x, y = np.asarray(ln_eta, dtype=float), np.asarray(phi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope, intercept, _, _ = _ols(np.asarray(ln_eta, dtype=float),
-                                      np.asarray(phi, dtype=float))
+        slope, intercept, _, _ = _ols(x, y)
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise DomainError(f"the line fit overflows: slope {slope!r}, "
                           f"intercept {intercept!r}")
     if slope <= 0:
         raise DomainError(f"nonpositive slope {slope!r}, no effective kappa")
+    error = 4 * EPS * (abs(float(y.mean())) + abs(slope * float(x.mean())))
+    if error > 5e-5:
+        raise DomainError(f"the line fit's offset C cancels: its rounding "
+                          f"error may reach {error:.3g}, above 5e-05")
     return LogLawParams(kappa=1.0 / slope, c_offset=intercept)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 import subprocess
@@ -263,6 +264,78 @@ class TestBatch:
             "envelope.dat"]
         assert "label=first\n" in (out_dir / "a_report.txt").read_text()
 
+    def test_every_file_failing_creates_no_out_dir(self, tmp_path, capsys):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        (in_dir / "a.dat").write_text("1 2 3\n")
+        (in_dir / "b.dat").write_bytes(b"40 9.8\xff\n")
+        code = main(["batch", str(in_dir), "--out-dir", str(out_dir)])
+        assert code == EXIT_PARTIAL
+        assert not out_dir.exists()
+
+
+@functools.cache
+def valid_profile_bytes():
+    """The bytes of a synthetic profile that analyzes cleanly."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "p.dat"
+        write_profile(path, label="valid")
+        return path.read_bytes()
+
+
+class TestOutDirFuzz:
+    """``analyze`` and ``batch`` with ``--out-dir``, on drawn inputs and
+    drawn output directories, exit with a documented code and never raise
+    or warn; where a profile was analyzed, ``envelope.dat`` is the
+    envelope table."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(verb=st.sampled_from(["analyze", "batch"]),
+           contents=st.lists(st.one_of(
+               st.just("valid"),
+               st.binary(max_size=80),
+               st.text(st.sampled_from("0123456789.e-+ ,=#\nlabel"),
+                       max_size=80).map(str.encode),
+               st.just(b"label=x\n40 9.8\n80 10.9\xff\n")),
+               min_size=1, max_size=3),
+           out_dir=st.sampled_from(["fresh", "stale", "missing/nested",
+                                    "file", "envelope_is_dir"]))
+    def test_drawn_inputs_and_out_dirs(self, verb, contents, out_dir):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            in_dir, target = root / "in", root / out_dir
+            in_dir.mkdir()
+            for i, data in enumerate(contents):
+                (in_dir / f"p{i}.dat").write_bytes(
+                    valid_profile_bytes() if data == "valid" else data)
+            if out_dir == "stale":
+                target.mkdir()
+                (target / "envelope.dat").write_text("stale\n")
+                (target / "p0_report.txt").write_text("stale\n")
+            elif out_dir == "file":
+                target.write_text("a file\n")
+            elif out_dir == "envelope_is_dir":
+                (target / "envelope.dat").mkdir(parents=True)
+            argv = [verb, str(in_dir / "p0.dat" if verb == "analyze"
+                              else in_dir),
+                    "--lg-eta-min", "0.5", "--out-dir", str(target)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")    # a warning escapes
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_FIT,
+                            EXIT_PARTIAL, EXIT_IO)
+            assert "Traceback" not in err.getvalue()
+            # the table has a row for each analyzed profile
+            analyzed = len(out.getvalue().splitlines()) > 1
+            if code in (EXIT_OK, EXIT_PARTIAL) and analyzed:
+                assert ((target / "envelope.dat").read_text()
+                        == envelope_table())
+            elif out_dir in ("fresh", "missing/nested"):
+                assert not target.exists()
+
 
 class TestSynth:
     def test_generate_then_analyze(self, tmp_path, capsys):
@@ -416,12 +489,37 @@ class TestEnvelope:
         assert float(rows[0][2]) < 4.0
 
     def test_touch_point_overflow(self, capsys):
-        code = main(["envelope", "--ln-eta-min", "1e160",
-                     "--ln-eta-max", "2e160"])
+        # pytest records warnings itself, so none would reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["envelope", "--ln-eta-min", "1e160",
+                         "--ln-eta-max", "2e160"])
         assert code == EXIT_FIT
         err = capsys.readouterr().err
         assert err.startswith("error: ln_eta must be below about 8.9e153")
-        assert "Warning" not in err
+
+    @pytest.mark.parametrize("lo, hi, n, line", [
+        ("2", "30", "2000", "kappa=0.4184 C=5.6203"),
+        ("1e9", "1e10", "50", "kappa=0.4248 C=6.7957"),
+        # C = mean(phi) - slope * mean(ln eta) cancels: these printed
+        # C=6.5000, C=0.0000 and a 136-digit number
+        ("1e14", "1e15", "50", None),
+        ("1e90", "1e91", "50", None),
+        ("1e150", "1e151", "3000", None),
+    ])
+    def test_offset_that_cancels_is_a_domain_error(self, capsys, lo, hi, n,
+                                                   line):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["envelope", "--ln-eta-min", lo, "--ln-eta-max", hi,
+                         "--n-points", n])
+        err = capsys.readouterr().err
+        if line is None:
+            assert code == EXIT_FIT
+            assert err.startswith("error: the line fit's offset C cancels")
+        else:
+            assert code == EXIT_OK
+            assert err == f"effective log law: {line}\n"
 
     @settings(max_examples=200, deadline=None)
     # what this test found: numpy's refusal of the count, and a line fit

@@ -5,9 +5,9 @@ import pytest
 
 from wallscale import (AnalyzeOptions, COLLAPSED, ParseError, PipelineError,
                        SHIFTED_BELOW, SynthSpec, ValidationError,
-                       alpha_of_ln_re, analyze, analyze_profile, batch,
-                       emit_plotdata, generate, psi_transform, report,
-                       save_profile)
+                       alpha_of_ln_re, analyze, analyze_profile, batch, cli,
+                       emit_plotdata, generate, profiles, psi_transform,
+                       report, save_profile)
 from wallscale.cli import main
 from wallscale.report import (envelope_table, format_table, report_from_text,
                               report_to_text)
@@ -175,21 +175,11 @@ class TestPlotData:
         written = emit_plotdata(bundle, out1, stem="case")
         names = sorted(p.name for p in written)
         assert names == sorted(["case_loglog.dat", "case_universal.dat",
-                                "case_shift.dat", "envelope.dat",
-                                "case_report.txt"])
+                                "case_shift.dat", "case_report.txt"])
+        assert sorted(p.name for p in out1.iterdir()) == names
         emit_plotdata(bundle, out2, stem="case")
         for p in written:
             assert p.read_bytes() == (out2 / p.name).read_bytes()
-
-    def test_shared_envelope_written_once(self, tmp_path):
-        bundle = analyze_profile(generate(clean_spec()), OPTIONS)
-        emit_plotdata(bundle, tmp_path, stem="a")
-        envelope = tmp_path / "envelope.dat"
-        inode = envelope.stat().st_ino
-        written = emit_plotdata(bundle, tmp_path, stem="b")
-        assert envelope in written
-        assert envelope.stat().st_ino == inode
-        assert len(list(tmp_path.iterdir())) == 9
 
     def test_shift_file_is_x_of_every_sample(self, tmp_path):
         # x = ln eta - psi(phi, alpha(ln Re)) row by row, bit for bit
@@ -205,14 +195,33 @@ class TestPlotData:
             for eta, phi in zip(bundle.profile.eta.tolist(),
                                 bundle.profile.phi.tolist())]
 
-    def test_envelope_text_passed_in_is_written(self, tmp_path):
-        bundle = analyze_profile(generate(clean_spec()), OPTIONS)
-        emit_plotdata(bundle, tmp_path / "default", stem="d")
-        assert ((tmp_path / "default" / "envelope.dat").read_text()
-                == envelope_table())
-        text = envelope_table((2.0, 3.0), 5)
-        emit_plotdata(bundle, tmp_path / "given", stem="d", envelope=text)
-        assert (tmp_path / "given" / "envelope.dat").read_text() == text
+    def test_cli_writes_the_envelope_once(self, tmp_path, monkeypatch):
+        # every write, through cli and through report, is counted
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        for name in "abc":
+            save_profile(generate(clean_spec(label=name)),
+                         in_dir / f"{name}.dat")
+        writes = []
+        write = profiles.atomic_write_text
+
+        def counted(path, text):
+            writes.append((path, text))
+            write(path, text)
+
+        monkeypatch.setattr(profiles, "atomic_write_text", counted)
+        monkeypatch.setattr(cli, "atomic_write_text", counted)
+        for verb, target, files in (("analyze", in_dir / "a.dat", 5),
+                                    ("batch", in_dir, 13)):
+            writes.clear()
+            out_dir = tmp_path / verb
+            assert main([verb, str(target), "--lg-eta-min", "0.5",
+                         "--out-dir", str(out_dir)]) == 0
+            assert len(writes) == files
+            assert [w for w in writes if w[0].name == "envelope.dat"] == [
+                (out_dir / "envelope.dat", envelope_table())]
+            assert ((out_dir / "envelope.dat").read_text()
+                    == envelope_table())
 
     def test_batch_builds_the_envelope_once(self, tmp_path, monkeypatch):
         for name in "abc":

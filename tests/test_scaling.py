@@ -226,6 +226,14 @@ class TestEnvelopeLineFit:
             with pytest.raises(DomainError, match="the line fit overflows"):
                 envelope_line_fit((1.0, 8.9e153), 50)
 
+    def test_offset_that_cancels_is_a_domain_error(self):
+        # an exact line, but the intercept's rounding error reaches ~2
+        x = np.linspace(1e14, 1e15, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="offset C cancels"):
+                fit_log_law(x, 2.5 * x + 5.1)
+
     @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10)])
     def test_curve_is_one_solve_per_abscissa(self, lo, hi, n):
         xs = np.linspace(lo, hi, n)
