@@ -25,9 +25,11 @@ and ``batch`` call writes into a new directory, which it creates, as the
 passes of the benchmark's ``lab_batch`` workload do, so every tree
 creates the same files.  It also times ``scaling.envelope_at``
 per call (a sweep over the 50 abscissae ln eta = 5..10, divided by 50),
-``report.envelope_table((5, 10), 50)`` and ``cli.main(ENVELOPE_ARGV)``,
-the 2000-point envelope of the benchmark's ``envelope_grid`` workload,
-whose ``scaling.envelope_at`` calls it also counts.  Then ``--repeats``
+``report.envelope_table((5, 10), 50)``, ``scaling.envelope_curve((2, 30),
+2000)`` and ``cli.main(ENVELOPE_ARGV)``, the 2000-point envelope of the
+benchmark's ``envelope_grid`` workload, whose envelope solves it also
+counts: calls of the columnar ``scaling.solve_envelope``, or, in a tree
+without it, of the per-point ``scaling.envelope_at``.  Then ``--repeats``
 fresh interpreters run ``import wallscale.cli``: the best wall time and the
 smallest peak RSS are kept.
 
@@ -177,8 +179,12 @@ def child(corpus: Path, repeats: int) -> dict:
     record["envelope_at_s"] = best_of(sweep, repeats) / len(ENVELOPE_XS)
     record["envelope_table_5_10_50_s"] = best_of(
         lambda: report.envelope_table((5.0, 10.0), 50), repeats)
-    _, record["cli_envelope_2_30_2000.envelope_at_calls"] = counting_calls(
-        scaling, "envelope_at", lambda: run_cli(*ENVELOPE_ARGV))
+    record["envelope_curve_2_30_2000_s"] = best_of(
+        lambda: scaling.envelope_curve((2.0, 30.0), 2000), repeats)
+    solver = ("solve_envelope" if hasattr(scaling, "solve_envelope")
+              else "envelope_at")
+    _, record["cli_envelope_2_30_2000.solves"] = counting_calls(
+        scaling, solver, lambda: run_cli(*ENVELOPE_ARGV))
     record["cli_envelope_2_30_2000_s"] = best_of(
         lambda: run_cli(*ENVELOPE_ARGV), repeats)
     return record

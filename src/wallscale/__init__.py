@@ -15,10 +15,10 @@ from .profiles import (ProfileMetadata, VelocityProfile, load_profile,
 from .report import (AnalysisBundle, AnalysisReport, AnalyzeOptions, analyze,
                      analyze_profile, batch, emit_plotdata, format_table,
                      report_from_text, report_to_text)
-from .scaling import (EnvelopePoint, LogLawParams, alpha_of_ln_re,
-                      envelope_at, envelope_curve, envelope_line_fit,
-                      fit_log_law, log_law_phi, prefactor_of_ln_re,
-                      scaling_law_phi)
+from .scaling import (EnvelopeCurve, EnvelopePoint, LogLawParams,
+                      alpha_of_ln_re, envelope_at, envelope_curve,
+                      envelope_line_fit, fit_log_law, log_law_phi,
+                      prefactor_of_ln_re, scaling_law_phi)
 from .synthetic import SynthSpec, generate, generate_ensemble, load_synth_spec
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ directory could not be read or written; 1 oracle-suite failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -129,22 +128,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    lo, hi, n = args.ln_eta_min, args.ln_eta_max, args.n_points
-    # The checks of envelope_line_fit and envelope_at, made on the
-    # arguments before anything is computed; scaling.grid bounds n first.
-    if n < 10:
-        raise ValidationError(f"n_points must be at least 10, got {n}")
-    if not lo < hi:
-        raise ValidationError(f"invalid ln_eta range {(lo, hi)!r}")
-    for ln_eta in (lo, hi):
-        if not 0 < ln_eta < math.inf:
-            raise ValidationError(
-                f"ln_eta must be positive and finite, got {ln_eta!r}")
-    # One solve per abscissa feeds both the table and the line fit.
-    points = scaling.envelope_curve((lo, hi), n)
-    table = report.format_envelope(points)
-    line = scaling.fit_log_law([p.ln_eta for p in points],
-                               [p.phi_env for p in points])
+    # One solve feeds both the table and the line fit.
+    curve = scaling.envelope_curve((args.ln_eta_min, args.ln_eta_max),
+                                   args.n_points)
+    table = report.format_envelope(curve)
+    line = scaling.fit_log_law(curve.ln_eta, curve.phi_env)
     if args.out_dir is not None:
         _write_envelope(args.out_dir, table)
     else:

@@ -386,13 +386,13 @@ def envelope_table(ln_eta_range=(5.0, 10.0), n_points: int = 50) -> str:
     return format_envelope(scaling.envelope_curve(ln_eta_range, n_points))
 
 
-def format_envelope(points) -> str:
-    """The text of ``envelope_table`` for envelope points already
-    computed, such as those of ``scaling.envelope_curve``."""
+def format_envelope(curve: scaling.EnvelopeCurve) -> str:
+    """The text of ``envelope_table`` for an envelope already computed,
+    such as that of ``scaling.envelope_curve``."""
     log_law = scaling.CLASSICAL_LOG_LAW
-    lines = ["ln_eta phi_env ln_re_touch log_law"]
-    for point in points:
-        reference = point.ln_eta / log_law.kappa + log_law.c_offset
-        lines.append(f"{point.ln_eta!r} {point.phi_env!r} "
-                     f"{point.ln_re_touch!r} {reference!r}")
+    reference = curve.ln_eta / log_law.kappa + log_law.c_offset
+    rows = zip(curve.ln_eta.tolist(), curve.phi_env.tolist(),
+               curve.ln_re_touch.tolist(), reference.tolist())
+    lines = ["ln_eta phi_env ln_re_touch log_law"] + [
+        f"{x!r} {phi!r} {touch!r} {ref!r}" for x, phi, touch, ref in rows]
     return "\n".join(lines) + "\n"

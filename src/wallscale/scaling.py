@@ -63,6 +63,23 @@ class EnvelopePoint:
     ln_re_touch: float
 
 
+@dataclass(frozen=True, eq=False)
+class EnvelopeCurve:
+    """The envelope at many abscissae, as three columns of one length:
+    row i is ``envelope_at(ln_eta[i])``.  The constructor stores each
+    column as a read-only 1-D float64 array of its own."""
+
+    ln_eta: np.ndarray
+    phi_env: np.ndarray
+    ln_re_touch: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ln_eta", "phi_env", "ln_re_touch"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+
 def alpha_of_ln_re(ln_re):
     """Exponent of the scaling law, alpha = 3 / (2 ln Re).
 
@@ -117,24 +134,46 @@ def envelope_at(ln_eta: float) -> EnvelopePoint:
     For fixed x = ln eta the family member value
     phi(L) = (L/sqrt(3) + 5/2) * exp(1.5 x / L), L = ln Re, grows without
     bound both as L -> 0+ and as L -> infinity, so the envelope is the
-    pointwise minimum over L.  Setting dphi/dL = 0 gives
-    L**2 - 1.5 x L - (15 sqrt(3)/4) x = 0, whose positive root
-
-        L* = (1.5 x + sqrt(2.25 x**2 + 15 sqrt(3) x)) / 2
-
-    is the touch point.  Both terms are positive for x > 0, so the sum
-    cannot cancel.  Above ln eta of about 8.9e153 the square overflows, and
-    such an abscissa is a DomainError.
+    pointwise minimum over L, found by ``solve_envelope``.  A ln eta that
+    is not positive and finite, or above about 8.9e153, is a DomainError.
     """
     if not 0 < ln_eta < math.inf:
         raise DomainError(f"ln_eta must be positive and finite, got {ln_eta!r}")
-    x = float(ln_eta)
-    ln_re_touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
-    if ln_re_touch == math.inf:
+    curve = solve_envelope(np.array([ln_eta], dtype=np.float64))
+    return EnvelopePoint(ln_eta=curve.ln_eta.item(),
+                         phi_env=curve.phi_env.item(),
+                         ln_re_touch=curve.ln_re_touch.item())
+
+
+def solve_envelope(ln_eta: np.ndarray) -> EnvelopeCurve:
+    """The envelope at every abscissa of a float64 array of positive,
+    finite ln eta, in one pass over the array.
+
+    Setting dphi/dL = 0 gives L**2 - 1.5 x L - (15 sqrt(3)/4) x = 0, whose
+    positive root
+
+        L* = (1.5 x + sqrt(2.25 x**2 + 15 sqrt(3) x)) / 2
+
+    is the touch point, and the envelope is (L*/sqrt(3) + 5/2) *
+    exp(1.5 x / L*).  Both terms of the sum are positive, so it cannot
+    cancel.  numpy's + - * / and sqrt round correctly, as Python's do, and
+    exp is ``math.exp`` (libm) per point, whose last bit numpy's own exp
+    need not match, so every value is the scalar formula's, bit for bit.
+    Above ln eta of about 8.9e153 the square overflows: the first such
+    abscissa is a DomainError, without a numpy warning first.
+    """
+    x = ln_eta
+    with np.errstate(over="ignore", invalid="ignore"):
+        touch = (1.5 * x + np.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
+    overflow = touch == math.inf
+    if overflow.any():
         raise DomainError(f"ln_eta must be below about 8.9e153 for a finite "
-                          f"envelope touch point, got {ln_eta!r}")
-    phi_env = prefactor_of_ln_re(ln_re_touch) * math.exp(1.5 * x / ln_re_touch)
-    return EnvelopePoint(ln_eta=x, phi_env=phi_env, ln_re_touch=ln_re_touch)
+                          f"envelope touch point, got "
+                          f"{x[overflow.argmax()].item()!r}")
+    growth = np.fromiter(map(math.exp, (1.5 * x / touch).tolist()),
+                         dtype=np.float64, count=len(x))
+    return EnvelopeCurve(ln_eta=x, phi_env=prefactor_of_ln_re(touch) * growth,
+                         ln_re_touch=touch)
 
 
 def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
@@ -151,11 +190,24 @@ def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
                               f"for that many points") from None
 
 
-def envelope_curve(ln_eta_range, n_points: int) -> list[EnvelopePoint]:
-    """The envelope at ``n_points`` evenly spaced ln eta over a range,
-    one ``envelope_at`` solve per abscissa."""
+def envelope_curve(ln_eta_range, n_points: int) -> EnvelopeCurve:
+    """The envelope at ``n_points`` evenly spaced ln eta over a range, in
+    one ``solve_envelope`` pass.
+
+    The range's ends must be positive and finite, the first below the
+    second, and ``n_points`` at least 10; anything else is a
+    ValidationError, checked before anything is computed.
+    """
     lo, hi = float(ln_eta_range[0]), float(ln_eta_range[1])
-    return [envelope_at(x) for x in grid(lo, hi, n_points).tolist()]
+    if n_points < 10:
+        raise ValidationError(f"n_points must be at least 10, got {n_points}")
+    if not lo < hi:
+        raise ValidationError(f"invalid ln_eta range {(lo, hi)!r}")
+    for ln_eta in (lo, hi):
+        if not 0 < ln_eta < math.inf:
+            raise ValidationError(
+                f"ln_eta must be positive and finite, got {ln_eta!r}")
+    return solve_envelope(grid(lo, hi, n_points))
 
 
 def fit_log_law(ln_eta, phi) -> LogLawParams:
@@ -187,13 +239,8 @@ def envelope_line_fit(ln_eta_range=(5.0, 10.0),
 
     Returns the effective logarithmic-law parameters of the envelope:
     the envelope in the (ln eta, phi) plane is close to a straight line
-    with kappa near 0.4 and offset near 5.1.
+    with kappa near 0.4 and offset near 5.1.  The arguments are checked as
+    ``envelope_curve`` checks them.
     """
-    if n_points < 10:
-        raise DomainError(f"n_points must be at least 10, got {n_points}")
-    lo, hi = float(ln_eta_range[0]), float(ln_eta_range[1])
-    if not lo < hi:
-        raise DomainError(f"invalid ln_eta range {ln_eta_range!r}")
-    points = envelope_curve((lo, hi), n_points)
-    return fit_log_law([p.ln_eta for p in points],
-                       [p.phi_env for p in points])
+    curve = envelope_curve(ln_eta_range, n_points)
+    return fit_log_law(curve.ln_eta, curve.phi_env)

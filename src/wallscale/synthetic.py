@@ -108,9 +108,10 @@ def generate(spec: SynthSpec) -> VelocityProfile:
     # Continuity at the break: B = A * exp(break * (alpha - beta)).
     b = a * math.exp(spec.break_ln_eta * (alpha - spec.beta))
     inner = ln_eta < spec.break_ln_eta
-    # A phi that overflows to inf is reported by VelocityProfile's check,
-    # without a numpy warning first.
-    with np.errstate(over="ignore"):
+    # A phi that overflows to inf, or is nan as 0 * inf (a prefactor b
+    # that underflows to 0 times an exp that overflows), is reported by
+    # VelocityProfile's check, without a numpy warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
         phi = np.where(inner,
                        a * np.exp(alpha * ln_eta),
                        b * np.exp(spec.beta * ln_eta))

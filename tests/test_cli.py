@@ -402,6 +402,86 @@ class TestSynth:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+VALID_SPEC = dict(ln_re="10.69", break_ln_eta="6.5", ln_eta_min="2.0",
+                  ln_eta_max="9.5", n_points="36", noise_sigma="0.01",
+                  shift="0.5", plateau_points="3", seed="7", beta="0.2")
+# Values at and beyond the limits of exp, of float64 and of the spec's
+# own checks.  No count between 10**5 and 2**59 is drawn: the generator
+# would allocate it.
+FLOAT_NEAR_LIMITS = st.sampled_from([
+    "709.78", "709.79", "710", "-745.2", "-746", "1e308", "-1e308",
+    "1.7976931348623157e308", "5e-324", "-5e-324", "2.2e-308", "0", "-0.0",
+    "1e-300", "inf", "-inf", "nan", "1e999"])
+INT_NEAR_LIMITS = st.sampled_from([
+    "-1", "0", "4", "7", "8", "32", "33", "100000", str(2**59 + 1),
+    str(10**20), str(2**63), str(2**64), str(10**30)])
+
+
+@st.composite
+def spec_bytes(draw):
+    """The bytes of a synth spec file: valid, with keys near their limits,
+    random, or a valid spec holding one byte that is not UTF-8."""
+    kind = draw(st.sampled_from(["valid", "limits", "random", "not_utf8"]))
+    if kind == "random":
+        return draw(st.binary(max_size=120))
+    spec = dict(VALID_SPEC)
+    if kind == "valid":
+        spec.update(noise_sigma=repr(draw(st.floats(0.0, 0.5))),
+                    shift=repr(draw(st.floats(-3.0, 3.0))),
+                    seed=str(draw(st.integers(0, 2**64))))
+    elif kind == "limits":
+        for key in draw(st.lists(st.sampled_from(sorted(spec)), min_size=1,
+                                 max_size=3, unique=True)):
+            ints = key in ("n_points", "plateau_points", "seed")
+            spec[key] = draw(INT_NEAR_LIMITS if ints else FLOAT_NEAR_LIMITS)
+    data = "".join(f"{k}={v}\n" for k, v in spec.items()).encode()
+    if kind == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestSynthFuzz:
+    """``synth`` on drawn spec files and drawn ``-o`` targets exits with a
+    documented code and never raises or warns; on success the output is
+    a profile that loads back."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(data=b"ln_re=10.69\nbreak_ln_eta=6.5\nln_eta_min=2.0\n"
+                  b"ln_eta_max=9.5\nn_points=36\n", target="fresh")
+    # what this test found: a numpy warning from 0 * inf in the generator
+    @example(data=b"ln_re=10.69\nbreak_ln_eta=6.5\nln_eta_min=2.0\n"
+                  b"ln_eta_max=9.5\nn_points=36\nbeta=709.78\n",
+             target="fresh")
+    @given(data=spec_bytes(),
+           target=st.sampled_from(["fresh", "missing/nested", "dir"]))
+    def test_drawn_specs_and_targets(self, data, target):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            specfile, output = root / "s.spec", root / target / "p.dat"
+            specfile.write_bytes(data)
+            if target == "fresh":
+                output.parent.mkdir()
+            elif target == "dir":
+                output.mkdir(parents=True)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")    # a warning escapes
+                code = main(["synth", str(specfile), "-o", str(output)])
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_FIT,
+                            EXIT_IO)
+            assert "Traceback" not in err.getvalue()
+            if code == EXIT_OK:
+                assert target == "fresh"
+                assert len(wallscale.load_profile(output)) >= 8
+            elif target == "dir":
+                assert output.is_dir()
+            else:
+                assert not output.exists()
+
+
 class TestEnvelope:
     def test_prints_table_and_line(self, capsys):
         assert main(["envelope", "--n-points", "12"]) == EXIT_OK
@@ -453,13 +533,16 @@ class TestEnvelope:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_one_solve_per_abscissa(self, monkeypatch, capsys):
-        calls = []
-        solve = scaling.envelope_at
-        monkeypatch.setattr(scaling, "envelope_at",
-                            lambda x: calls.append(x) or solve(x))
-        assert main(["envelope", "--n-points", "37"]) == EXIT_OK
-        assert len(calls) == 37
+    def test_one_columnar_solve(self, monkeypatch, capsys):
+        solves, points = [], []
+        solve = scaling.solve_envelope
+        monkeypatch.setattr(scaling, "solve_envelope",
+                            lambda x: solves.append(len(x)) or solve(x))
+        monkeypatch.setattr(scaling, "envelope_at", points.append)
+        assert main(["envelope", "--ln-eta-min", "2", "--ln-eta-max", "30",
+                     "--n-points", "2000"]) == EXIT_OK
+        assert solves == [2000]
+        assert points == []
 
     @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10),
                                            (2.0, 30.0, 2000)])
@@ -497,6 +580,22 @@ class TestEnvelope:
         assert code == EXIT_FIT
         err = capsys.readouterr().err
         assert err.startswith("error: ln_eta must be below about 8.9e153")
+
+    @pytest.mark.parametrize("hi, n, message", [
+        ("1e154", "10", "ln_eta must be below about 8.9e153 for a finite "
+         "envelope touch point, got 1e+154\n"),
+        ("8.9e153", "50", "the line fit overflows: "),
+    ])
+    def test_overflow_near_the_limit(self, capsys, hi, n, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["envelope", "--ln-eta-min", "1", "--ln-eta-max", hi,
+                         "--n-points", n])
+        assert code == EXIT_FIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("lo, hi, n, line", [
         ("2", "30", "2000", "kappa=0.4184 C=5.6203"),

@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wallscale import (DomainError, EnvelopePoint, LogLawParams, alpha_of_ln_re,
-                       envelope_at, envelope_curve, envelope_line_fit,
-                       fit_log_law, ln_re2_from_exponent, log_law_phi,
-                       prefactor_of_ln_re, scaling_law_phi)
+from wallscale import (DomainError, EnvelopePoint, LogLawParams,
+                       ValidationError, alpha_of_ln_re, envelope_at,
+                       envelope_curve, envelope_line_fit, fit_log_law,
+                       ln_re2_from_exponent, log_law_phi, prefactor_of_ln_re,
+                       scaling_law_phi)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -217,7 +218,8 @@ class TestEnvelopeLineFit:
         assert abs(a.kappa - b.kappa) < 1e-3
 
     def test_too_few_points(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError,
+                           match="n_points must be at least 10, got 5"):
             envelope_line_fit((5.0, 10.0), 5)
 
     def test_overflowing_sums_are_a_domain_error(self):
@@ -234,8 +236,60 @@ class TestEnvelopeLineFit:
             with pytest.raises(DomainError, match="offset C cancels"):
                 fit_log_law(x, 2.5 * x + 5.1)
 
-    @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10)])
-    def test_curve_is_one_solve_per_abscissa(self, lo, hi, n):
-        xs = np.linspace(lo, hi, n)
-        assert envelope_curve((lo, hi), n) == [envelope_at(float(x))
-                                               for x in xs]
+
+def scalar_envelope(x):
+    """The closed form at one float, with Python's arithmetic and libm's
+    exp: the per-point reference for the columnar solve."""
+    touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
+    return (touch / SQRT3 + 2.5) * math.exp(1.5 * x / touch), touch
+
+
+class TestEnvelopeCurve:
+    @settings(max_examples=150, deadline=None)
+    @example(ends=[2.0, 30.0], n=500)
+    @example(ends=[1e-5, 1e150], n=10)
+    @given(ends=st.lists(st.floats(1e-5, 1e150), min_size=2, max_size=2,
+                         unique=True).map(sorted),
+           n=st.integers(10, 500))
+    def test_columns_equal_per_point_solves(self, ends, n):
+        lo, hi = ends
+        curve = envelope_curve((lo, hi), n)
+        xs = np.linspace(lo, hi, n).tolist()
+        points = [envelope_at(x) for x in xs]
+        reference = [scalar_envelope(x) for x in xs]
+        # == on positive finite floats is equality bit for bit
+        assert curve.ln_eta.tolist() == [p.ln_eta for p in points] == xs
+        assert curve.phi_env.tolist() == [p.phi_env for p in points] \
+            == [phi for phi, _ in reference]
+        assert curve.ln_re_touch.tolist() == [p.ln_re_touch for p in points] \
+            == [touch for _, touch in reference]
+
+    def test_columns_are_read_only_float64(self):
+        curve = envelope_curve((5.0, 10.0), 12)
+        for column in (curve.ln_eta, curve.phi_env, curve.ln_re_touch):
+            assert column.dtype == np.float64 and column.shape == (12,)
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("ends, n, message", [
+        ((5.0, 10.0), 9, "n_points must be at least 10, got 9"),
+        ((10.0, 5.0), 50, "invalid ln_eta range (10.0, 5.0)"),
+        ((5.0, 5.0), 50, "invalid ln_eta range (5.0, 5.0)"),
+        ((math.nan, 5.0), 50, "invalid ln_eta range (nan, 5.0)"),
+        ((0.0, 5.0), 50, "ln_eta must be positive and finite, got 0.0"),
+        ((-1.0, 5.0), 50, "ln_eta must be positive and finite, got -1.0"),
+        ((5.0, math.inf), 50, "ln_eta must be positive and finite, got inf"),
+    ])
+    def test_bad_arguments_are_validation(self, ends, n, message):
+        for call in (envelope_curve, envelope_line_fit):
+            with pytest.raises(ValidationError) as info:
+                call(ends, n)
+            assert str(info.value) == message
+
+    def test_touch_point_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                envelope_curve((1.0, 1e154), 10)
+        assert str(info.value) == ("ln_eta must be below about 8.9e153 for "
+                                   "a finite envelope touch point, got 1e+154")

@@ -128,6 +128,15 @@ class TestGenerate:
                            match="phi must be positive and finite, got inf"):
             generate(spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_phi_is_validation_without_a_warning(self):
+        # the region-II prefactor exp(6.5 * (alpha - 709.78)) underflows
+        # to 0 and exp(709.78 * ln_eta) overflows: 0 * inf is nan
+        spec = base_spec(beta=709.78, break_ln_eta=6.5, ln_eta_range=(2.0, 9.5))
+        with pytest.raises(ValidationError,
+                           match="phi must be positive and finite, got nan"):
+            generate(spec)
+
 
 class TestEnsemble:
     def test_sequential_seeds(self):
