@@ -236,6 +236,15 @@ class TestEnvelopeLineFit:
             with pytest.raises(DomainError, match="offset C cancels"):
                 fit_log_law(x, 2.5 * x + 5.1)
 
+    @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10)])
+    def test_curve_is_one_solve_per_abscissa(self, lo, hi, n):
+        xs = np.linspace(lo, hi, n)
+        curve = envelope_curve((lo, hi), n)
+        points = [EnvelopePoint(*row) for row in
+                  zip(curve.ln_eta.tolist(), curve.phi_env.tolist(),
+                      curve.ln_re_touch.tolist())]
+        assert points == [envelope_at(float(x)) for x in xs]
+
 
 def scalar_envelope(x):
     """The closed form at one float, with Python's arithmetic and libm's
