@@ -18,6 +18,8 @@ kept in ``tests/test_fitting.py`` (the run fails otherwise) and counts
 the ``fit_power_law`` calls of that fit.  It then takes the best of
 ``--repeats`` ``time.perf_counter`` measurements of one call of
 ``load_profile``, ``select_intermediate``, ``fit_broken_line``,
+``build_universal_series`` (on the region-I samples of the selected
+profile, at the alpha ``analyze_profile`` uses),
 ``analyze_profile`` (default options), ``emit_plotdata``,
 ``cli.main(["analyze", FILE])`` and ``cli.main(["batch", DIR, "--out-dir",
 OUT])`` (their stdout and stderr go to buffers).  Each ``emit_plotdata``
@@ -32,6 +34,13 @@ counts: calls of the columnar ``scaling.solve_envelope``, or, in a tree
 without it, of the per-point ``scaling.envelope_at``.  Then ``--repeats``
 fresh interpreters run ``import wallscale.cli``: the best wall time and the
 smallest peak RSS are kept.
+
+Every interpreter of a tree writes and reads its bytecode under a
+``PYTHONPYCACHEPREFIX`` of that tree's own, made fresh in the run's
+temporary directory (``PYTHONDONTWRITEBYTECODE`` is dropped for them),
+and one untimed ``import wallscale.cli`` per tree fills it before the
+first round.  So every tree imports from cached bytecode, whatever
+``__pycache__`` directories its checkout holds.
 
 The trees are measured for ``ROUNDS`` rounds, in alternating order, so a
 host whose speed drifts favours neither.  The record keeps every round's
@@ -114,8 +123,9 @@ def exhaustive_reference():
 
 def child(corpus: Path, repeats: int) -> dict:
     """Run in the child interpreter: check the fit, then time each stage."""
-    from wallscale import (analyze_profile, cli, emit_plotdata, fitting,
-                           load_profile, report, scaling, select_intermediate)
+    from wallscale import (analyze_profile, cli, diagnostics, emit_plotdata,
+                           fitting, load_profile, report, scaling,
+                           select_intermediate)
     exhaustive = exhaustive_reference()
 
     def run_cli(*argv):
@@ -155,6 +165,8 @@ def child(corpus: Path, repeats: int) -> dict:
                 raise SystemExit(f"n={n}: fit_broken_line differs from the "
                                  "exhaustive search")
             bundle = analyze_profile(profile)
+            k = bundle.fit.split_index
+            alpha = scaling.alpha_of_ln_re(bundle.report.ln_re)
             record[f"n{n}.kept"] = len(inter)
             record[f"n{n}.fit_power_law_calls"] = calls
             stages = {
@@ -162,6 +174,9 @@ def child(corpus: Path, repeats: int) -> dict:
                 "select_intermediate_s": lambda: select_intermediate(profile),
                 "fit_broken_line_s": lambda: fitting.fit_broken_line(
                     inter.eta, inter.phi),
+                "build_universal_series_s":
+                    lambda: diagnostics.build_universal_series(
+                        inter.eta[:k], inter.phi[:k], alpha),
                 "analyze_profile_s": lambda: analyze_profile(profile),
                 "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
                                                          stem=f"n{n}"),
@@ -190,10 +205,13 @@ def child(corpus: Path, repeats: int) -> dict:
     return record
 
 
-def spawn(src, argv):
-    """Run ``python *argv`` with wallscale imported from ``src``; return
-    its stdout and its peak RSS in MB.  A child that fails ends the run."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+def spawn(src, pycache, argv):
+    """Run ``python *argv`` with wallscale imported from ``src`` and
+    bytecode kept under ``pycache``; return its stdout and its peak RSS in
+    MB.  A child that fails ends the run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+               PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.Popen([sys.executable, *argv], env=env, text=True,
                             stdout=subprocess.PIPE)
     with proc.stdout:
@@ -205,13 +223,14 @@ def spawn(src, argv):
     return out, usage.ru_maxrss / 1024.0
 
 
-def measure_tree(src, corpus: Path, repeats: int) -> dict:
-    out, _ = spawn(src, [__file__, "--child", str(corpus),
-                         "--repeats", str(repeats)])
+def measure_tree(src, pycache, corpus: Path, repeats: int) -> dict:
+    out, _ = spawn(src, pycache, [__file__, "--child", str(corpus),
+                                  "--repeats", str(repeats)])
     record = json.loads(out)
     rss = []
     record["import_wallscale_cli.wall_s"] = best_of(
-        lambda: rss.append(spawn(src, ["-c", "import wallscale.cli"])[1]),
+        lambda: rss.append(spawn(src, pycache,
+                                 ["-c", "import wallscale.cli"])[1]),
         repeats)
     record["import_wallscale_cli.maxrss_mb"] = min(rss)
     return record
@@ -242,11 +261,18 @@ def main(argv=None):
 
     names = list(trees)
     values = {}     # metric -> tree -> one value per round
-    with tempfile.TemporaryDirectory() as corpus:
-        write_corpus(Path(corpus))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        write_corpus(corpus)
+        caches = {name: Path(tmp) / f"pycache{i}"
+                  for i, name in enumerate(names)}
+        for name in names:
+            spawn(trees[name], caches[name], ["-c", "import wallscale.cli"])
         for r in range(ROUNDS):
             for name in names if r % 2 == 0 else names[::-1]:
-                record = measure_tree(trees[name], Path(corpus), args.repeats)
+                record = measure_tree(trees[name], caches[name], corpus,
+                                      args.repeats)
                 for metric, value in record.items():
                     values.setdefault(metric, {}).setdefault(name, [])
                     values[metric][name].append(value)

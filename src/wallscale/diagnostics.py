@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .profiles import freeze_columns
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -43,18 +44,23 @@ class ReynoldsDiagnostics:
     re_theta_over_re: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniversalSeries:
-    """(ln eta, psi) pairs with bisectrix-deviation statistics.
+    """The universal collapse as two read-only float64 columns of one
+    length, ``ln_eta`` and ``psi``, with bisectrix-deviation statistics.
 
     ``mean_shift`` is the mean of (ln eta - psi): positive means the
     points lie below the bisectrix.  ``rms_scatter`` is the rms of the
     deviations about the mean shift.
     """
 
-    points: tuple[tuple[float, float], ...]
+    ln_eta: np.ndarray
+    psi: np.ndarray
     mean_shift: float
     rms_scatter: float
+
+    def __post_init__(self):
+        freeze_columns(self, "ln_eta", "psi")
 
 
 def ln_re1_from_prefactor(a: float) -> float:
@@ -105,13 +111,17 @@ def psi_transform(phi: float, alpha: float) -> float:
     """Universal coordinate psi = (1/alpha) ln(2 alpha phi / (sqrt(3) + 5 alpha)).
 
     Exact inverse of the scaling law: feeding phi evaluated from the law
-    with the matching alpha returns ln eta.
-    """
+    with the matching alpha returns ln eta.  A log argument that is not
+    positive (it underflows to 0 for a tiny phi) is a DomainError."""
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi!r}")
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return math.log(2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)) / alpha
+    argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
+    if not argument > 0:
+        raise DomainError(f"psi has no value at phi={phi!r}, alpha={alpha!r}:"
+                          f" its log argument is {argument!r}")
+    return math.log(argument) / alpha
 
 
 def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
@@ -120,21 +130,33 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
 
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
-    free-stream turbulence or roughness moves a point."""
+    free-stream turbulence or roughness moves a point.  One columnar pass
+    (libm ``math.log``, Python sums in row order) gives the per-point values
+    bit for bit; the first sample ``psi_transform`` rejects raises its error."""
     if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
-    eta = np.asarray(eta, dtype=float)
+    eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
+    if len(eta) != len(phi):
+        raise DomainError(
+            f"eta and phi differ in length: {len(eta)} and {len(phi)}")
     if not (eta > 0).all():
         raise DomainError(
             f"eta must be positive, got {eta[~(eta > 0)][0].item()!r}")
-    points = tuple((math.log(e), psi_transform(p, alpha))
-                   for e, p in zip(eta.tolist(),
-                                   np.asarray(phi, dtype=float).tolist()))
-    deviations = [ln_eta - psi for ln_eta, psi in points]
+    with np.errstate(all="ignore"):
+        argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
+    valid = argument > 0
+    if not (alpha > 0 and valid.all()):
+        # the scalar reference raises the error of the first bad sample
+        psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(), alpha)
+    ln_eta = np.fromiter(map(math.log, eta.tolist()), np.float64, len(eta))
+    psi = np.fromiter(map(math.log, argument.tolist()), np.float64,
+                      len(eta)) / alpha
+    deviations = (ln_eta - psi).tolist()
     mean_shift = sum(deviations) / len(deviations)
     rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)
                     / len(deviations))
-    return UniversalSeries(points=points, mean_shift=mean_shift, rms_scatter=rms)
+    return UniversalSeries(ln_eta=ln_eta, psi=psi, mean_shift=mean_shift,
+                           rms_scatter=rms)
 
 
 def classify_shift(series: UniversalSeries,

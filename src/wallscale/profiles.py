@@ -81,16 +81,7 @@ class VelocityProfile:
     metadata: ProfileMetadata
 
     def __post_init__(self):
-        for name in ("eta", "phi"):
-            try:
-                column = np.array(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{name} is not numeric: {exc}") from None
-            if column.ndim != 1:
-                raise ValidationError(
-                    f"{name} must be one-dimensional, got shape {column.shape}")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        freeze_columns(self, "eta", "phi")
         eta, phi = self.eta, self.phi
         if len(eta) != len(phi):
             raise ValidationError(
@@ -109,6 +100,21 @@ class VelocityProfile:
 
     def __len__(self):
         return len(self.eta)
+
+
+def freeze_columns(obj, *names) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a read-only
+    1-D float64 copy; a value that cannot be one is a ValidationError."""
+    for name in names:
+        try:
+            column = np.array(getattr(obj, name), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{name} is not numeric: {exc}") from None
+        if column.ndim != 1:
+            raise ValidationError(
+                f"{name} must be one-dimensional, got shape {column.shape}")
+        column.flags.writeable = False
+        object.__setattr__(obj, name, column)
 
 
 def _require_positive_finite(**columns) -> None:

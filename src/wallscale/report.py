@@ -358,17 +358,17 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
         f"{a!r} {b!r} {c!r} {d!r}"
         for a, b, c, d in zip(*(column.tolist() for column in columns))]
 
-    universal = ["ln_eta psi bisectrix"]
-    for x, psi in bundle.series.points:
-        x = repr(x)
-        universal.append(f"{x} {psi!r} {x}")
+    universal = ["ln_eta psi bisectrix"] + [
+        f"{x} {psi!r} {x}"
+        for x, psi in zip(map(repr, bundle.series.ln_eta.tolist()),
+                          bundle.series.psi.tolist())]
 
     # x = ln eta - psi at the report's ln Re, over the whole selected range.
     series = diagnostics.build_universal_series(
         profile.eta, profile.phi, scaling.alpha_of_ln_re(bundle.report.ln_re))
     shift = ["x phi"] + [
-        f"{ln_eta - psi!r} {phi!r}"
-        for (ln_eta, psi), phi in zip(series.points, profile.phi.tolist())]
+        f"{x!r} {phi!r}" for x, phi in zip(
+            (series.ln_eta - series.psi).tolist(), profile.phi.tolist())]
 
     texts = {
         f"{stem}_loglog.dat": "\n".join(loglog) + "\n",

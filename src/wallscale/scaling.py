@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .fitting import _ols
+from .profiles import freeze_columns
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -74,10 +75,7 @@ class EnvelopeCurve:
     ln_re_touch: np.ndarray
 
     def __post_init__(self):
-        for name in ("ln_eta", "phi_env", "ln_re_touch"):
-            column = np.array(getattr(self, name), dtype=np.float64)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        freeze_columns(self, "ln_eta", "phi_env", "ln_re_touch")
 
 
 def alpha_of_ln_re(ln_re):
@@ -179,12 +177,15 @@ def solve_envelope(ln_eta: np.ndarray) -> EnvelopeCurve:
 def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     """``np.linspace(lo, hi, n_points)``.  A count above ``MAX_POINTS``
     is a ValidationError naming n_points before anything is computed, and
-    so is a count whose array cannot be allocated."""
+    so is a count whose array cannot be allocated.  For ``hi`` near the
+    float maximum, linspace's (n - 1) * step may round up to inf before
+    it sets the last point to ``hi``; that overflow is not reported."""
     if n_points > MAX_POINTS:
         raise ValidationError(
             f"n_points must be at most 2**59, got {n_points}")
     try:
-        return np.linspace(lo, hi, n_points)
+        with np.errstate(over="ignore"):
+            return np.linspace(lo, hi, n_points)
     except MemoryError:
         raise ValidationError(f"n_points {n_points}: not enough memory "
                               f"for that many points") from None

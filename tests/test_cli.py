@@ -116,6 +116,23 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == EXIT_FIT
         assert "reynolds_extraction: ln Re = 7" in capsys.readouterr().err
 
+    def test_psi_argument_underflow_is_domain_error(self, tmp_path, capsys):
+        # phi = 5e-324 is a valid sample, but in the shift column's series
+        # 2 alpha phi / (sqrt(3) + 5 alpha) underflows to 0, whose log has
+        # no value
+        path = tmp_path / "tiny.dat"
+        write_profile(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-3] + [
+            f"{line.split()[0]} 5e-324\n" for line in lines[-3:]]))
+        code = main(["analyze", str(path), "--out-dir",
+                     str(tmp_path / "plots")])
+        err = capsys.readouterr().err
+        assert code == EXIT_FIT
+        assert "psi has no value at phi=5e-324" in err
+        assert "its log argument is 0.0" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "nonexistent.dat"
         assert main(["analyze", str(path)]) == EXIT_IO
@@ -621,10 +638,11 @@ class TestEnvelope:
             assert err == f"effective log law: {line}\n"
 
     @settings(max_examples=200, deadline=None)
-    # what this test found: numpy's refusal of the count, and a line fit
-    # whose sums overflow
+    # what this test found: numpy's refusal of the count, a line fit
+    # whose sums overflow, and linspace's overflow before its last point
     @example(ends=[2.0, 30.0], n=10**20, out_dir=None)
     @example(ends=[1.0, 8.9e153], n=50, out_dir="dir")
+    @example(ends=[5e-324, 1.7976931348623157e308], n=10, out_dir=None)
     @given(ends=st.lists(st.one_of(
                st.floats(),
                st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e154,

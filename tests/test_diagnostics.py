@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wallscale import (COLLAPSED, DomainError, SHIFTED_ABOVE, SHIFTED_BELOW,
-                       alpha_of_ln_re, build_universal_series, classify_shift,
-                       combine_reynolds, ln_re1_from_prefactor,
-                       ln_re2_from_exponent, psi_transform, scaling_law_phi)
+                       UniversalSeries, alpha_of_ln_re, build_universal_series,
+                       classify_shift, combine_reynolds, diagnostics,
+                       ln_re1_from_prefactor, ln_re2_from_exponent,
+                       psi_transform, scaling_law_phi)
 
 
 class TestReynoldsEstimates:
@@ -84,13 +88,22 @@ class TestPsiTransform:
         with pytest.raises(DomainError):
             psi_transform(10.0, -0.1)
 
+    def test_underflowing_argument_is_domain_error(self):
+        # 2 alpha phi / (sqrt(3) + 5 alpha) is 0.0 here, and ln 0 has no value
+        with pytest.raises(DomainError) as info:
+            psi_transform(5e-324, 0.1)
+        assert str(info.value) == ("psi has no value at phi=5e-324, "
+                                   "alpha=0.1: its log argument is 0.0")
+
 
 def turbulence_shift_x(eta, phi, ln_re):
     """The shift abscissa ln eta - psi at ln Re, as emit_plotdata builds
-    its shift column: one universal series at alpha(ln Re)."""
+    its shift column: one universal series at alpha(ln Re), whose columns
+    hold exactly one row."""
     series = build_universal_series([eta], [phi], alpha_of_ln_re(ln_re))
-    ((ln_eta, psi),) = series.points
-    return ln_eta - psi
+    assert series.ln_eta.tolist() == [math.log(eta)]
+    (x,) = (series.ln_eta - series.psi).tolist()
+    return x
 
 
 class TestTurbulenceShiftX:
@@ -120,6 +133,37 @@ class TestTurbulenceShiftX:
             turbulence_shift_x(100.0, 10.0, 0.0)
 
 
+# Drawn arguments: physical samples, or any positive float from the
+# smallest subnormal (eta) or 1e-300 (phi) up, where 2 alpha phi may
+# overflow; in about half the examples a few cells and sometimes alpha are
+# then replaced by invalid values, or by a phi whose log argument
+# underflows.
+INVALID = st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.nan, 5e-324])
+DRAWN_ETA = st.one_of(st.floats(1.0, 1e6),
+                      st.floats(5e-324, 1.7976931348623157e308))
+DRAWN_PHI = st.one_of(st.floats(1.0, 60.0),
+                      st.floats(1e-300, 1.7976931348623157e308))
+DRAWN_ALPHA = st.one_of(st.floats(math.exp(-5.0), math.e), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def drawn_arguments(draw):
+    n = draw(st.integers(0, 30))
+    rows = draw(st.lists(st.tuples(DRAWN_ETA, DRAWN_PHI), min_size=n,
+                         max_size=n))
+    columns = [[e for e, _ in rows], [p for _, p in rows]]
+    alpha = draw(DRAWN_ALPHA)
+    if draw(st.booleans()):
+        cells = st.tuples(st.sampled_from((0, 1, 1)),
+                          st.integers(0, max(len(rows) - 1, 0)), INVALID)
+        for column, i, value in draw(st.lists(cells, max_size=3)):
+            if rows:
+                columns[column][i] = value
+        if draw(st.booleans()):
+            alpha = draw(st.sampled_from([0.0, -1.0, -math.inf, math.nan]))
+    return columns[0], columns[1], alpha
+
+
 class TestUniversalSeries:
     def make_series(self, shift=0.0, ln_re=10.69, n=12):
         alpha = 3.0 / (2.0 * ln_re)
@@ -131,8 +175,9 @@ class TestUniversalSeries:
         series = self.make_series(shift=0.0)
         assert series.mean_shift == pytest.approx(0.0, abs=1e-10)
         assert series.rms_scatter == pytest.approx(0.0, abs=1e-10)
-        for ln_eta, psi in series.points:
-            assert psi == pytest.approx(ln_eta, abs=1e-10)
+        ln_eta = np.linspace(2.0, 6.0, 12)
+        assert series.ln_eta.tolist() == pytest.approx(ln_eta, abs=1e-14)
+        assert series.psi.tolist() == pytest.approx(ln_eta, abs=1e-10)
 
     def test_parallel_shift_recovered(self):
         for s in (0.3, 1.0):
@@ -160,16 +205,100 @@ class TestUniversalSeries:
         ([5.0, math.nan, 6.0], 0.14, "phi must be positive, got nan"),
         ([5.0, 6.0, 7.0], 0.0, "alpha must be positive"),
         ([5.0, 6.0, 7.0], math.nan, "alpha must be positive"),
+        # samples are checked in row order, phi before alpha in each
+        ([5.0, 0.0, 7.0], -1.0, "alpha must be positive, got -1.0"),
+        ([0.0, 6.0, 7.0], -1.0, "phi must be positive, got 0.0"),
+        ([5.0, 5e-324, 0.0], 0.1, "psi has no value at phi=5e-324"),
     ])
     def test_domain(self, phi, alpha, message):
         with pytest.raises(DomainError, match=message):
             build_universal_series([10.0, 20.0, 30.0], phi, alpha)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(DomainError,
+                           match="eta and phi differ in length: 3 and 1"):
+            build_universal_series([10.0, 20.0, 30.0], [5.0], 0.14)
 
     @pytest.mark.parametrize("eta, bad", [([10.0, 0.0, -1.0], "0.0"),
                                           ([10.0, math.nan, 30.0], "nan")])
     def test_eta_domain(self, eta, bad):
         with pytest.raises(DomainError, match=f"eta must be positive, got {bad}"):
             build_universal_series(eta, [5.0, 6.0, 7.0], 0.14)
+
+    def test_columns_are_read_only_float64(self):
+        series = build_universal_series([10.0, 20.0, 30.0], [5, 6, 7], 0.14)
+        for column in (series.ln_eta, series.psi):
+            assert column.dtype == np.float64 and column.shape == (3,)
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_no_per_sample_psi_transform(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(diagnostics, "psi_transform",
+                            lambda *args: calls.append(args))
+        self.make_series(n=200)
+        assert calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @example(arguments=([1e3], [5e-324], 0.1))
+    @example(arguments=([10.0, 20.0], [5.0, 0.0], math.nan))
+    @example(arguments=([math.exp(x) for x in range(2, 40)],
+                        [8.0 + x for x in range(2, 40)], 0.14))
+    @given(arguments=drawn_arguments())
+    def test_columns_equal_per_point_reference(self, arguments):
+        eta, phi, alpha = arguments
+        try:
+            expected = per_point_series(eta, phi, alpha)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                build_warnings_as_errors(eta, phi, alpha)
+            assert str(info.value) == str(exc)
+            return
+        assert_bit_equal(build_warnings_as_errors(eta, phi, alpha), expected)
+
+    @pytest.mark.parametrize("alpha", [math.exp(-5.0), 0.1, 0.14, math.e])
+    def test_long_columns_equal_per_point_reference(self, alpha):
+        rng = np.random.default_rng(11)
+        eta = np.sort(np.exp(rng.uniform(0.0, 12.0, 3000))).tolist()
+        phi = rng.uniform(1.0, 60.0, 3000).tolist()
+        assert_bit_equal(build_warnings_as_errors(eta, phi, alpha),
+                         per_point_series(eta, phi, alpha))
+
+
+def assert_bit_equal(series, expected):
+    ln_eta, psi, mean_shift, rms_scatter = expected
+    # float.hex tells every bit apart, -0.0 from 0.0 and nan included
+    assert bits(series.ln_eta.tolist()) == bits(ln_eta)
+    assert bits(series.psi.tolist()) == bits(psi)
+    assert bits([series.mean_shift, series.rms_scatter]) == \
+        bits([mean_shift, rms_scatter])
+
+
+def bits(values):
+    return [float.hex(v) for v in values]
+
+
+def build_warnings_as_errors(eta, phi, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return build_universal_series(np.array(eta), np.array(phi), alpha)
+
+
+def per_point_series(eta, phi, alpha):
+    """The reference for the columnar build: the same checks, then
+    ``math.log`` and ``psi_transform`` sample by sample, and Python sums
+    in row order."""
+    if not eta:
+        raise DomainError("cannot build a universal series from no samples")
+    for e in eta:
+        if not e > 0:
+            raise DomainError(f"eta must be positive, got {e!r}")
+    ln_eta = [math.log(e) for e in eta]
+    psi = [psi_transform(p, alpha) for p in phi]
+    deviations = [x - y for x, y in zip(ln_eta, psi)]
+    mean = sum(deviations) / len(deviations)
+    rms = math.sqrt(sum((d - mean) ** 2 for d in deviations) / len(deviations))
+    return ln_eta, psi, mean, rms
 
 
 class TestClassifyShift:
@@ -184,6 +313,9 @@ class TestClassifyShift:
 
 
 def self_series(mean_shift):
-    from wallscale import UniversalSeries
-    return UniversalSeries(points=((1.0, 1.0 - mean_shift),),
-                           mean_shift=mean_shift, rms_scatter=0.0)
+    series = UniversalSeries(ln_eta=[1.0], psi=[1.0 - mean_shift],
+                             mean_shift=mean_shift, rms_scatter=0.0)
+    assert series.ln_eta.tolist() == [1.0]
+    assert series.psi.tolist() == [1.0 - mean_shift]
+    assert not series.psi.flags.writeable
+    return series

@@ -10,7 +10,7 @@ from wallscale import (DomainError, EnvelopePoint, LogLawParams,
                        ValidationError, alpha_of_ln_re, envelope_at,
                        envelope_curve, envelope_line_fit, fit_log_law,
                        ln_re2_from_exponent, log_law_phi, prefactor_of_ln_re,
-                       scaling_law_phi)
+                       scaling, scaling_law_phi)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -294,6 +294,13 @@ class TestEnvelopeCurve:
             with pytest.raises(ValidationError) as info:
                 call(ends, n)
             assert str(info.value) == message
+
+    def test_grid_up_to_the_float_maximum_warns_nothing(self):
+        hi = 1.7976931348623157e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = scaling.grid(5e-324, hi, 10)
+        assert np.isfinite(xs).all() and xs[-1] == hi
 
     def test_touch_point_overflow(self):
         with warnings.catch_warnings():
