@@ -97,26 +97,36 @@ def _write_envelope(out_dir, table: str) -> None:
 
 def _cmd_analyze(args) -> int:
     bundle = report.analyze(args.file, _options_from_args(args), args.format)
-    print(report.format_table([bundle.report]), end="")
+    # The row is printed once the profile's files are written.
     if args.out_dir is not None:
         report.emit_plotdata(bundle, args.out_dir,
                              stem=bundle.source.stem)
         _write_envelope(args.out_dir, report.envelope_table())
+    print(report.format_table([bundle.report]), end="")
     return EXIT_OK
 
 
 def _cmd_batch(args) -> int:
     bundles, failures = report.batch(args.dir, _options_from_args(args),
                                      args.format)
-    print(report.format_table([b.report for b in bundles]), end="")
-    for path, exc in failures:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-    # A batch in which no profile was analyzed creates no directory.
-    if args.out_dir is not None and bundles:
+    if args.out_dir is not None:
+        written = []
         for bundle in bundles:
-            report.emit_plotdata(bundle, args.out_dir,
-                                 stem=bundle.source.stem)
-        _write_envelope(args.out_dir, report.envelope_table())
+            try:
+                report.emit_plotdata(bundle, args.out_dir,
+                                     stem=bundle.source.stem)
+            except PipelineError as exc:
+                # its plot data has no value: no row, no files
+                failures.append((bundle.source, exc))
+            else:
+                written.append(bundle)
+        bundles = written
+        # A batch in which no profile was written creates no directory.
+        if bundles:
+            _write_envelope(args.out_dir, report.envelope_table())
+    print(report.format_table([b.report for b in bundles]), end="")
+    for path, exc in sorted(failures, key=lambda failure: failure[0]):
+        print(f"error: {path}: {exc}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -132,7 +132,9 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point.  One columnar pass
     (libm ``math.log``, Python sums in row order) gives the per-point values
-    bit for bit; the first sample ``psi_transform`` rejects raises its error."""
+    bit for bit; the first sample ``psi_transform`` rejects raises its error.
+    A tiny alpha for which psi or the rms scatter overflows is a DomainError
+    too."""
     if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
     eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
@@ -149,12 +151,17 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
         # the scalar reference raises the error of the first bad sample
         psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(), alpha)
     ln_eta = np.fromiter(map(math.log, eta.tolist()), np.float64, len(eta))
-    psi = np.fromiter(map(math.log, argument.tolist()), np.float64,
-                      len(eta)) / alpha
-    deviations = (ln_eta - psi).tolist()
-    mean_shift = sum(deviations) / len(deviations)
-    rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)
-                    / len(deviations))
+    try:
+        with np.errstate(over="raise"):
+            psi = np.fromiter(map(math.log, argument.tolist()), np.float64,
+                              len(eta)) / alpha
+        deviations = (ln_eta - psi).tolist()
+        mean_shift = sum(deviations) / len(deviations)
+        rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)
+                        / len(deviations))
+    except (FloatingPointError, OverflowError):
+        raise DomainError(f"alpha={alpha!r} is too small: psi or the rms of "
+                          "ln eta - psi overflows") from None
     return UniversalSeries(ln_eta=ln_eta, psi=psi, mean_shift=mean_shift,
                            rms_scatter=rms)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import math
 import os
-import secrets
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -151,12 +151,43 @@ def read_lines(path):
     return io.StringIO(text, newline=None)
 
 
-def _parse_number(text: str, key: str, path, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"cannot parse {key} value {text!r}",
-                         path=path, line=lineno) from None
+def split_key_value(line: str, keys, what: str, path=None, lineno=None):
+    """Split a ``key=value`` line at its first ``=`` and return the key,
+    without outer whitespace, and the raw value after the ``=``.  A line
+    without ``=`` or whose key is not in ``keys`` is a ParseError; ``what``
+    names the kind of key in its message."""
+    key, sep, raw = line.partition("=")
+    if not sep:
+        raise ParseError("expected key=value", path=path, line=lineno)
+    key = key.strip()
+    if key not in keys:
+        raise ParseError(f"unknown {what} {key!r}", path=path, line=lineno)
+    return key, raw
+
+
+def parse_value(kind, key: str, raw: str, path=None, lineno=None):
+    """Parse one value as ``kind``: str (``raw`` itself), or, once outer
+    whitespace is stripped, bool (``true`` or ``false``), int or float (read
+    by ``int`` or ``float``), or ``none`` where ``kind`` admits None.  A
+    value that does not parse is a ParseError naming ``key``."""
+    if kind is str:
+        return raw
+    raw = raw.strip()
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if raw == "none":
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if kind is bool:
+        if raw in ("true", "false"):
+            return raw == "true"
+    else:
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    raise ParseError(f"cannot parse {key} value {raw!r}",
+                     path=path, line=lineno)
 
 
 def load_profile(path, format: str = "wall_units") -> VelocityProfile:
@@ -183,17 +214,11 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
         if not text or text[0] == "#":
             continue
         if "=" in text:
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _METADATA_KEYS:
-                raise ParseError(f"unknown metadata key {key!r}",
-                                 path=path, line=lineno)
-            field = _METADATA_KEYS[key]
-            if field == "label":
-                meta_kwargs[field] = value
-            else:
-                meta_kwargs[field] = _parse_number(value, key, path, lineno)
+            key, value = split_key_value(text, _METADATA_KEYS, "metadata key",
+                                         path, lineno)
+            meta_kwargs[_METADATA_KEYS[key]] = parse_value(
+                str if key == "label" else float, key, value.strip(),
+                path, lineno)
             continue
         parts = text.split(",") if "," in text else text.split()
         try:
@@ -204,8 +229,8 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
             if len(parts) != 2:
                 raise ParseError(f"expected 2 columns, got {len(parts)}",
                                  path=path, line=lineno) from None
-            _parse_number(parts[0].strip(), "column 1", path, lineno)
-            _parse_number(parts[1].strip(), "column 2", path, lineno)
+            parse_value(float, "column 1", parts[0], path, lineno)
+            parse_value(float, "column 2", parts[1], path, lineno)
             raise
     try:
         metadata = ProfileMetadata(**meta_kwargs)
@@ -253,7 +278,7 @@ def atomic_write_text(path, text: str) -> None:
     fails is an InputOutputError.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8")
         try:

@@ -249,42 +249,18 @@ def report_to_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_field(kind, key: str, raw: str, lineno: int):
-    """Parse one report value as its field's type: str (every character
-    after the ``=``, so text with outer spaces round-trips), bool (``true``
-    or ``false``), int or float, or ``none`` where the type admits None."""
-    if kind is str:
-        return raw
-    raw = raw.strip()
-    options = typing.get_args(kind)
-    if type(None) in options:
-        if raw == "none":
-            return None
-        (kind,) = [t for t in options if t is not type(None)]
-    if kind is bool:
-        if raw in ("true", "false"):
-            return raw == "true"
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    raise ParseError(f"cannot parse {key} value {raw!r}", line=lineno)
-
-
 def report_from_text(text: str) -> AnalysisReport:
     """Inverse of report_to_text."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        if "=" not in line:
-            raise ParseError("expected key=value", line=lineno)
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _REPORT_FIELD_TYPES:
-            raise ParseError(f"unknown report field {key!r}", line=lineno)
-        values[key] = _parse_field(_REPORT_FIELD_TYPES[key], key, raw, lineno)
+        # A string keeps every character after the "=", so text with outer
+        # spaces round-trips.
+        key, raw = profiles.split_key_value(line, _REPORT_FIELD_TYPES,
+                                            "report field", lineno=lineno)
+        values[key] = profiles.parse_value(_REPORT_FIELD_TYPES[key], key, raw,
+                                           lineno=lineno)
     missing = [name for name in _REPORT_FIELD_TYPES if name not in values]
     if missing:
         raise ParseError(f"missing report fields {missing}")
@@ -340,11 +316,13 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
     Emits the log-log profile with both fitted lines, the universal series
     with its bisectrix reference, the turbulence-shift series and the
     machine-readable report, and returns their four paths; the envelope
-    table, the same for every profile, is not one of them.  Files are
-    written atomically and are byte-identical across repeated runs.  A
-    directory or file that cannot be written is an InputOutputError.
+    table, the same for every profile, is not one of them.  Every text is
+    rendered before ``out_dir`` is created or any file is written, so a
+    shift series that cannot be computed (a PipelineError naming the
+    ``shift_series`` stage) writes nothing.  Files are written atomically
+    and are byte-identical across repeated runs.  A directory or file that
+    cannot be written is an InputOutputError.
     """
-    out_dir = profiles.make_output_dir(out_dir)
     if stem is None:
         stem = "".join(ch if ch.isalnum() or ch in "-_." else "_"
                        for ch in bundle.report.label) or "profile"
@@ -364,8 +342,9 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
                           bundle.series.psi.tolist())]
 
     # x = ln eta - psi at the report's ln Re, over the whole selected range.
-    series = diagnostics.build_universal_series(
-        profile.eta, profile.phi, scaling.alpha_of_ln_re(bundle.report.ln_re))
+    series = _stage("shift_series", diagnostics.build_universal_series,
+                    profile.eta, profile.phi,
+                    scaling.alpha_of_ln_re(bundle.report.ln_re))
     shift = ["x phi"] + [
         f"{x!r} {phi!r}" for x, phi in zip(
             (series.ln_eta - series.psi).tolist(), profile.phi.tolist())]
@@ -376,6 +355,7 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
         f"{stem}_shift.dat": "\n".join(shift) + "\n",
         f"{stem}_report.txt": report_to_text(bundle.report),
     }
+    out_dir = profiles.make_output_dir(out_dir)
     for name, text in texts.items():
         profiles.atomic_write_text(out_dir / name, text)
     return [out_dir / name for name in texts]

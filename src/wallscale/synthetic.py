@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .profiles import ProfileMetadata, VelocityProfile, read_lines
+from .errors import ValidationError
+from .profiles import (ProfileMetadata, VelocityProfile, parse_value,
+                       read_lines, split_key_value)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
 
@@ -169,19 +170,10 @@ def load_synth_spec(path) -> SynthSpec:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        if "=" not in text:
-            raise ParseError("expected key=value", path=path, line=lineno)
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SPEC_KEYS:
-            raise ParseError(f"unknown spec key {key!r}", path=path, line=lineno)
-        caster = _SPEC_KEYS[key]
-        try:
-            raw[key] = caster(value)
-        except ValueError:
-            raise ParseError(f"cannot parse {key} value {value!r}",
-                             path=path, line=lineno) from None
+        key, value = split_key_value(text, _SPEC_KEYS, "spec key", path,
+                                     lineno)
+        raw[key] = parse_value(_SPEC_KEYS[key], key, value.strip(), path,
+                               lineno)
     missing = [k for k in _REQUIRED_SPEC_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"{path}: missing spec keys {missing}")

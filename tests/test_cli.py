@@ -43,6 +43,17 @@ def write_unlabeled_profile(path):
         if not line.startswith("label=")))
 
 
+def write_tiny_tail_profile(path):
+    """A valid profile whose three trailing samples have phi = 5e-324: the
+    analysis succeeds, but in the shift column's series
+    2 alpha phi / (sqrt(3) + 5 alpha) underflows to 0, whose log has no
+    value."""
+    write_profile(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3] + [
+        f"{line.split()[0]} 5e-324\n" for line in lines[-3:]]))
+
+
 def write_overflowing_profile(path):
     eta = [math.exp(2.0 + 0.2 * i) for i in range(30)]
     path.write_text("re_theta=1000\n" + "".join(
@@ -117,21 +128,18 @@ class TestAnalyze:
         assert "reynolds_extraction: ln Re = 7" in capsys.readouterr().err
 
     def test_psi_argument_underflow_is_domain_error(self, tmp_path, capsys):
-        # phi = 5e-324 is a valid sample, but in the shift column's series
-        # 2 alpha phi / (sqrt(3) + 5 alpha) underflows to 0, whose log has
-        # no value
-        path = tmp_path / "tiny.dat"
-        write_profile(path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-3] + [
-            f"{line.split()[0]} 5e-324\n" for line in lines[-3:]]))
-        code = main(["analyze", str(path), "--out-dir",
-                     str(tmp_path / "plots")])
-        err = capsys.readouterr().err
+        # the row is not printed and the output directory is not created
+        path, plots = tmp_path / "tiny.dat", tmp_path / "plots"
+        write_tiny_tail_profile(path)
+        code = main(["analyze", str(path), "--out-dir", str(plots)])
+        captured = capsys.readouterr()
         assert code == EXIT_FIT
-        assert "psi has no value at phi=5e-324" in err
-        assert "its log argument is 0.0" in err
-        assert "Traceback" not in err
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: shift_series: psi has no value at phi=5e-324")
+        assert "its log argument is 0.0" in captured.err
+        assert "Traceback" not in captured.err
+        assert not plots.exists()
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "nonexistent.dat"
@@ -240,6 +248,36 @@ class TestBatch:
         assert code == EXIT_IO
         assert f"cannot create directory {taken}: File exists" in err
         assert "Traceback" not in err
+
+    def test_plot_data_failure_is_one_failure(self, tmp_path, capsys):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        write_profile(in_dir / "a.dat", seed=1, noise_sigma=0.01)
+        write_tiny_tail_profile(in_dir / "b.dat")
+        write_profile(in_dir / "c.dat", seed=2, noise_sigma=0.01)
+        code = main(["batch", str(in_dir), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARTIAL
+        assert [row.split()[0] for row in captured.out.splitlines()] == [
+            "label", "a", "c"]
+        assert captured.err.startswith(
+            f"error: {in_dir / 'b.dat'}: shift_series: "
+            "psi has no value at phi=5e-324")
+        assert captured.err.count("\n") == 1
+        suffixes = ("_loglog.dat", "_universal.dat", "_shift.dat",
+                    "_report.txt")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["envelope.dat"] + [s + f for s in "ac" for f in suffixes])
+
+    def test_every_plot_data_failing_creates_no_out_dir(self, tmp_path,
+                                                        capsys):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        write_tiny_tail_profile(in_dir / "b.dat")
+        code = main(["batch", str(in_dir), "--out-dir", str(out_dir)])
+        assert code == EXIT_PARTIAL
+        assert capsys.readouterr().out.splitlines()[1:] == []
+        assert not out_dir.exists()
 
     def test_all_good(self, tmp_path, capsys):
         write_profile(tmp_path / "a.dat")

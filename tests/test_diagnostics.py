@@ -214,6 +214,19 @@ class TestUniversalSeries:
         with pytest.raises(DomainError, match=message):
             build_universal_series([10.0, 20.0, 30.0], phi, alpha)
 
+    @pytest.mark.parametrize("phi, alpha", [
+        ([1e-10, 1e10], 1e-300),    # the rms sum overflows
+        ([1.0, 1.0], 1e-310),       # psi = ln(...) / alpha overflows
+    ])
+    def test_tiny_alpha_overflow_is_domain_error(self, phi, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                build_universal_series([1.0, 2.0], phi, alpha)
+        assert str(info.value) == (
+            f"alpha={alpha!r} is too small: psi or the rms of ln eta - psi "
+            "overflows")
+
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(DomainError,
                            match="eta and phi differ in length: 3 and 1"):

@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 
 from wallscale import ParseError, ProfileMetadata, ValidationError, load_profile
 from wallscale.profiles import (_METADATA_KEYS, VelocityProfile,
-                                _parse_number, _require_positive_finite,
-                                read_lines)
+                                _require_positive_finite, read_lines)
+
+
+def _parse_number(text, key, path, lineno):
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"cannot parse {key} value {text!r}",
+                         path=path, line=lineno) from None
 
 
 def reference_load(path, format):
