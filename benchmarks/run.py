@@ -14,9 +14,12 @@ the plateau cut and the break are all exercised.
 Each ``NAME=SRC`` tree is measured in one child interpreter with
 ``PYTHONPATH=SRC`` per round.  At every n the child checks that
 ``fit_broken_line`` on the selected samples equals the exhaustive search
-kept in ``tests/test_fitting.py`` (the run fails otherwise) and counts
-the ``fit_power_law`` calls of that fit.  It then takes the best of
-``--repeats`` ``time.perf_counter`` measurements of one call of
+kept in the ``tests/test_fitting.py`` beside SRC (the run fails otherwise)
+and counts the ``fit_power_law`` calls of that fit.  Where the selected
+profile carries its ``ln_eta`` and ``ln_phi`` columns, the fit and the
+universal series are given them, as ``analyze_profile`` gives them.  It
+then takes the best of ``--repeats`` ``time.perf_counter`` measurements of
+one call of
 ``load_profile``, ``select_intermediate``, ``fit_broken_line``,
 ``build_universal_series`` (on the region-I samples of the selected
 profile, at the alpha ``analyze_profile`` uses),
@@ -69,7 +72,6 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 SIZES = (40, 200, 1000, 4000)
 PROFILES = 4
 ROUNDS = 5
@@ -107,16 +109,20 @@ def best_of(fn, repeats):
 
 
 def exhaustive_reference():
-    """``_exhaustive_broken_line`` of tests/test_fitting.py, compiled on
-    its own, so that pytest and hypothesis, which that file imports, are
-    not needed."""
+    """``_exhaustive_broken_line`` of the imported tree's
+    tests/test_fitting.py, with the helpers it calls, compiled on their
+    own, so that pytest and hypothesis, which that file imports, are not
+    needed."""
+    import wallscale
     from wallscale.fitting import BrokenLineFit, fit_power_law
-    source = (ROOT / "tests" / "test_fitting.py").read_text(encoding="utf-8")
-    (node,) = [node for node in ast.parse(source).body
-               if getattr(node, "name", None) == "_exhaustive_broken_line"]
+    tests = Path(wallscale.__file__).resolve().parents[2] / "tests"
+    source = (tests / "test_fitting.py").read_text(encoding="utf-8")
+    nodes = [node for node in ast.parse(source).body
+             if getattr(node, "name", None) in ("_exhaustive_broken_line",
+                                                "log_columns")]
     namespace = {"math": math, "np": np, "BrokenLineFit": BrokenLineFit,
                  "fit_power_law": fit_power_law}
-    exec(compile(ast.Module([node], type_ignores=[]), "test_fitting.py",
+    exec(compile(ast.Module(nodes, type_ignores=[]), "test_fitting.py",
                  "exec"), namespace)
     return namespace["_exhaustive_broken_line"]
 
@@ -158,9 +164,12 @@ def child(corpus: Path, repeats: int) -> dict:
             path = folder / "p0.dat"
             profile = load_profile(path)
             inter = select_intermediate(profile)
+            logs = ({"ln_eta": inter.ln_eta, "ln_phi": inter.ln_phi}
+                    if getattr(inter, "ln_eta", None) is not None else {})
             fit, calls = counting_calls(
                 fitting, "fit_power_law",
-                lambda: fitting.fit_broken_line(inter.eta, inter.phi))
+                lambda: fitting.fit_broken_line(inter.eta, inter.phi,
+                                                **logs))
             if fit != exhaustive(inter.eta, inter.phi):
                 raise SystemExit(f"n={n}: fit_broken_line differs from the "
                                  "exhaustive search")
@@ -173,10 +182,11 @@ def child(corpus: Path, repeats: int) -> dict:
                 "load_profile_s": lambda: load_profile(path),
                 "select_intermediate_s": lambda: select_intermediate(profile),
                 "fit_broken_line_s": lambda: fitting.fit_broken_line(
-                    inter.eta, inter.phi),
+                    inter.eta, inter.phi, **logs),
                 "build_universal_series_s":
                     lambda: diagnostics.build_universal_series(
-                        inter.eta[:k], inter.phi[:k], alpha),
+                        inter.eta[:k], inter.phi[:k], alpha,
+                        **({"ln_eta": logs["ln_eta"][:k]} if logs else {})),
                 "analyze_profile_s": lambda: analyze_profile(profile),
                 "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
                                                          stem=f"n{n}"),

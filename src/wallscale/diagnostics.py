@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .profiles import freeze_columns
+from .profiles import freeze_columns, libm_column
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -112,29 +112,31 @@ def psi_transform(phi: float, alpha: float) -> float:
 
     Exact inverse of the scaling law: feeding phi evaluated from the law
     with the matching alpha returns ln eta.  A log argument that is not
-    positive (it underflows to 0 for a tiny phi) is a DomainError."""
+    positive and finite (0 for a tiny phi, inf for a huge one) is a
+    DomainError."""
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi!r}")
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
-    if not argument > 0:
+    if not 0 < argument < math.inf:
         raise DomainError(f"psi has no value at phi={phi!r}, alpha={alpha!r}:"
                           f" its log argument is {argument!r}")
     return math.log(argument) / alpha
 
 
-def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
+def build_universal_series(eta, phi, alpha: float, *,
+                           ln_eta=None) -> UniversalSeries:
     """Map region-(I) samples, given as eta and phi columns, to
     (ln eta, psi) and measure the bisectrix shift.
 
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point.  One columnar pass
-    (libm ``math.log``, Python sums in row order) gives the per-point values
-    bit for bit; the first sample ``psi_transform`` rejects raises its error.
-    A tiny alpha for which psi or the rms scatter overflows is a DomainError
-    too."""
+    (libm ``math.log``, Python sums in row order; ln eta is taken only if
+    not given) gives the per-point values bit for bit; the first sample
+    ``psi_transform`` rejects raises its error.  A tiny alpha for which psi
+    or the rms scatter overflows is a DomainError too."""
     if len(eta) == 0:
         raise DomainError("cannot build a universal series from no samples")
     eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
@@ -146,15 +148,15 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
             f"eta must be positive, got {eta[~(eta > 0)][0].item()!r}")
     with np.errstate(all="ignore"):
         argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
-    valid = argument > 0
+    valid = (argument > 0) & (argument < math.inf)
     if not (alpha > 0 and valid.all()):
         # the scalar reference raises the error of the first bad sample
         psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(), alpha)
-    ln_eta = np.fromiter(map(math.log, eta.tolist()), np.float64, len(eta))
+    if ln_eta is None:
+        ln_eta = libm_column(math.log, eta)
     try:
         with np.errstate(over="raise"):
-            psi = np.fromiter(map(math.log, argument.tolist()), np.float64,
-                              len(eta)) / alpha
+            psi = libm_column(math.log, argument) / alpha
         deviations = (ln_eta - psi).tolist()
         mean_shift = sum(deviations) / len(deviations)
         rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)

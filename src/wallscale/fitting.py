@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
+from .profiles import libm_column
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -34,7 +35,7 @@ class PowerLawSegment:
 
     prefactor: float
     exponent: float
-    eta_range: tuple[float, float]
+    ln_eta_range: tuple[float, float]
     n_points: int
     rss: float
     stderr_exponent: float
@@ -69,12 +70,13 @@ def _ols(x: np.ndarray, y: np.ndarray):
     return slope, intercept, rss, sxx
 
 
-def fit_power_law(eta: np.ndarray, phi: np.ndarray) -> PowerLawSegment:
-    """Fit phi = K * eta**p by OLS in doubly logarithmic coordinates."""
-    n = len(eta)
+def fit_power_law(ln_eta, ln_phi) -> PowerLawSegment:
+    """Fit phi = K * eta**p by OLS of a ln phi against a ln eta column."""
+    n = len(ln_eta)
     if n < 3:
         raise FitError(f"power-law fit needs at least 3 points, got {n}")
-    slope, intercept, rss, sxx = _ols(np.log(eta), np.log(phi))
+    slope, intercept, rss, sxx = _ols(np.asarray(ln_eta, dtype=float),
+                                      np.asarray(ln_phi, dtype=float))
     stderr = math.sqrt(max(rss, 0.0) / (n - 2) / sxx)
     try:
         prefactor = math.exp(intercept)
@@ -86,7 +88,7 @@ def fit_power_law(eta: np.ndarray, phi: np.ndarray) -> PowerLawSegment:
     return PowerLawSegment(
         prefactor=prefactor,
         exponent=slope,
-        eta_range=(float(eta[0]), float(eta[-1])),
+        ln_eta_range=(float(ln_eta[0]), float(ln_eta[-1])),
         n_points=n,
         rss=rss,
         stderr_exponent=stderr,
@@ -106,8 +108,8 @@ def _flat_runs(x: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(x) == np.minimum.accumulate(x)
 
 
-def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
-                    min_seg: int = 3) -> BrokenLineFit:
+def fit_broken_line(eta: np.ndarray, phi: np.ndarray, min_seg: int = 3, *,
+                    ln_eta=None, ln_phi=None) -> BrokenLineFit:
     """Two-segment broken-line fit by least total residual sum of squares.
 
     Every split index k in [min_seg, n - min_seg] is admissible; both parts
@@ -133,7 +135,9 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
 
     ``break_ln_eta`` is the intersection of the two fitted lines when it
     falls inside the data span, else the midpoint of ln eta between the
-    two boundary samples.
+    two boundary samples.  The fit reads eta and phi only as ``ln_eta``
+    and ``ln_phi``, float64 arrays taken here unless given (a selected
+    profile has them).
     """
     n = len(eta)
     if min_seg < 3:
@@ -142,7 +146,10 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
         raise FitError(
             f"broken-line fit needs at least {2 * min_seg} points, got {n}")
 
-    ln_eta, ln_phi = np.log(eta), np.log(phi)
+    if ln_eta is None:
+        ln_eta = libm_column(math.log, eta)
+    if ln_phi is None:
+        ln_phi = libm_column(math.log, phi)
     mid = 0.5 * (ln_eta[0] + ln_eta[-1])
 
     x = ln_eta - ln_eta.mean()
@@ -171,8 +178,8 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
 
     best = None  # (total_rss, dist_to_mid, k, seg1, seg2)
     for k in candidates.tolist():
-        seg1 = fit_power_law(eta[:k], phi[:k])
-        seg2 = fit_power_law(eta[k:], phi[k:])
+        seg1 = fit_power_law(ln_eta[:k], ln_phi[:k])
+        seg2 = fit_power_law(ln_eta[k:], ln_phi[k:])
         total = seg1.rss + seg2.rss
         boundary = 0.5 * (ln_eta[k - 1] + ln_eta[k])
         dist = abs(boundary - mid)

@@ -74,18 +74,25 @@ class VelocityProfile:
     checks, once and vectorised, that both have the same length, that every
     value is finite and positive, that eta is strictly increasing and that
     there are at least 4 samples; it raises ValidationError otherwise.
+    ``ln_eta`` and ``ln_phi`` (from ``select_intermediate``) are stored so
+    too, when given, and must have the same length.
     """
 
     eta: np.ndarray
     phi: np.ndarray
     metadata: ProfileMetadata
+    ln_eta: np.ndarray | None = None
+    ln_phi: np.ndarray | None = None
 
     def __post_init__(self):
-        freeze_columns(self, "eta", "phi")
+        logs = [name for name in ("ln_eta", "ln_phi")
+                if getattr(self, name) is not None]
+        freeze_columns(self, "eta", "phi", *logs)
         eta, phi = self.eta, self.phi
-        if len(eta) != len(phi):
-            raise ValidationError(
-                f"eta and phi differ in length: {len(eta)} and {len(phi)}")
+        for name in ("phi", *logs):
+            if (n := len(getattr(self, name))) != len(eta):
+                raise ValidationError(
+                    f"eta and {name} differ in length: {len(eta)} and {n}")
         _require_positive_finite(eta=eta, phi=phi)
         steps = eta[1:] <= eta[:-1]
         if steps.any():
@@ -115,6 +122,16 @@ def freeze_columns(obj, *names) -> None:
                 f"{name} must be one-dimensional, got shape {column.shape}")
         column.flags.writeable = False
         object.__setattr__(obj, name, column)
+
+
+def libm_column(fn, column) -> np.ndarray:
+    """``fn``, libm's ``math.log`` or ``math.exp``, applied to each value of
+    a float64 array.  Every log and exp on the value path goes through here:
+    numpy's own choose a SIMD loop by CPU, and some loops differ from libm
+    in the last bit, which would make output bytes depend on the host."""
+    values = np.asarray(column, dtype=np.float64)
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
+                       values.size).reshape(values.shape)
 
 
 def _require_positive_finite(**columns) -> None:
@@ -317,20 +334,24 @@ def select_intermediate(profile: VelocityProfile,
     forward slope in (ln eta, ln phi); those samples corrupt region-II
     fits and are dropped as well.
 
+    ln eta and ln phi are taken once, after the sublayer cut (made with
+    ``math.log10``: ln eta / ln 10 can move a boundary sample), and handed
+    on as the result's ``ln_eta`` and ``ln_phi`` columns.
+
     Raises ValidationError if fewer than 4 samples survive.
     """
     eta, phi = profile.eta, profile.phi
     above = np.array([math.log10(e) for e in eta.tolist()]) > lg_eta_min
     eta, phi = eta[above], phi[above]
-    if len(eta) >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.diff(np.log(phi)) / np.diff(np.log(eta))
-        band = phi_plateau_tol * phi.max()
-        flat = (slope <= 0) & (phi[1:] >= np.maximum.accumulate(phi)[1:] - band)
-        keep = len(eta) - int(np.logical_and.accumulate(flat[::-1]).sum())
-        eta, phi = eta[:keep], phi[:keep]
-    if len(eta) < 4:
+    ln_eta, ln_phi = libm_column(math.log, eta), libm_column(math.log, phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.diff(ln_phi) / np.diff(ln_eta)
+    band = phi_plateau_tol * phi.max(initial=0.0)   # the cut may keep none
+    flat = (slope <= 0) & (phi[1:] >= np.maximum.accumulate(phi)[1:] - band)
+    keep = len(eta) - int(np.logical_and.accumulate(flat[::-1]).sum())
+    if keep < 4:
         raise ValidationError(
             "empty result: fewer than 4 samples survive the sublayer cutoff "
             f"(lg_eta_min={lg_eta_min}) and plateau removal")
-    return VelocityProfile(eta, phi, profile.metadata)
+    return VelocityProfile(eta[:keep], phi[:keep], profile.metadata,
+                           ln_eta[:keep], ln_phi[:keep])

@@ -19,8 +19,6 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, fitting, profiles, scaling
 from .errors import (InputOutputError, ParseError, PipelineError,
                      ValidationError, WallscaleError)
@@ -115,7 +113,8 @@ def analyze_profile(profile: profiles.VelocityProfile,
     inter = _stage("select_intermediate", profiles.select_intermediate,
                    profile, options.lg_eta_min, options.phi_plateau_tol)
     fit = _stage("fit_broken_line", fitting.fit_broken_line,
-                 inter.eta, inter.phi, options.min_seg)
+                 inter.eta, inter.phi, options.min_seg,
+                 ln_eta=inter.ln_eta, ln_phi=inter.ln_phi)
     a = fit.region1.prefactor
     alpha = fit.region1.exponent
     ln_re1 = _stage("reynolds_extraction",
@@ -136,7 +135,8 @@ def analyze_profile(profile: profiles.VelocityProfile,
         alpha_u = scaling.alpha_of_ln_re(ln_re1)
     k = fit.split_index
     series = _stage("universal_series", diagnostics.build_universal_series,
-                    inter.eta[:k], inter.phi[:k], alpha_u)
+                    inter.eta[:k], inter.phi[:k], alpha_u,
+                    ln_eta=inter.ln_eta[:k])
     shift_class = diagnostics.classify_shift(series, options.shift_tol)
 
     report = AnalysisReport(
@@ -328,8 +328,8 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
                        for ch in bundle.report.label) or "profile"
     profile = bundle.profile
 
-    ln_eta = np.log(profile.eta)
-    columns = (ln_eta, np.log(profile.phi),
+    ln_eta = profile.ln_eta
+    columns = (ln_eta, profile.ln_phi,
                bundle.fit.region1.ln_phi_at(ln_eta),
                bundle.fit.region2.ln_phi_at(ln_eta))
     loglog = ["ln_eta ln_phi fit_region1 fit_region2"] + [
@@ -344,7 +344,8 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
     # x = ln eta - psi at the report's ln Re, over the whole selected range.
     series = _stage("shift_series", diagnostics.build_universal_series,
                     profile.eta, profile.phi,
-                    scaling.alpha_of_ln_re(bundle.report.ln_re))
+                    scaling.alpha_of_ln_re(bundle.report.ln_re),
+                    ln_eta=ln_eta)
     shift = ["x phi"] + [
         f"{x!r} {phi!r}" for x, phi in zip(
             (series.ln_eta - series.psi).tolist(), profile.phi.tolist())]

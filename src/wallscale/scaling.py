@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .fitting import _ols
-from .profiles import freeze_columns
+from .profiles import freeze_columns, libm_column
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -122,7 +122,7 @@ def log_law_phi(eta, params: LogLawParams):
     eta_a = np.asarray(eta, dtype=float)
     if not np.all(eta_a > 0):
         raise DomainError("eta must be positive")
-    out = np.log(eta_a) / params.kappa + params.c_offset
+    out = libm_column(math.log, eta_a) / params.kappa + params.c_offset
     return float(out) if np.isscalar(eta) else out
 
 
@@ -155,8 +155,8 @@ def solve_envelope(ln_eta: np.ndarray) -> EnvelopeCurve:
     is the touch point, and the envelope is (L*/sqrt(3) + 5/2) *
     exp(1.5 x / L*).  Both terms of the sum are positive, so it cannot
     cancel.  numpy's + - * / and sqrt round correctly, as Python's do, and
-    exp is ``math.exp`` (libm) per point, whose last bit numpy's own exp
-    need not match, so every value is the scalar formula's, bit for bit.
+    exp is ``math.exp`` (libm) per point through ``profiles.libm_column``,
+    so every value is the scalar formula's, bit for bit.
     Above ln eta of about 8.9e153 the square overflows: the first such
     abscissa is a DomainError, without a numpy warning first.
     """
@@ -168,8 +168,7 @@ def solve_envelope(ln_eta: np.ndarray) -> EnvelopeCurve:
         raise DomainError(f"ln_eta must be below about 8.9e153 for a finite "
                           f"envelope touch point, got "
                           f"{x[overflow.argmax()].item()!r}")
-    growth = np.fromiter(map(math.exp, (1.5 * x / touch).tolist()),
-                         dtype=np.float64, count=len(x))
+    growth = libm_column(math.exp, 1.5 * x / touch)
     return EnvelopeCurve(ln_eta=x, phi_env=prefactor_of_ln_re(touch) * growth,
                          ln_re_touch=touch)
 

@@ -21,9 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .profiles import (ProfileMetadata, VelocityProfile, parse_value,
-                       read_lines, split_key_value)
+from .profiles import (ProfileMetadata, VelocityProfile, libm_column,
+                       parse_value, read_lines, split_key_value)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
+
+_LN_MAX = math.log(np.finfo(float).max)    # the largest x with a finite exp
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,14 @@ def generate(spec: SynthSpec) -> VelocityProfile:
     # that underflows to 0 times an exp that overflows), is reported by
     # VelocityProfile's check, without a numpy warning first.
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.where(inner,
-                       a * np.exp(alpha * ln_eta),
-                       b * np.exp(spec.beta * ln_eta))
+        phi = np.where(inner, a, b) * _exp(
+            np.where(inner, alpha, spec.beta) * ln_eta)
         if spec.shift != 0.0:
             phi = np.where(inner, phi * math.exp(-alpha * spec.shift), phi)
         if spec.noise_sigma > 0.0:
             rng = np.random.default_rng(spec.seed)
-            phi = phi * np.exp(rng.normal(0.0, spec.noise_sigma,
-                                          spec.n_points))
+            phi = phi * _exp(rng.normal(0.0, spec.noise_sigma,
+                                        spec.n_points))
     if spec.plateau_points > 0:
         phi[-spec.plateau_points:] = phi[-spec.plateau_points - 1]
 
@@ -132,8 +133,12 @@ def generate(spec: SynthSpec) -> VelocityProfile:
         re_theta=None,
         turbulence_level=None,
     )
-    eta = [math.exp(x) for x in ln_eta.tolist()]
-    return VelocityProfile(eta, phi, metadata)
+    return VelocityProfile(libm_column(math.exp, ln_eta), phi, metadata)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    # math.exp raises OverflowError where exp(x) is inf, and exp(inf) = inf
+    return libm_column(math.exp, np.where(x > _LN_MAX, math.inf, x))
 
 
 def generate_ensemble(spec: SynthSpec, n_realizations: int) -> list[VelocityProfile]:

@@ -82,6 +82,39 @@ class TestAnalyze:
                      "case_shift.dat", "envelope.dat", "case_report.txt"):
             assert (out_dir / name).is_file()
 
+    def test_out_dir_takes_each_logarithm_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        # Every log and exp goes through profiles.libm_column.  The selected
+        # eta and phi are logged once each, the psi argument once per
+        # universal series (region I, then the shift column), and the
+        # envelope table takes one exp pass; the fit takes no logarithm.
+        path = tmp_path / "case.dat"
+        write_profile(path)     # noiseless: no plateau to cut
+        bundle = report.analyze(path, AnalyzeOptions(lg_eta_min=0.5))
+        n, k = len(bundle.profile), bundle.fit.split_index
+        real, calls = wallscale.profiles.libm_column, []
+
+        def counting(fn, column):
+            calls.append((fn.__name__, len(column)))
+            return real(fn, column)
+
+        for module in (wallscale.profiles, wallscale.fitting,
+                       wallscale.diagnostics, wallscale.report,
+                       wallscale.scaling, wallscale.synthetic):
+            if getattr(module, "libm_column", None) is real:
+                monkeypatch.setattr(module, "libm_column", counting)
+        code = main(["analyze", str(path), "--lg-eta-min", "0.5",
+                     "--out-dir", str(tmp_path / "plots")])
+        assert code == EXIT_OK
+        assert calls == [("log", n), ("log", n), ("log", k), ("log", n),
+                         ("exp", 50)]
+        calls.clear()
+        selected = bundle.profile
+        wallscale.fitting.fit_broken_line(selected.eta, selected.phi,
+                                          ln_eta=selected.ln_eta,
+                                          ln_phi=selected.ln_phi)
+        assert calls == []
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.dat"
         path.write_text("1 2 3\n")

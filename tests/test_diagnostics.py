@@ -95,6 +95,13 @@ class TestPsiTransform:
         assert str(info.value) == ("psi has no value at phi=5e-324, "
                                    "alpha=0.1: its log argument is 0.0")
 
+    def test_overflowing_argument_is_domain_error(self):
+        # 2 alpha phi overflows to inf, whose log is no value of psi
+        with pytest.raises(DomainError) as info:
+            psi_transform(1e308, 1.0)
+        assert str(info.value) == ("psi has no value at phi=1e+308, "
+                                   "alpha=1.0: its log argument is inf")
+
 
 def turbulence_shift_x(eta, phi, ln_re):
     """The shift abscissa ln eta - psi at ln Re, as emit_plotdata builds
@@ -214,6 +221,26 @@ class TestUniversalSeries:
         with pytest.raises(DomainError, match=message):
             build_universal_series([10.0, 20.0, 30.0], phi, alpha)
 
+    def test_overflowing_argument_is_domain_error(self):
+        # before, psi was [inf, ...], the mean shift -inf and the rms nan,
+        # which classify_shift called shifted_above
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                build_universal_series([1.0, 2.0], [1e308, 1.0], 1.0)
+        assert str(info.value) == ("psi has no value at phi=1e+308, "
+                                   "alpha=1.0: its log argument is inf")
+
+    def test_handed_ln_eta_is_used_as_given(self):
+        eta, phi = [10.0, 20.0, 30.0], [5.0, 6.0, 7.0]
+        ln_eta = np.array([math.log(e) for e in eta])
+        own = build_universal_series(eta, phi, 0.14)
+        handed = build_universal_series(eta, phi, 0.14, ln_eta=ln_eta)
+        assert_bit_equal(handed, (own.ln_eta.tolist(), own.psi.tolist(),
+                                  own.mean_shift, own.rms_scatter))
+        shifted = build_universal_series(eta, phi, 0.14, ln_eta=ln_eta + 1.0)
+        assert shifted.mean_shift == pytest.approx(own.mean_shift + 1.0)
+
     @pytest.mark.parametrize("phi, alpha", [
         ([1e-10, 1e10], 1e-300),    # the rms sum overflows
         ([1.0, 1.0], 1e-310),       # psi = ln(...) / alpha overflows
@@ -255,6 +282,7 @@ class TestUniversalSeries:
     @settings(max_examples=150, deadline=None)
     @example(arguments=([1e3], [5e-324], 0.1))
     @example(arguments=([10.0, 20.0], [5.0, 0.0], math.nan))
+    @example(arguments=([1.0, 2.0], [1e308, 1.0], 1.0))
     @example(arguments=([math.exp(x) for x in range(2, 40)],
                         [8.0 + x for x in range(2, 40)], 0.14))
     @given(arguments=drawn_arguments())

@@ -28,14 +28,21 @@ def columns(spec):
     return profile.eta, profile.phi
 
 
+def log_columns(eta, phi):
+    """(ln eta, ln phi) columns, libm ``math.log`` taken sample by sample,
+    as the package takes them."""
+    return (np.array([math.log(e) for e in eta], dtype=float),
+            np.array([math.log(p) for p in phi], dtype=float))
+
+
 def _exhaustive_broken_line(eta, phi, min_seg=3):
     """Reference fit: both segments refitted at every admissible split."""
-    ln_eta = np.log(eta)
+    ln_eta, ln_phi = log_columns(eta, phi)
     mid = 0.5 * (ln_eta[0] + ln_eta[-1])
     best = None  # (total_rss, dist_to_mid, k, seg1, seg2)
     for k in range(min_seg, len(eta) - min_seg + 1):
-        seg1 = fit_power_law(eta[:k], phi[:k])
-        seg2 = fit_power_law(eta[k:], phi[k:])
+        seg1 = fit_power_law(ln_eta[:k], ln_phi[:k])
+        seg2 = fit_power_law(ln_eta[k:], ln_phi[k:])
         total = seg1.rss + seg2.rss
         dist = abs(0.5 * (ln_eta[k - 1] + ln_eta[k]) - mid)
         if best is None or total < best[0] or (total == best[0] and dist < best[1]):
@@ -86,19 +93,21 @@ def broken_line_cases(draw):
 class TestFitPowerLaw:
     def test_exact_recovery(self):
         ln_eta = np.linspace(2.0, 8.0, 15)
-        seg = fit_power_law(*power_samples(8.66, 0.14, ln_eta))
+        ln_phi = math.log(8.66) + 0.14 * ln_eta
+        seg = fit_power_law(ln_eta, ln_phi)
+        assert fit_power_law(ln_eta.tolist(), ln_phi.tolist()) == seg
         assert seg.exponent == pytest.approx(0.14, abs=1e-12)
         assert seg.prefactor == pytest.approx(8.66, rel=1e-12)
         assert seg.rss == pytest.approx(0.0, abs=1e-20)
         assert seg.stderr_exponent == pytest.approx(0.0, abs=1e-10)
         assert seg.n_points == 15
-        assert seg.eta_range == (math.exp(2.0), math.exp(8.0))
+        assert seg.ln_eta_range == (2.0, 8.0)
 
     def test_matches_polyfit_oracle(self):
         rng = np.random.default_rng(5)
         ln_eta = np.linspace(2.0, 8.0, 30)
         phi = 9.1 * np.exp(0.129 * ln_eta) * np.exp(rng.normal(0, 0.02, 30))
-        seg = fit_power_law(*samples_from(ln_eta, phi))
+        seg = fit_power_law(ln_eta, np.log(phi))
         slope, intercept = np.polyfit(ln_eta, np.log(phi), 1)
         assert seg.exponent == pytest.approx(slope, rel=1e-10)
         assert seg.prefactor == pytest.approx(math.exp(intercept), rel=1e-10)
@@ -107,8 +116,8 @@ class TestFitPowerLaw:
         rng = np.random.default_rng(9)
         ln_eta = np.linspace(1.0, 6.0, 25)
         phi = 8.0 * np.exp(0.15 * ln_eta) * np.exp(rng.normal(0, 0.03, 25))
-        seg = fit_power_law(*samples_from(ln_eta, phi))
         y = np.log(phi)
+        seg = fit_power_law(ln_eta, y)
         slope, intercept = np.polyfit(ln_eta, y, 1)
         resid = y - (slope * ln_eta + intercept)
         rss = float(resid @ resid)
@@ -119,7 +128,7 @@ class TestFitPowerLaw:
 
     def test_too_few_points(self):
         with pytest.raises(FitError):
-            fit_power_law(*power_samples(8.0, 0.14, [1.0, 2.0]))
+            fit_power_law([1.0, 2.0], [2.2, 2.3])
 
     @pytest.mark.parametrize("slope", [-60.0, 60.0])
     def test_prefactor_outside_float_range(self, slope):
@@ -127,9 +136,8 @@ class TestFitPowerLaw:
         # exp overflows, or underflows to 0.0, whose log the break
         # position of fit_broken_line needs.
         ln_eta = np.array([14.0, 14.01, 14.02])
-        points = samples_from(ln_eta, np.exp(2.0 + slope * (ln_eta - 14.0)))
         with pytest.raises(FitError, match="float range"):
-            fit_power_law(*points)
+            fit_power_law(ln_eta, 2.0 + slope * (ln_eta - 14.0))
 
     def test_broken_line_prefactor_outside_float_range(self):
         ln_eta = 14.0 + 0.01 * np.arange(8)
@@ -206,6 +214,10 @@ class TestFitBrokenLine:
             assume(False)
         assert (dataclasses.asdict(fit_broken_line(eta, phi, min_seg))
                 == dataclasses.asdict(reference))
+        ln_eta, ln_phi = log_columns(eta, phi)
+        handed = fit_broken_line(eta, phi, min_seg, ln_eta=ln_eta,
+                                 ln_phi=ln_phi)
+        assert dataclasses.asdict(handed) == dataclasses.asdict(reference)
 
     def test_break_is_line_intersection(self):
         spec = SynthSpec(ln_re=12.0, break_ln_eta=6.5,

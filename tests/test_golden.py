@@ -7,6 +7,11 @@ stderr, the exit code and every written file must equal
 differs.  The temporary directory's path is replaced by ``<tmp>`` in
 stdout and stderr, so the record does not depend on where it ran.
 
+The same cases run again in a child interpreter in which numpy may not
+use its AVX512 loops, as on a host without them, and must give the same
+bytes; the test is skipped where numpy finds no AVX512 (``X86_V4``) to
+turn off.
+
 Only a change that alters output bytes on purpose regenerates the record:
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -14,11 +19,16 @@ Only a change that alters output bytes on purpose regenerates the record:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import pytest
+
+import wallscale
 from wallscale import SynthSpec, generate, save_profile
 from wallscale.cli import main
 
@@ -130,8 +140,8 @@ def _difference(what: str, text: str, want: dict) -> str:
     return f"{what}: {len(lines)} lines, expected {len(digests)}"
 
 
-def test_output_bytes_match_golden(tmp_path):
-    got = run_cases(tmp_path)
+def check(got: dict) -> None:
+    """Assert that ``run_cases``' results match ``tests/golden.json``."""
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(got) == sorted(want)
     problems = []
@@ -150,7 +160,40 @@ def test_output_bytes_match_golden(tmp_path):
     assert not problems, "\n".join(problems)
 
 
-if __name__ == "__main__":
+def test_output_bytes_match_golden(tmp_path):
+    check(run_cases(tmp_path))
+
+
+def _has_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _has_avx512(),
+                    reason="numpy finds no X86_V4 (AVX512) to turn off")
+def test_output_bytes_without_avx512(tmp_path):
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(wallscale.__file__).parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, __file__, "--results",
+                            str(tmp_path)], env=env, capture_output=True,
+                           text=True, check=True)
+    out = json.loads(child.stdout)
+    assert not out["avx512"]
+    check(out["results"])
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--results"]:
+    # Whether numpy uses AVX512, and the raw results of every case run in
+    # the directory given, as JSON.
+    print(json.dumps({"avx512": _has_avx512(),
+                      "results": run_cases(Path(sys.argv[2]))}))
+elif __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:

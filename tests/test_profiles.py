@@ -83,6 +83,21 @@ class TestInvariants:
         assert profile.eta[0] == 1.0
         assert len(profile) == 4
 
+    def test_log_columns(self):
+        profile = make_profile([1, 2, 3, 4], [5.0, 6.0, 7.0, 8.0])
+        assert profile.ln_eta is None and profile.ln_phi is None
+        profile = VelocityProfile([1, 2, 3, 4], [5, 6, 7, 8],
+                                  ProfileMetadata(), [0, 0.5, 1, 1.5],
+                                  [1, 2, 3, 4])
+        for column in (profile.ln_eta, profile.ln_phi):
+            assert column.dtype == np.float64 and column.ndim == 1
+            with pytest.raises(ValueError):
+                column[0] = 9.0
+        with pytest.raises(ValidationError,
+                           match="eta and ln_phi differ in length: 4 and 3"):
+            VelocityProfile([1, 2, 3, 4], [5, 6, 7, 8], ProfileMetadata(),
+                            ln_phi=[1, 2, 3])
+
     @pytest.mark.parametrize("eta, phi", [
         ([1, 2, 3, 4], [5, 6, 7]),
         ([[1, 2], [3, 4]], [[5, 6], [7, 8]]),
@@ -321,9 +336,9 @@ def _select_reference(eta, phi, lg_eta_min, tol):
     kept = [(e, p) for e, p in zip(eta, phi) if math.log10(e) > lg_eta_min]
     n = len(kept)
     if n >= 2:
-        ke = np.array([e for e, _ in kept])
         kp = np.array([p for _, p in kept])
-        ln_eta, ln_phi = np.log(ke), np.log(kp)
+        ln_eta = [math.log(e) for e, _ in kept]
+        ln_phi = [math.log(p) for _, p in kept]
         running_max = np.maximum.accumulate(kp)
         band = tol * kp.max()
         drop = 0
@@ -355,3 +370,6 @@ def test_select_intermediate_matches_reference(n, seed, plateau, lg_eta_min,
         assert len(expected) < 4
         return
     assert list(zip(kept.eta.tolist(), kept.phi.tolist())) == expected
+    # the logarithms handed on are libm's, bit for bit
+    assert kept.ln_eta.tolist() == [math.log(e) for e, _ in expected]
+    assert kept.ln_phi.tolist() == [math.log(p) for _, p in expected]
