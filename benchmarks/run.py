@@ -15,11 +15,10 @@ Each ``NAME=SRC`` tree is measured in one child interpreter with
 ``PYTHONPATH=SRC`` per round.  At every n the child checks that
 ``fit_broken_line`` on the selected samples equals the exhaustive search
 kept in the ``tests/test_fitting.py`` beside SRC (the run fails otherwise)
-and counts the ``fit_power_law`` calls of that fit.  Where the selected
-profile carries its ``ln_eta`` and ``ln_phi`` columns, the fit and the
-universal series are given them, as ``analyze_profile`` gives them.  It
-then takes the best of ``--repeats`` ``time.perf_counter`` measurements of
-one call of
+and counts the ``fit_power_law`` calls of that fit.  The fit and the
+universal series are given the selected profile's ``ln_eta`` and
+``ln_phi`` columns, as ``analyze_profile`` gives them.  It then takes the
+best of ``--repeats`` ``time.perf_counter`` measurements of one call of
 ``load_profile``, ``select_intermediate``, ``fit_broken_line``,
 ``build_universal_series`` (on the region-I samples of the selected
 profile, at the alpha ``analyze_profile`` uses),
@@ -32,9 +31,8 @@ creates the same files.  It also times ``scaling.envelope_at``
 per call (a sweep over the 50 abscissae ln eta = 5..10, divided by 50),
 ``report.envelope_table((5, 10), 50)``, ``scaling.envelope_curve((2, 30),
 2000)`` and ``cli.main(ENVELOPE_ARGV)``, the 2000-point envelope of the
-benchmark's ``envelope_grid`` workload, whose envelope solves it also
-counts: calls of the columnar ``scaling.solve_envelope``, or, in a tree
-without it, of the per-point ``scaling.envelope_at``.  Then ``--repeats``
+benchmark's ``envelope_grid`` workload, whose calls of the columnar
+``scaling.solve_envelope`` it also counts.  Then ``--repeats``
 fresh interpreters run ``import wallscale.cli``: the best wall time and the
 smallest peak RSS are kept.
 
@@ -164,12 +162,14 @@ def child(corpus: Path, repeats: int) -> dict:
             path = folder / "p0.dat"
             profile = load_profile(path)
             inter = select_intermediate(profile)
-            logs = ({"ln_eta": inter.ln_eta, "ln_phi": inter.ln_phi}
-                    if getattr(inter, "ln_eta", None) is not None else {})
-            fit, calls = counting_calls(
-                fitting, "fit_power_law",
-                lambda: fitting.fit_broken_line(inter.eta, inter.phi,
-                                                **logs))
+
+            def fit_selected():
+                return fitting.fit_broken_line(inter.eta, inter.phi,
+                                               ln_eta=inter.ln_eta,
+                                               ln_phi=inter.ln_phi)
+
+            fit, calls = counting_calls(fitting, "fit_power_law",
+                                        fit_selected)
             if fit != exhaustive(inter.eta, inter.phi):
                 raise SystemExit(f"n={n}: fit_broken_line differs from the "
                                  "exhaustive search")
@@ -181,12 +181,11 @@ def child(corpus: Path, repeats: int) -> dict:
             stages = {
                 "load_profile_s": lambda: load_profile(path),
                 "select_intermediate_s": lambda: select_intermediate(profile),
-                "fit_broken_line_s": lambda: fitting.fit_broken_line(
-                    inter.eta, inter.phi, **logs),
+                "fit_broken_line_s": fit_selected,
                 "build_universal_series_s":
                     lambda: diagnostics.build_universal_series(
                         inter.eta[:k], inter.phi[:k], alpha,
-                        **({"ln_eta": logs["ln_eta"][:k]} if logs else {})),
+                        ln_eta=inter.ln_eta[:k]),
                 "analyze_profile_s": lambda: analyze_profile(profile),
                 "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
                                                          stem=f"n{n}"),
@@ -206,10 +205,8 @@ def child(corpus: Path, repeats: int) -> dict:
         lambda: report.envelope_table((5.0, 10.0), 50), repeats)
     record["envelope_curve_2_30_2000_s"] = best_of(
         lambda: scaling.envelope_curve((2.0, 30.0), 2000), repeats)
-    solver = ("solve_envelope" if hasattr(scaling, "solve_envelope")
-              else "envelope_at")
     _, record["cli_envelope_2_30_2000.solves"] = counting_calls(
-        scaling, solver, lambda: run_cli(*ENVELOPE_ARGV))
+        scaling, "solve_envelope", lambda: run_cli(*ENVELOPE_ARGV))
     record["cli_envelope_2_30_2000_s"] = best_of(
         lambda: run_cli(*ENVELOPE_ARGV), repeats)
     return record

@@ -73,6 +73,9 @@ def _ols(x: np.ndarray, y: np.ndarray):
 def fit_power_law(ln_eta, ln_phi) -> PowerLawSegment:
     """Fit phi = K * eta**p by OLS of a ln phi against a ln eta column."""
     n = len(ln_eta)
+    if len(ln_phi) != n:
+        raise FitError(f"ln_eta and ln_phi differ in length: {n} and "
+                       f"{len(ln_phi)}")
     if n < 3:
         raise FitError(f"power-law fit needs at least 3 points, got {n}")
     slope, intercept, rss, sxx = _ols(np.asarray(ln_eta, dtype=float),
@@ -140,6 +143,10 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray, min_seg: int = 3, *,
     profile has them).
     """
     n = len(eta)
+    for name, column in dict(phi=phi, ln_eta=ln_eta, ln_phi=ln_phi).items():
+        if column is not None and len(column) != n:
+            raise FitError(f"eta and {name} differ in length: {n} and "
+                           f"{len(column)}")
     if min_seg < 3:
         raise FitError(f"min_seg must be at least 3, got {min_seg}")
     if n < 2 * min_seg:
@@ -187,15 +194,12 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray, min_seg: int = 3, *,
             best = (total, dist, k, seg1, seg2)
 
     total, _, k, seg1, seg2 = best
+    break_ln_eta = 0.5 * (ln_eta[k - 1] + ln_eta[k])
     if seg1.exponent != seg2.exponent:
         xi = ((math.log(seg1.prefactor) - math.log(seg2.prefactor))
               / (seg2.exponent - seg1.exponent))
         if ln_eta[0] <= xi <= ln_eta[-1]:
             break_ln_eta = xi
-        else:
-            break_ln_eta = 0.5 * (ln_eta[k - 1] + ln_eta[k])
-    else:
-        break_ln_eta = 0.5 * (ln_eta[k - 1] + ln_eta[k])
 
     return BrokenLineFit(
         region1=seg1,

@@ -125,10 +125,10 @@ def freeze_columns(obj, *names) -> None:
 
 
 def libm_column(fn, column) -> np.ndarray:
-    """``fn``, libm's ``math.log`` or ``math.exp``, applied to each value of
-    a float64 array.  Every log and exp on the value path goes through here:
-    numpy's own choose a SIMD loop by CPU, and some loops differ from libm
-    in the last bit, which would make output bytes depend on the host."""
+    """``fn`` (libm's ``math.log``, ``math.log10`` or ``math.exp``) applied
+    to each value of a float64 array.  Every log and exp on the value path
+    goes through here: numpy's own pick a SIMD loop by CPU, and some differ
+    from libm in the last bit, so output bytes would depend on the host."""
     values = np.asarray(column, dtype=np.float64)
     return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
                        values.size).reshape(values.shape)
@@ -281,9 +281,17 @@ def save_profile(profile: VelocityProfile, path) -> None:
         value = getattr(meta, field)
         if value is not None:
             lines.append(f"{_FIELD_TO_KEY[field]}={float(value)!r}")
-    for eta, phi in zip(profile.eta.tolist(), profile.phi.tolist()):
-        lines.append(f"{eta!r} {phi!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, format_columns("\n".join(lines), profile.eta,
+                                           profile.phi))
+
+
+def format_columns(header: str, *columns) -> str:
+    """The ``header`` line(s), then one row per index of the equal-length
+    1-D float64 ``columns``, of their values' ``repr`` joined by single
+    spaces, then one newline: every float-column file wallscale writes."""
+    rows = zip(*(map(repr, column.tolist()) for column in columns),
+               strict=True)
+    return "\n".join([header, *map(" ".join, rows)]) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -341,7 +349,7 @@ def select_intermediate(profile: VelocityProfile,
     Raises ValidationError if fewer than 4 samples survive.
     """
     eta, phi = profile.eta, profile.phi
-    above = np.array([math.log10(e) for e in eta.tolist()]) > lg_eta_min
+    above = libm_column(math.log10, eta) > lg_eta_min
     eta, phi = eta[above], phi[above]
     ln_eta, ln_phi = libm_column(math.log, eta), libm_column(math.log, phi)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -329,31 +329,21 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir,
     profile = bundle.profile
 
     ln_eta = profile.ln_eta
-    columns = (ln_eta, profile.ln_phi,
-               bundle.fit.region1.ln_phi_at(ln_eta),
-               bundle.fit.region2.ln_phi_at(ln_eta))
-    loglog = ["ln_eta ln_phi fit_region1 fit_region2"] + [
-        f"{a!r} {b!r} {c!r} {d!r}"
-        for a, b, c, d in zip(*(column.tolist() for column in columns))]
-
-    universal = ["ln_eta psi bisectrix"] + [
-        f"{x} {psi!r} {x}"
-        for x, psi in zip(map(repr, bundle.series.ln_eta.tolist()),
-                          bundle.series.psi.tolist())]
-
     # x = ln eta - psi at the report's ln Re, over the whole selected range.
-    series = _stage("shift_series", diagnostics.build_universal_series,
-                    profile.eta, profile.phi,
-                    scaling.alpha_of_ln_re(bundle.report.ln_re),
-                    ln_eta=ln_eta)
-    shift = ["x phi"] + [
-        f"{x!r} {phi!r}" for x, phi in zip(
-            (series.ln_eta - series.psi).tolist(), profile.phi.tolist())]
-
+    shift = _stage("shift_series", diagnostics.build_universal_series,
+                   profile.eta, profile.phi,
+                   scaling.alpha_of_ln_re(bundle.report.ln_re),
+                   ln_eta=ln_eta)
     texts = {
-        f"{stem}_loglog.dat": "\n".join(loglog) + "\n",
-        f"{stem}_universal.dat": "\n".join(universal) + "\n",
-        f"{stem}_shift.dat": "\n".join(shift) + "\n",
+        f"{stem}_loglog.dat": profiles.format_columns(
+            "ln_eta ln_phi fit_region1 fit_region2", ln_eta, profile.ln_phi,
+            bundle.fit.region1.ln_phi_at(ln_eta),
+            bundle.fit.region2.ln_phi_at(ln_eta)),
+        f"{stem}_universal.dat": profiles.format_columns(
+            "ln_eta psi bisectrix", bundle.series.ln_eta, bundle.series.psi,
+            bundle.series.ln_eta),
+        f"{stem}_shift.dat": profiles.format_columns(
+            "x phi", shift.ln_eta - shift.psi, profile.phi),
         f"{stem}_report.txt": report_to_text(bundle.report),
     }
     out_dir = profiles.make_output_dir(out_dir)
@@ -371,9 +361,6 @@ def format_envelope(curve: scaling.EnvelopeCurve) -> str:
     """The text of ``envelope_table`` for an envelope already computed,
     such as that of ``scaling.envelope_curve``."""
     log_law = scaling.CLASSICAL_LOG_LAW
-    reference = curve.ln_eta / log_law.kappa + log_law.c_offset
-    rows = zip(curve.ln_eta.tolist(), curve.phi_env.tolist(),
-               curve.ln_re_touch.tolist(), reference.tolist())
-    lines = ["ln_eta phi_env ln_re_touch log_law"] + [
-        f"{x!r} {phi!r} {touch!r} {ref!r}" for x, phi, touch, ref in rows]
-    return "\n".join(lines) + "\n"
+    return profiles.format_columns(
+        "ln_eta phi_env ln_re_touch log_law", curve.ln_eta, curve.phi_env,
+        curve.ln_re_touch, curve.ln_eta / log_law.kappa + log_law.c_offset)

@@ -84,7 +84,8 @@ class TestAnalyze:
 
     def test_out_dir_takes_each_logarithm_once(self, tmp_path, capsys,
                                                monkeypatch):
-        # Every log and exp goes through profiles.libm_column.  The selected
+        # Every log and exp goes through profiles.libm_column.  The loaded
+        # eta takes one log10 pass for the sublayer cut, the selected
         # eta and phi are logged once each, the psi argument once per
         # universal series (region I, then the shift column), and the
         # envelope table takes one exp pass; the fit takes no logarithm.
@@ -92,6 +93,7 @@ class TestAnalyze:
         write_profile(path)     # noiseless: no plateau to cut
         bundle = report.analyze(path, AnalyzeOptions(lg_eta_min=0.5))
         n, k = len(bundle.profile), bundle.fit.split_index
+        loaded = len(wallscale.load_profile(path))
         real, calls = wallscale.profiles.libm_column, []
 
         def counting(fn, column):
@@ -106,8 +108,8 @@ class TestAnalyze:
         code = main(["analyze", str(path), "--lg-eta-min", "0.5",
                      "--out-dir", str(tmp_path / "plots")])
         assert code == EXIT_OK
-        assert calls == [("log", n), ("log", n), ("log", k), ("log", n),
-                         ("exp", 50)]
+        assert calls == [("log10", loaded), ("log", n), ("log", n),
+                         ("log", k), ("log", n), ("exp", 50)]
         calls.clear()
         selected = bundle.profile
         wallscale.fitting.fit_broken_line(selected.eta, selected.phi,

@@ -266,6 +266,20 @@ class TestFitBrokenLine:
             fit_broken_line(*pts, min_seg=2)
 
 
+TEN, NINE = np.arange(1, 11.), np.arange(1, 10.)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fit_power_law(TEN, NINE),
+    lambda: fit_broken_line(TEN, NINE),
+    lambda: fit_broken_line(TEN, TEN, ln_eta=NINE),
+    lambda: fit_broken_line(TEN, TEN, ln_phi=NINE),
+], ids=["power_law", "broken_line", "ln_eta", "ln_phi"])
+def test_length_mismatch_is_fit_error(call):
+    with pytest.raises(FitError, match="differ in length: 10 and 9"):
+        call()
+
+
 class TestSignificantBreak:
     def test_clear_break(self):
         spec = SynthSpec(ln_re=10.0, break_ln_eta=6.0,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wallscale import (ParseError, ProfileMetadata, ValidationError,
                        VelocityProfile, load_profile, save_profile,
                        select_intermediate)
-from wallscale.profiles import atomic_write_text
+from wallscale.profiles import atomic_write_text, format_columns
 
 
 def make_profile(eta, phi, **meta):
@@ -242,6 +243,38 @@ class TestSaveProfile:
         save_profile(profile, a)
         save_profile(profile, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def float_columns(draw):
+    n, width = draw(st.integers(0, 40)), draw(st.integers(1, 4))
+    values = st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.floats(allow_nan=False, width=64))
+    return [draw(hnp.arrays(np.float64, n, elements=values))
+            for _ in range(width)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=st.lists(st.text("abc #=_", min_size=1), min_size=1,
+                       max_size=3).map("\n".join),
+       columns=float_columns())
+def test_format_columns_contract(header, columns):
+    text = format_columns(header, *columns)
+    assert text.startswith(header + "\n")
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    rows = text[len(header) + 1:].splitlines()
+    assert len(rows) == len(columns[0])
+    for i, row in enumerate(rows):
+        tokens = row.split(" ")
+        assert len(tokens) == len(columns)
+        back = np.array([float(token) for token in tokens])
+        expected = np.array([column[i] for column in columns])
+        assert back.view(np.uint64).tolist() == \
+            expected.view(np.uint64).tolist()
 
 
 class TestAtomicWrite:
