@@ -13,9 +13,13 @@ the plateau cut and the break are all exercised.
 
 Each ``NAME=SRC`` tree is measured in one child interpreter with
 ``PYTHONPATH=SRC`` per round.  At every n the child checks that
-``fit_broken_line`` on the selected samples equals the exhaustive search
-kept in the ``tests/test_fitting.py`` beside SRC (the run fails otherwise)
-and counts the ``fit_power_law`` calls of that fit.  The fit and the
+``fit_broken_line`` on the selected samples equals
+``exhaustive_broken_line``, imported from ``tests/oracle.py`` in the
+checkout that holds this script (the run fails otherwise), and counts the
+``fit_power_law`` calls of that fit.  The reference calls only the
+public ``fit_power_law`` and ``BrokenLineFit`` of the tree under
+measurement, so one reference checks every tree alike; a tree must still
+have every name ``tests/oracle.py`` imports.  The fit and the
 universal series are given the selected profile's ``ln_eta`` and
 ``ln_phi`` columns, as ``analyze_profile`` gives them.  It then takes the
 best of ``--repeats`` ``time.perf_counter`` measurements of one call of
@@ -53,12 +57,10 @@ own (above 1 where that tree's time or memory is smaller).
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import io
 import itertools
 import json
-import math
 import os
 import platform
 import statistics
@@ -106,31 +108,13 @@ def best_of(fn, repeats):
     return min(times)
 
 
-def exhaustive_reference():
-    """``_exhaustive_broken_line`` of the imported tree's
-    tests/test_fitting.py, with the helpers it calls, compiled on their
-    own, so that pytest and hypothesis, which that file imports, are not
-    needed."""
-    import wallscale
-    from wallscale.fitting import BrokenLineFit, fit_power_law
-    tests = Path(wallscale.__file__).resolve().parents[2] / "tests"
-    source = (tests / "test_fitting.py").read_text(encoding="utf-8")
-    nodes = [node for node in ast.parse(source).body
-             if getattr(node, "name", None) in ("_exhaustive_broken_line",
-                                                "log_columns")]
-    namespace = {"math": math, "np": np, "BrokenLineFit": BrokenLineFit,
-                 "fit_power_law": fit_power_law}
-    exec(compile(ast.Module(nodes, type_ignores=[]), "test_fitting.py",
-                 "exec"), namespace)
-    return namespace["_exhaustive_broken_line"]
-
-
 def child(corpus: Path, repeats: int) -> dict:
     """Run in the child interpreter: check the fit, then time each stage."""
     from wallscale import (analyze_profile, cli, diagnostics, emit_plotdata,
                            fitting, load_profile, report, scaling,
                            select_intermediate)
-    exhaustive = exhaustive_reference()
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+    from oracle import exhaustive_broken_line
 
     def run_cli(*argv):
         err = io.StringIO()
@@ -170,7 +154,7 @@ def child(corpus: Path, repeats: int) -> dict:
 
             fit, calls = counting_calls(fitting, "fit_power_law",
                                         fit_selected)
-            if fit != exhaustive(inter.eta, inter.phi):
+            if fit != exhaustive_broken_line(inter.eta, inter.phi):
                 raise SystemExit(f"n={n}: fit_broken_line differs from the "
                                  "exhaustive search")
             bundle = analyze_profile(profile)

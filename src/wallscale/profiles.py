@@ -288,9 +288,12 @@ def save_profile(profile: VelocityProfile, path) -> None:
 def format_columns(header: str, *columns) -> str:
     """The ``header`` line(s), then one row per index of the equal-length
     1-D float64 ``columns``, of their values' ``repr`` joined by single
-    spaces, then one newline: every float-column file wallscale writes."""
-    rows = zip(*(map(repr, column.tolist()) for column in columns),
-               strict=True)
+    spaces, then one newline: every float-column file wallscale writes.
+    A column passed more than once is rendered once."""
+    strings = {id(column): map(repr, column.tolist()) for column in columns}
+    if len(strings) < len(columns):     # a column passed twice
+        strings = {key: list(texts) for key, texts in strings.items()}
+    rows = zip(*(strings[id(column)] for column in columns), strict=True)
     return "\n".join([header, *map(" ".join, rows)]) + "\n"
 
 

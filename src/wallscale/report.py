@@ -309,23 +309,20 @@ def format_table(reports) -> str:
 
 # --- plot data -------------------------------------------------------------
 
-def emit_plotdata(bundle: AnalysisBundle, out_dir,
-                  stem: str | None = None) -> list[Path]:
+def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str) -> list[Path]:
     """Write plain-text, plot-ready data files for one analysis.
 
     Emits the log-log profile with both fitted lines, the universal series
     with its bisectrix reference, the turbulence-shift series and the
-    machine-readable report, and returns their four paths; the envelope
-    table, the same for every profile, is not one of them.  Every text is
-    rendered before ``out_dir`` is created or any file is written, so a
-    shift series that cannot be computed (a PipelineError naming the
+    machine-readable report as ``<stem>_loglog.dat``, ``_universal.dat``,
+    ``_shift.dat`` and ``_report.txt``, and returns their four paths; the
+    envelope table, the same for every profile, is not one of them.  Every
+    text is rendered before ``out_dir`` is created or any file is written,
+    so a shift series that cannot be computed (a PipelineError naming the
     ``shift_series`` stage) writes nothing.  Files are written atomically
     and are byte-identical across repeated runs.  A directory or file that
     cannot be written is an InputOutputError.
     """
-    if stem is None:
-        stem = "".join(ch if ch.isalnum() or ch in "-_." else "_"
-                       for ch in bundle.report.label) or "profile"
     profile = bundle.profile
 
     ln_eta = profile.ln_eta

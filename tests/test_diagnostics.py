@@ -12,6 +12,8 @@ from wallscale import (COLLAPSED, DomainError, SHIFTED_ABOVE, SHIFTED_BELOW,
                        ln_re1_from_prefactor, ln_re2_from_exponent,
                        psi_transform, scaling_law_phi)
 
+from oracle import per_point_series
+
 
 class TestReynoldsEstimates:
     def test_ln_re1_published_rows(self):
@@ -323,23 +325,6 @@ def build_warnings_as_errors(eta, phi, alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return build_universal_series(np.array(eta), np.array(phi), alpha)
-
-
-def per_point_series(eta, phi, alpha):
-    """The reference for the columnar build: the same checks, then
-    ``math.log`` and ``psi_transform`` sample by sample, and Python sums
-    in row order."""
-    if not eta:
-        raise DomainError("cannot build a universal series from no samples")
-    for e in eta:
-        if not e > 0:
-            raise DomainError(f"eta must be positive, got {e!r}")
-    ln_eta = [math.log(e) for e in eta]
-    psi = [psi_transform(p, alpha) for p in phi]
-    deviations = [x - y for x, y in zip(ln_eta, psi)]
-    mean = sum(deviations) / len(deviations)
-    rms = math.sqrt(sum((d - mean) ** 2 for d in deviations) / len(deviations))
-    return ln_eta, psi, mean, rms
 
 
 class TestClassifyShift:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wallscale import (FitError, fit_broken_line, fit_power_law,
+from wallscale import (FitError, fit_broken_line, fit_power_law, fitting,
                        significant_break)
-from wallscale.fitting import BrokenLineFit
 from wallscale.synthetic import SynthSpec, generate
+
+from oracle import exhaustive_broken_line, log_columns
 
 
 def samples_from(ln_eta, phi):
@@ -26,37 +27,6 @@ def power_samples(a, alpha, ln_eta):
 def columns(spec):
     profile = generate(spec)
     return profile.eta, profile.phi
-
-
-def log_columns(eta, phi):
-    """(ln eta, ln phi) columns, libm ``math.log`` taken sample by sample,
-    as the package takes them."""
-    return (np.array([math.log(e) for e in eta], dtype=float),
-            np.array([math.log(p) for p in phi], dtype=float))
-
-
-def _exhaustive_broken_line(eta, phi, min_seg=3):
-    """Reference fit: both segments refitted at every admissible split."""
-    ln_eta, ln_phi = log_columns(eta, phi)
-    mid = 0.5 * (ln_eta[0] + ln_eta[-1])
-    best = None  # (total_rss, dist_to_mid, k, seg1, seg2)
-    for k in range(min_seg, len(eta) - min_seg + 1):
-        seg1 = fit_power_law(ln_eta[:k], ln_phi[:k])
-        seg2 = fit_power_law(ln_eta[k:], ln_phi[k:])
-        total = seg1.rss + seg2.rss
-        dist = abs(0.5 * (ln_eta[k - 1] + ln_eta[k]) - mid)
-        if best is None or total < best[0] or (total == best[0] and dist < best[1]):
-            best = (total, dist, k, seg1, seg2)
-    total, _, k, seg1, seg2 = best
-    break_ln_eta = 0.5 * (ln_eta[k - 1] + ln_eta[k])
-    if seg1.exponent != seg2.exponent:
-        xi = ((math.log(seg1.prefactor) - math.log(seg2.prefactor))
-              / (seg2.exponent - seg1.exponent))
-        if ln_eta[0] <= xi <= ln_eta[-1]:
-            break_ln_eta = xi
-    return BrokenLineFit(region1=seg1, region2=seg2,
-                         break_ln_eta=float(break_ln_eta),
-                         total_rss=seg1.rss + seg2.rss, split_index=k)
 
 
 @st.composite
@@ -166,7 +136,7 @@ class TestFitBrokenLine:
                          ln_eta_range=(2.0, 9.0), n_points=25,
                          noise_sigma=0.02, seed=123)
         points = columns(spec)
-        assert fit_broken_line(*points) == _exhaustive_broken_line(*points)
+        assert fit_broken_line(*points) == exhaustive_broken_line(*points)
 
     def test_matches_exhaustive_on_criterion_4_ensembles(self):
         # the noiseless and noisy ensembles of acceptance criterion 4
@@ -189,7 +159,7 @@ class TestFitBrokenLine:
         for spec in specs:
             points = columns(spec)
             fit = fit_broken_line(*points)
-            ref = _exhaustive_broken_line(*points)
+            ref = exhaustive_broken_line(*points)
             assert fit.split_index == ref.split_index
             assert fit.total_rss == ref.total_rss
 
@@ -199,14 +169,27 @@ class TestFitBrokenLine:
         # ln phi differs between samples only in its last bits, so every
         # split's exact RSS is rounding noise and the winner depends on it
         points = power_samples(math.e, slope, np.linspace(0.125, 0.11 * n, n))
-        assert fit_broken_line(*points) == _exhaustive_broken_line(*points)
+        assert fit_broken_line(*points) == exhaustive_broken_line(*points)
+
+    def test_single_law_refits_every_split(self, monkeypatch):
+        # On a noiseless single power law every split's approximate RSS is
+        # within the rounding margin of the best, so the exact pass refits
+        # both segments at all 195 splits: the fit is quadratic in n.  A
+        # change that closes this cliff changes the count on purpose.
+        points = power_samples(8.66, 0.14, np.linspace(2.0, 9.5, 200))
+        reference = exhaustive_broken_line(*points)
+        real, calls = fitting.fit_power_law, []
+        monkeypatch.setattr(fitting, "fit_power_law",
+                            lambda *args: calls.append(args) or real(*args))
+        assert fit_broken_line(*points) == reference
+        assert len(calls) == 390
 
     @settings(max_examples=60, deadline=None)
     @given(broken_line_cases())
     def test_property_matches_exhaustive(self, case):
         eta, phi, min_seg = case
         try:
-            reference = _exhaustive_broken_line(eta, phi, min_seg)
+            reference = exhaustive_broken_line(eta, phi, min_seg)
         except FitError:
             # a short noisy segment far from ln eta = 0 can have a fitted
             # prefactor beyond the float range, which fit_power_law raises

@@ -1,13 +1,14 @@
 """``load_profile`` reads every file exactly as a plain per-line parser.
 
 ``load_profile`` reads each data row with one unpacking and two ``float``
-calls and works out why a row is bad only once it fails.  The oracle
-below is the loader as it was before that: one line at a time, every check
-spelled out in order.  These tests draw profile files from a grammar that
-mixes valid rows with every kind of trouble (separators, trailing
-comments, empty fields, numbers only ``float`` reads, wrong widths,
-metadata after the rows, line endings) and require bit-equal columns and
-equal metadata, or the same exception type and message.
+calls and works out why a row is bad only once it fails.  The reference,
+``oracle.reference_load``, is the loader as it was before that: one line
+at a time, every check spelled out in order.  These tests draw profile
+files from a grammar that mixes valid rows with every kind of trouble
+(separators, trailing comments, empty fields, numbers only ``float``
+reads, wrong widths, metadata after the rows, line endings) and require
+bit-equal columns and equal metadata, or the same exception type and
+message.
 """
 
 import re
@@ -17,61 +18,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wallscale import ParseError, ProfileMetadata, ValidationError, load_profile
-from wallscale.profiles import (_METADATA_KEYS, VelocityProfile,
-                                _require_positive_finite, read_lines)
+from wallscale import load_profile
 
-
-def _parse_number(text, key, path, lineno):
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"cannot parse {key} value {text!r}",
-                         path=path, line=lineno) from None
-
-
-def reference_load(path, format):
-    """The per-line loader the fast one must match."""
-    meta_kwargs: dict = {}
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" in text:
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _METADATA_KEYS:
-                raise ParseError(f"unknown metadata key {key!r}",
-                                 path=path, line=lineno)
-            field = _METADATA_KEYS[key]
-            if field == "label":
-                meta_kwargs[field] = value
-            else:
-                meta_kwargs[field] = _parse_number(value, key, path, lineno)
-            continue
-        parts = text.split(",") if "," in text else text.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 columns, got {len(parts)}",
-                             path=path, line=lineno)
-        a = _parse_number(parts[0].strip(), "column 1", path, lineno)
-        b = _parse_number(parts[1].strip(), "column 2", path, lineno)
-        rows.append((a, b))
-
-    try:
-        metadata = ProfileMetadata(**meta_kwargs)
-        first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
-        if format == "raw":
-            if metadata.u_star is None or metadata.nu is None:
-                raise ValidationError(
-                    "raw format requires u_star and nu metadata")
-            _require_positive_finite(y=first, u=second)
-            first = metadata.u_star * first / metadata.nu
-            second = second / metadata.u_star
-        return VelocityProfile(first, second, metadata)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+from oracle import reference_load
 
 
 SETTINGS = settings(max_examples=100, deadline=None,

@@ -12,16 +12,7 @@ from wallscale import (DomainError, EnvelopePoint, LogLawParams,
                        ln_re2_from_exponent, log_law_phi, prefactor_of_ln_re,
                        scaling, scaling_law_phi)
 
-SQRT3 = math.sqrt(3.0)
-
-
-def grid_envelope(ln_eta, lo=4.0, hi=60.0, n=100_000):
-    """Independent envelope oracle: dense grid over ln Re, take the minimum."""
-    grid = np.linspace(lo, hi, n)
-    values = (grid / SQRT3 + 2.5) * np.exp(1.5 * ln_eta / grid)
-    i = int(np.argmin(values))
-    return float(values[i]), float(grid[i])
-
+from oracle import SQRT3, grid_envelope, scalar_envelope
 
 def family_ln_phi(ln_eta, ln_re):
     """ln of the family member (ln Re/sqrt(3) + 5/2) * eta**(1.5/ln Re),
@@ -244,13 +235,6 @@ class TestEnvelopeLineFit:
                   zip(curve.ln_eta.tolist(), curve.phi_env.tolist(),
                       curve.ln_re_touch.tolist())]
         assert points == [envelope_at(float(x)) for x in xs]
-
-
-def scalar_envelope(x):
-    """The closed form at one float, with Python's arithmetic and libm's
-    exp: the per-point reference for the columnar solve."""
-    touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
-    return (touch / SQRT3 + 2.5) * math.exp(1.5 * x / touch), touch
 
 
 class TestEnvelopeCurve:
