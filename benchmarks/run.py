@@ -3,55 +3,51 @@
     python3 benchmarks/run.py --out BENCH_<PR>.json \
         --tree parent=/path/to/parent/src --tree change=src [--repeats 10]
 
-Needs only numpy and the standard library.  The corpus is written once,
-with numpy and ``repr`` only, so every tree reads the same bytes: for each
-n = 40, 200, 1000 and 4000, a directory of ``PROFILES`` profiles of n
-samples over ln eta = 1..10.  Each is a noisy (sigma = 0.01) two-segment
-power law, phi = 8.67 eta**0.14 breaking to eta**0.2 at ln eta = 6.5,
-whose last 5 samples are set to its maximum, so that the sublayer cut,
-the plateau cut and the break are all exercised.
+Needs only numpy and the standard library.  At defaults two trees take
+about 3 minutes on 2 vCPUs, most of it in the single-law fit at n = 4000
+(about 0.3 s a call).
 
-Each ``NAME=SRC`` tree is measured in one child interpreter with
-``PYTHONPATH=SRC`` per round.  At every n the child checks that
-``fit_broken_line`` on the selected samples equals
-``exhaustive_broken_line``, imported from ``tests/oracle.py`` in the
-checkout that holds this script (the run fails otherwise), and counts the
-``fit_power_law`` calls of that fit.  The reference calls only the
-public ``fit_power_law`` and ``BrokenLineFit`` of the tree under
-measurement, so one reference checks every tree alike; a tree must still
-have every name ``tests/oracle.py`` imports.  The fit and the
-universal series are given the selected profile's ``ln_eta`` and
-``ln_phi`` columns, as ``analyze_profile`` gives them.  It then takes the
-best of ``--repeats`` ``time.perf_counter`` measurements of one call of
-``load_profile``, ``select_intermediate``, ``fit_broken_line``,
-``build_universal_series`` (on the region-I samples of the selected
-profile, at the alpha ``analyze_profile`` uses),
-``analyze_profile`` (default options), ``emit_plotdata``,
-``cli.main(["analyze", FILE])`` and ``cli.main(["batch", DIR, "--out-dir",
-OUT])`` (their stdout and stderr go to buffers).  Each ``emit_plotdata``
-and ``batch`` call writes into a new directory, which it creates, as the
-passes of the benchmark's ``lab_batch`` workload do, so every tree
-creates the same files.  It also times ``scaling.envelope_at``
-per call (a sweep over the 50 abscissae ln eta = 5..10, divided by 50),
-``report.envelope_table((5, 10), 50)``, ``scaling.envelope_curve((2, 30),
-2000)`` and ``cli.main(ENVELOPE_ARGV)``, the 2000-point envelope of the
-benchmark's ``envelope_grid`` workload, whose calls of the columnar
-``scaling.solve_envelope`` it also counts.  Then ``--repeats``
-fresh interpreters run ``import wallscale.cli``: the best wall time and the
-smallest peak RSS are kept.
+The corpus is written once, with numpy and ``repr`` only, so every tree
+reads the same bytes.  For each n = 40, 200, 1000 and 4000 it holds a
+directory ``nN`` of ``PROFILES`` profiles of n samples over ln eta = 1..10,
+each a noisy (sigma = 0.01) power law phi = 8.67 eta**0.14 breaking to
+eta**0.2 at ln eta = 6.5, whose last 5 samples are set to its maximum, so
+the sublayer cut, the plateau cut and the break are all exercised; and
+``single-nN.dat``, the noiseless phi = 8.67 eta**0.14 over the same ln eta,
+on which the fit refits every split exactly.
 
-Every interpreter of a tree writes and reads its bytecode under a
-``PYTHONPYCACHEPREFIX`` of that tree's own, made fresh in the run's
-temporary directory (``PYTHONDONTWRITEBYTECODE`` is dropped for them),
-and one untimed ``import wallscale.cli`` per tree fills it before the
-first round.  So every tree imports from cached bytecode, whatever
-``__pycache__`` directories its checkout holds.
+Each ``NAME=SRC`` tree gets one child interpreter, with ``PYTHONPATH=SRC``,
+for the whole run.  At start-up the child checks, at every n, that
+``fit_broken_line`` on the selected samples of ``nN/p0.dat`` and of
+``single-nN.dat`` equals ``exhaustive_broken_line`` of ``tests/oracle.py``
+in the checkout that holds this script, which calls only the measured
+tree's public ``fit_power_law`` and ``BrokenLineFit``; a difference stops
+the run and names the tree.  It prints one JSON line: the counts (kept
+samples of ``p0.dat``, ``fit_power_law`` calls of both fits, and
+``scaling.solve_envelope`` calls of ``cli.main(ENVELOPE_ARGV)``, the
+2000-point envelope of the benchmark's ``envelope_grid`` workload) and the
+names of its stages.  Then it reads stage names from stdin, one a line,
+and answers each with the best of ``--repeats`` ``time.perf_counter``
+timings of one call.  The stages, at every n: ``load_profile``,
+``select_intermediate``, both fits (given the selected ``ln_eta`` and
+``ln_phi`` columns, as ``analyze_profile`` gives them),
+``build_universal_series`` (on the region-I samples, at the alpha
+``analyze_profile`` uses), ``analyze_profile``, ``emit_plotdata``, and
+``cli.main`` of ``analyze FILE`` and ``batch DIR --out-dir OUT``; then
+``scaling.envelope_at`` per call (a sweep over ln eta = 5..10 in 50 steps,
+divided by 50), ``report.envelope_table((5, 10), 50)``,
+``scaling.envelope_curve((2, 30), 2000)`` and ``cli.main(ENVELOPE_ARGV)``.
+The commands' output goes to buffers: stdout is the protocol.  Each
+``emit_plotdata`` and ``batch`` call creates a new directory, as the
+benchmark's ``lab_batch`` passes do, removed after the visit, untimed.
 
-The trees are measured for ``ROUNDS`` rounds, in alternating order, so a
-host whose speed drifts favours neither.  The record keeps every round's
-value of each metric, each tree's median, and, for each tree after the
-first, the median over rounds of the first tree's value divided by its
-own (above 1 where that tree's time or memory is smaller).
+The parent visits every stage ``VISITS`` times on every tree, one tree
+right after the other, swapping the trees' order on every visit, so drift
+of the host's speed over seconds cancels within each pair.  Import time
+and memory are the benchmark's to measure.  The record keeps each metric's
+value per visit (a count has one), each tree's median, and, for each tree
+after the first, the median over visits of the first tree's value divided
+by its own (above 1 where that tree is faster).
 """
 
 from __future__ import annotations
@@ -63,6 +59,7 @@ import itertools
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,10 +71,16 @@ import numpy as np
 
 SIZES = (40, 200, 1000, 4000)
 PROFILES = 4
-ROUNDS = 5
+VISITS = 10
 ENVELOPE_XS = np.linspace(5.0, 10.0, 50).tolist()
 ENVELOPE_ARGV = ("envelope", "--ln-eta-min", "2", "--ln-eta-max", "30",
                  "--n-points", "2000")
+
+
+def write_profile(path: Path, label: str, eta, phi) -> None:
+    rows = "".join(f"{e!r} {p!r}\n" for e, p in zip(eta.tolist(),
+                                                    phi.tolist()))
+    path.write_text(f"label={label}\n" + rows, encoding="utf-8")
 
 
 def write_corpus(root: Path) -> None:
@@ -92,10 +95,9 @@ def write_corpus(root: Path) -> None:
             rng = np.random.default_rng([n, i])
             phi = np.exp(ln_law + rng.normal(0.0, 0.01, n))
             phi[-5:] = phi.max()
-            rows = "".join(f"{e!r} {p!r}\n"
-                           for e, p in zip(eta.tolist(), phi.tolist()))
-            (folder / f"p{i}.dat").write_text(f"label=n{n}-{i}\n" + rows,
-                                              encoding="utf-8")
+            write_profile(folder / f"p{i}.dat", f"n{n}-{i}", eta, phi)
+        write_profile(root / f"single-n{n}.dat", f"single-n{n}", eta,
+                      8.67 * eta ** 0.14)
 
 
 def best_of(fn, repeats):
@@ -108,8 +110,9 @@ def best_of(fn, repeats):
     return min(times)
 
 
-def child(corpus: Path, repeats: int) -> dict:
-    """Run in the child interpreter: check the fit, then time each stage."""
+def child(corpus: Path, repeats: int) -> None:
+    """Run in the child interpreter: check the fits, print the counts and
+    the stage names, then time each stage named on stdin."""
     from wallscale import (analyze_profile, cli, diagnostics, emit_plotdata,
                            fitting, load_profile, report, scaling,
                            select_intermediate)
@@ -134,97 +137,90 @@ def child(corpus: Path, repeats: int) -> dict:
         finally:
             setattr(module, name, real)
 
-    record = {}
-    with tempfile.TemporaryDirectory() as out:
-        fresh = itertools.count()
+    def checked_fit(path):
+        """The selected samples of a file, a call of their fit, and the
+        fit_power_law calls it makes, once the fit is checked."""
+        inter = select_intermediate(load_profile(path))
 
-        def new_dir():
-            return f"{out}/{next(fresh)}"
+        def fit():
+            return fitting.fit_broken_line(inter.eta, inter.phi,
+                                           ln_eta=inter.ln_eta,
+                                           ln_phi=inter.ln_phi)
 
-        for n in SIZES:
-            folder = corpus / f"n{n}"
-            path = folder / "p0.dat"
-            profile = load_profile(path)
-            inter = select_intermediate(profile)
+        result, calls = counting_calls(fitting, "fit_power_law", fit)
+        if result != exhaustive_broken_line(inter.eta, inter.phi):
+            raise SystemExit(f"{path.relative_to(corpus)}: fit_broken_line "
+                             "differs from the exhaustive search")
+        return inter, fit, calls
 
-            def fit_selected():
-                return fitting.fit_broken_line(inter.eta, inter.phi,
-                                               ln_eta=inter.ln_eta,
-                                               ln_phi=inter.ln_phi)
+    counts, stages = {}, {}
+    out = Path(tempfile.mkdtemp(dir=corpus))    # removed with the corpus
+    fresh = itertools.count()
 
-            fit, calls = counting_calls(fitting, "fit_power_law",
-                                        fit_selected)
-            if fit != exhaustive_broken_line(inter.eta, inter.phi):
-                raise SystemExit(f"n={n}: fit_broken_line differs from the "
-                                 "exhaustive search")
-            bundle = analyze_profile(profile)
-            k = bundle.fit.split_index
-            alpha = scaling.alpha_of_ln_re(bundle.report.ln_re)
-            record[f"n{n}.kept"] = len(inter)
-            record[f"n{n}.fit_power_law_calls"] = calls
-            stages = {
-                "load_profile_s": lambda: load_profile(path),
-                "select_intermediate_s": lambda: select_intermediate(profile),
-                "fit_broken_line_s": fit_selected,
-                "build_universal_series_s":
-                    lambda: diagnostics.build_universal_series(
-                        inter.eta[:k], inter.phi[:k], alpha,
-                        ln_eta=inter.ln_eta[:k]),
-                "analyze_profile_s": lambda: analyze_profile(profile),
-                "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
-                                                         stem=f"n{n}"),
-                "cli_analyze_s": lambda: run_cli("analyze", str(path)),
-                "cli_batch_s": lambda: run_cli("batch", str(folder),
-                                               "--out-dir", new_dir()),
-            }
-            for name, fn in stages.items():
-                record[f"n{n}.{name}"] = best_of(fn, repeats)
+    def new_dir():
+        return f"{out}/{next(fresh)}"
 
-    def sweep():
-        for x in ENVELOPE_XS:
-            scaling.envelope_at(x)
+    def add_size(n):
+        """Add the counts and the stages of size n."""
+        folder = corpus / f"n{n}"
+        path = folder / "p0.dat"
+        profile = load_profile(path)
+        inter, fit, calls = checked_fit(path)
+        _, single_fit, single_calls = checked_fit(corpus / f"single-n{n}.dat")
+        bundle = analyze_profile(profile)
+        k = bundle.fit.split_index
+        alpha = scaling.alpha_of_ln_re(bundle.report.ln_re)
+        counts.update({f"n{n}.kept": len(inter),
+                       f"n{n}.fit_power_law_calls": calls,
+                       f"n{n}.single_law.fit_power_law_calls": single_calls})
+        stages.update({f"n{n}.{name}": fn for name, fn in {
+            "load_profile_s": lambda: load_profile(path),
+            "select_intermediate_s": lambda: select_intermediate(profile),
+            "fit_broken_line_s": fit,
+            "single_law.fit_broken_line_s": single_fit,
+            "build_universal_series_s":
+                lambda: diagnostics.build_universal_series(
+                    inter.eta[:k], inter.phi[:k], alpha,
+                    ln_eta=inter.ln_eta[:k]),
+            "analyze_profile_s": lambda: analyze_profile(profile),
+            "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
+                                                     stem=f"n{n}"),
+            "cli_analyze_s": lambda: run_cli("analyze", str(path)),
+            "cli_batch_s": lambda: run_cli("batch", str(folder),
+                                           "--out-dir", new_dir()),
+        }.items()})
 
-    record["envelope_at_s"] = best_of(sweep, repeats) / len(ENVELOPE_XS)
-    record["envelope_table_5_10_50_s"] = best_of(
-        lambda: report.envelope_table((5.0, 10.0), 50), repeats)
-    record["envelope_curve_2_30_2000_s"] = best_of(
-        lambda: scaling.envelope_curve((2.0, 30.0), 2000), repeats)
-    _, record["cli_envelope_2_30_2000.solves"] = counting_calls(
+    for n in SIZES:
+        add_size(n)
+    _, counts["cli_envelope_2_30_2000.solves"] = counting_calls(
         scaling, "solve_envelope", lambda: run_cli(*ENVELOPE_ARGV))
-    record["cli_envelope_2_30_2000_s"] = best_of(
-        lambda: run_cli(*ENVELOPE_ARGV), repeats)
-    return record
+    stages.update({
+        "envelope_at_s": lambda: [scaling.envelope_at(x)
+                                  for x in ENVELOPE_XS],
+        "envelope_table_5_10_50_s":
+            lambda: report.envelope_table((5.0, 10.0), 50),
+        "envelope_curve_2_30_2000_s":
+            lambda: scaling.envelope_curve((2.0, 30.0), 2000),
+        "cli_envelope_2_30_2000_s": lambda: run_cli(*ENVELOPE_ARGV),
+    })
+    calls_per_stage = {"envelope_at_s": len(ENVELOPE_XS)}
+    print(json.dumps({"counts": counts, "stages": list(stages)}), flush=True)
+    for line in sys.stdin:
+        name = line.strip()
+        seconds = best_of(stages[name], repeats)
+        for made in out.iterdir():
+            shutil.rmtree(made)
+        print(json.dumps(seconds / calls_per_stage.get(name, 1)), flush=True)
 
 
-def spawn(src, pycache, argv):
-    """Run ``python *argv`` with wallscale imported from ``src`` and
-    bytecode kept under ``pycache``; return its stdout and its peak RSS in
-    MB.  A child that fails ends the run."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
-               PYTHONPYCACHEPREFIX=str(pycache))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    proc = subprocess.Popen([sys.executable, *argv], env=env, text=True,
-                            stdout=subprocess.PIPE)
-    with proc.stdout:
-        out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise SystemExit(f"{argv} failed with exit status {proc.returncode}")
-    return out, usage.ru_maxrss / 1024.0
-
-
-def measure_tree(src, pycache, corpus: Path, repeats: int) -> dict:
-    out, _ = spawn(src, pycache, [__file__, "--child", str(corpus),
-                                  "--repeats", str(repeats)])
-    record = json.loads(out)
-    rss = []
-    record["import_wallscale_cli.wall_s"] = best_of(
-        lambda: rss.append(spawn(src, pycache,
-                                 ["-c", "import wallscale.cli"])[1]),
-        repeats)
-    record["import_wallscale_cli.maxrss_mb"] = min(rss)
-    return record
+def reply(name, proc):
+    """The next JSON line from the child of tree ``name``.  A child that
+    fails ends the run."""
+    line = proc.stdout.readline()
+    if not line:
+        raise SystemExit(f"tree {name}: the child failed with exit status "
+                         f"{proc.wait()}")
+    return json.loads(line)
 
 
 def main(argv=None):
@@ -238,7 +234,7 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.child is not None:
-        print(json.dumps(child(args.child, args.repeats)))
+        child(args.child, args.repeats)
         return
 
     trees = {}
@@ -251,24 +247,27 @@ def main(argv=None):
         parser.error("--out and at least one --tree are required")
 
     names = list(trees)
-    values = {}     # metric -> tree -> one value per round
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = Path(tmp) / "corpus"
-        corpus.mkdir()
+    values = {}     # metric -> tree -> one value per visit (a count: one)
+    with contextlib.ExitStack() as stack:
+        corpus = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         write_corpus(corpus)
-        caches = {name: Path(tmp) / f"pycache{i}"
-                  for i, name in enumerate(names)}
-        for name in names:
-            spawn(trees[name], caches[name], ["-c", "import wallscale.cli"])
-        for r in range(ROUNDS):
-            for name in names if r % 2 == 0 else names[::-1]:
-                record = measure_tree(trees[name], caches[name], corpus,
-                                      args.repeats)
-                for metric, value in record.items():
-                    values.setdefault(metric, {}).setdefault(name, [])
-                    values[metric][name].append(value)
-                print(f"round {r + 1}/{ROUNDS}: {name} measured",
-                      file=sys.stderr)
+        children = {name: stack.enter_context(subprocess.Popen(
+            [sys.executable, __file__, "--child", str(corpus),
+             "--repeats", str(args.repeats)],
+            env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
+            text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            for name, src in trees.items()}
+        for name, proc in children.items():
+            header = reply(name, proc)
+            for metric, count in header["counts"].items():
+                values.setdefault(metric, {})[name] = [count]
+        for visit in range(VISITS):
+            for stage in header["stages"]:
+                for name in names if visit % 2 == 0 else names[::-1]:
+                    print(stage, file=children[name].stdin, flush=True)
+                    values.setdefault(stage, {}).setdefault(name, []).append(
+                        reply(name, children[name]))
+            print(f"visit {visit + 1}/{VISITS} done", file=sys.stderr)
 
     metrics = {}
     for metric, rounds in values.items():
@@ -279,14 +278,14 @@ def main(argv=None):
             for name in names[1:]}
         if ratios:
             metrics[metric]["ratio_median"] = ratios
-        print(f"{metric:34s}", *(f"{name} {m:.6g}" for name, m in
+        print(f"{metric:38s}", *(f"{name} {m:.6g}" for name, m in
                                   medians.items()),
               *(f"{names[0]}/{name} {q:.3f}" for name, q in ratios.items()))
 
     record = {
         "what": "wallscale pipeline stages and commands, best-of-N "
-                "perf_counter seconds per call, counts, and a cold "
-                "`import wallscale.cli` (wall seconds, child ru_maxrss MB)",
+                "perf_counter seconds per call, one value per visit of "
+                "one long-lived child per tree, and counts",
         "command": " ".join(["python3 benchmarks/run.py",
                              f"--repeats {args.repeats}",
                              *(f"--tree {name}=SRC" for name in names)]),
@@ -294,7 +293,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "repeats": args.repeats,
-        "rounds": ROUNDS,
+        "rounds": VISITS,
         "trees": names,
         "metrics": metrics,
     }

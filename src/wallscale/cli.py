@@ -215,9 +215,11 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     if verb in (None, "envelope"):
         p = sub.add_parser("envelope",
                            help="tabulate the family envelope vs the log law")
-        p.add_argument("--ln-eta-min", type=float, default=5.0)
-        p.add_argument("--ln-eta-max", type=float, default=10.0)
-        p.add_argument("--n-points", type=int, default=50)
+        lo, hi = scaling.DEFAULT_ENVELOPE_RANGE
+        p.add_argument("--ln-eta-min", type=float, default=lo)
+        p.add_argument("--ln-eta-max", type=float, default=hi)
+        p.add_argument("--n-points", type=int,
+                       default=scaling.DEFAULT_ENVELOPE_POINTS)
         p.add_argument("--out-dir", type=Path, default=None)
         p.set_defaults(func=_cmd_envelope)
 

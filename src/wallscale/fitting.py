@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .profiles import libm_column
+from .profiles import check_count, libm_column
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -111,7 +111,11 @@ def _flat_runs(x: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(x) == np.minimum.accumulate(x)
 
 
-def fit_broken_line(eta: np.ndarray, phi: np.ndarray, min_seg: int = 3, *,
+DEFAULT_MIN_SEG = 3
+
+
+def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
+                    min_seg: int = DEFAULT_MIN_SEG, *,
                     ln_eta=None, ln_phi=None) -> BrokenLineFit:
     """Two-segment broken-line fit by least total residual sum of squares.
 
@@ -147,8 +151,7 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray, min_seg: int = 3, *,
         if column is not None and len(column) != n:
             raise FitError(f"eta and {name} differ in length: {n} and "
                            f"{len(column)}")
-    if min_seg < 3:
-        raise FitError(f"min_seg must be at least 3, got {min_seg}")
+    check_count("min_seg", min_seg, 3, FitError)
     if n < 2 * min_seg:
         raise FitError(
             f"broken-line fit needs at least {2 * min_seg} points, got {n}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass, fields
@@ -122,6 +123,16 @@ def freeze_columns(obj, *names) -> None:
                 f"{name} must be one-dimensional, got shape {column.shape}")
         column.flags.writeable = False
         object.__setattr__(obj, name, column)
+
+
+def check_count(name: str, value, minimum: int, error=ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (a Python or numpy
+    integer, not a bool) of at least ``minimum``; every count is checked
+    so."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value}")
 
 
 def libm_column(fn, column) -> np.ndarray:
@@ -334,9 +345,14 @@ def make_output_dir(path) -> Path:
     return path
 
 
+DEFAULT_LG_ETA_MIN = 1.5
+DEFAULT_PLATEAU_TOL = 0.002
+
+
 def select_intermediate(profile: VelocityProfile,
-                        lg_eta_min: float = 1.5,
-                        phi_plateau_tol: float = 0.002) -> VelocityProfile:
+                        lg_eta_min: float = DEFAULT_LG_ETA_MIN,
+                        phi_plateau_tol: float = DEFAULT_PLATEAU_TOL
+                        ) -> VelocityProfile:
     """Excise the viscous sublayer and the trailing free-stream plateau.
 
     Samples with log10(eta) <= lg_eta_min are dropped.  The trailing

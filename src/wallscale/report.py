@@ -33,18 +33,15 @@ def _is_finite(value) -> bool:
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
-    lg_eta_min: float = 1.5
-    phi_plateau_tol: float = 0.002
-    min_seg: int = 3
+    lg_eta_min: float = profiles.DEFAULT_LG_ETA_MIN
+    phi_plateau_tol: float = profiles.DEFAULT_PLATEAU_TOL
+    min_seg: int = fitting.DEFAULT_MIN_SEG
     consistency_tol: float = diagnostics.DEFAULT_CONSISTENCY_TOL
     shift_tol: float = diagnostics.DEFAULT_SHIFT_TOL
     alpha_source: str = ALPHA_SOURCE_MEAN
 
     def __post_init__(self):
-        if (not isinstance(self.min_seg, int) or isinstance(self.min_seg, bool)
-                or self.min_seg < 3):
-            raise ValidationError(
-                f"min_seg must be an integer >= 3, got {self.min_seg!r}")
+        profiles.check_count("min_seg", self.min_seg, 3)
         if not _is_finite(self.lg_eta_min):
             raise ValidationError(
                 f"lg_eta_min must be finite, got {self.lg_eta_min!r}")
@@ -349,7 +346,8 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str) -> list[Path]:
     return [out_dir / name for name in texts]
 
 
-def envelope_table(ln_eta_range=(5.0, 10.0), n_points: int = 50) -> str:
+def envelope_table(ln_eta_range=scaling.DEFAULT_ENVELOPE_RANGE,
+                   n_points: int = scaling.DEFAULT_ENVELOPE_POINTS) -> str:
     """The envelope tabulated against ``scaling.CLASSICAL_LOG_LAW``."""
     return format_envelope(scaling.envelope_curve(ln_eta_range, n_points))
 

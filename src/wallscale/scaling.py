@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .fitting import _ols
-from .profiles import freeze_columns, libm_column
+from .profiles import check_count, freeze_columns, libm_column
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -178,7 +178,9 @@ def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     is a ValidationError naming n_points before anything is computed, and
     so is a count whose array cannot be allocated.  For ``hi`` near the
     float maximum, linspace's (n - 1) * step may round up to inf before
-    it sets the last point to ``hi``; that overflow is not reported."""
+    it sets the last point to ``hi``; that overflow is not reported.  A
+    count that is not an integer >= 0 is a ValidationError too."""
+    check_count("n_points", n_points, 0)
     if n_points > MAX_POINTS:
         raise ValidationError(
             f"n_points must be at most 2**59, got {n_points}")
@@ -190,17 +192,20 @@ def grid(lo: float, hi: float, n_points: int) -> np.ndarray:
                               f"for that many points") from None
 
 
+DEFAULT_ENVELOPE_RANGE = (5.0, 10.0)
+DEFAULT_ENVELOPE_POINTS = 50
+
+
 def envelope_curve(ln_eta_range, n_points: int) -> EnvelopeCurve:
     """The envelope at ``n_points`` evenly spaced ln eta over a range, in
     one ``solve_envelope`` pass.
 
     The range's ends must be positive and finite, the first below the
-    second, and ``n_points`` at least 10; anything else is a
-    ValidationError, checked before anything is computed.
+    second, and ``n_points`` an integer of at least 10; anything else is
+    a ValidationError, checked before anything is computed.
     """
     lo, hi = float(ln_eta_range[0]), float(ln_eta_range[1])
-    if n_points < 10:
-        raise ValidationError(f"n_points must be at least 10, got {n_points}")
+    check_count("n_points", n_points, 10)
     if not lo < hi:
         raise ValidationError(f"invalid ln_eta range {(lo, hi)!r}")
     for ln_eta in (lo, hi):
@@ -233,8 +238,8 @@ def fit_log_law(ln_eta, phi) -> LogLawParams:
     return LogLawParams(kappa=1.0 / slope, c_offset=intercept)
 
 
-def envelope_line_fit(ln_eta_range=(5.0, 10.0),
-                      n_points: int = 50) -> LogLawParams:
+def envelope_line_fit(ln_eta_range=DEFAULT_ENVELOPE_RANGE,
+                      n_points: int = DEFAULT_ENVELOPE_POINTS) -> LogLawParams:
     """Fit a straight line to the envelope over an ln eta range.
 
     Returns the effective logarithmic-law parameters of the envelope:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .profiles import (ProfileMetadata, VelocityProfile, libm_column,
-                       parse_value, read_lines, split_key_value)
+from .profiles import (ProfileMetadata, VelocityProfile, check_count,
+                       libm_column, parse_value, read_lines, split_key_value)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
 _LN_MAX = math.log(np.finfo(float).max)    # the largest x with a finite exp
@@ -61,8 +61,7 @@ class SynthSpec:
                             ("shift", self.shift)):
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
         if not self.ln_re > 0:
             raise ValidationError(f"ln_re must be positive, got {self.ln_re!r}")
         if not lo < hi:
@@ -70,13 +69,12 @@ class SynthSpec:
         if not lo < self.break_ln_eta < hi:
             raise ValidationError(
                 f"break_ln_eta {self.break_ln_eta!r} outside ln_eta_range")
-        if self.n_points < 8:
-            raise ValidationError(
-                f"n_points must be at least 8, got {self.n_points}")
+        check_count("n_points", self.n_points, 8)
         if self.noise_sigma < 0:
             raise ValidationError(
                 f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        if not 0 <= self.plateau_points <= self.n_points - 4:
+        check_count("plateau_points", self.plateau_points, 0)
+        if not self.plateau_points <= self.n_points - 4:
             raise ValidationError(
                 f"plateau_points must be in [0, n_points - 4], "
                 f"got {self.plateau_points}")
@@ -143,9 +141,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def generate_ensemble(spec: SynthSpec, n_realizations: int) -> list[VelocityProfile]:
     """n_realizations profiles with seeds seed, seed+1, ...; deterministic."""
-    if n_realizations < 1:
-        raise ValidationError(
-            f"n_realizations must be at least 1, got {n_realizations}")
+    check_count("n_realizations", n_realizations, 1)
     return [generate(replace(spec, seed=spec.seed + i))
             for i in range(n_realizations)]
 

@@ -4,19 +4,24 @@ round-trips.
 Random bytes or lines fed to the two file loaders raise only ParseError or
 ValidationError; a random valid SynthSpec run through the generator and
 the pipeline gives a report or a PipelineError; and any report survives
-report_to_text followed by report_from_text unchanged.
+report_to_text followed by report_from_text unchanged.  Every count
+argument of the library takes a Python or numpy integer and nothing else.
 """
 
 import typing
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wallscale import (AnalysisReport, AnalyzeOptions, ParseError,
+from wallscale import (AnalysisReport, AnalyzeOptions, FitError, ParseError,
                        PipelineError, SynthSpec, ValidationError,
-                       analyze_profile, generate, load_profile,
-                       load_synth_spec)
-from wallscale.report import report_from_text, report_to_text
+                       analyze_profile, envelope_curve, envelope_line_fit,
+                       fit_broken_line, generate, generate_ensemble,
+                       load_profile, load_synth_spec)
+from wallscale.report import envelope_table, report_from_text, report_to_text
+from wallscale.scaling import grid
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -141,3 +146,34 @@ REPORTS = st.builds(AnalysisReport, **{
 @given(REPORTS)
 def test_report_text_round_trip(report):
     assert report_from_text(report_to_text(report)) == report
+
+
+SPEC = dict(ln_re=10.0, break_ln_eta=6.0, ln_eta_range=(2.0, 9.0),
+            n_points=20)
+ETA = np.exp(np.linspace(1.0, 3.0, 20))
+
+
+@pytest.mark.parametrize("call, valid, error", [
+    (lambda c: fit_broken_line(ETA, ETA, c), 3, FitError),
+    (lambda c: envelope_curve((1.0, 2.0), c), 10, ValidationError),
+    (lambda c: envelope_line_fit((1.0, 2.0), c), 10, ValidationError),
+    (lambda c: envelope_table((1.0, 2.0), c), 10, ValidationError),
+    (lambda c: grid(1.0, 2.0, c), 10, ValidationError),
+    (lambda c: generate(SynthSpec(**{**SPEC, "n_points": c})), 20,
+     ValidationError),
+    (lambda c: generate(SynthSpec(**SPEC, seed=c)), 1, ValidationError),
+    (lambda c: generate(SynthSpec(**SPEC, plateau_points=c)), 2,
+     ValidationError),
+    (lambda c: generate_ensemble(SynthSpec(**SPEC), c), 2, ValidationError),
+    (lambda c: analyze_profile(generate(SynthSpec(**SPEC)),
+                               AnalyzeOptions(min_seg=c)), 3,
+     ValidationError),
+], ids=["fit_broken_line.min_seg", "envelope_curve", "envelope_line_fit",
+        "envelope_table", "grid", "SynthSpec.n_points", "SynthSpec.seed",
+        "SynthSpec.plateau_points", "generate_ensemble",
+        "AnalyzeOptions.min_seg"])
+@pytest.mark.parametrize("bad", [10.5, True, "10", None])
+def test_counts_are_integers(call, valid, error, bad):
+    call(np.int64(valid))
+    with pytest.raises(error, match="must be an integer, got"):
+        call(bad)
