@@ -45,8 +45,8 @@ def _exit_code_for(exc: WallscaleError) -> int:
 
 
 def _add_analyze_options(parser: argparse.ArgumentParser) -> None:
-    # A dataclass holds each field's default as a class attribute, so
-    # main, which builds a parser on every call, builds no options here.
+    # A dataclass holds each field's default as a class attribute, so no
+    # options are built here.
     defaults = report.AnalyzeOptions
     parser.add_argument("--format", choices=["wall_units", "raw"],
                         default="wall_units", help="input file format")
@@ -174,67 +174,53 @@ def _cmd_oracle(args) -> int:
     return EXIT_ORACLE_FAIL
 
 
-VERBS = ("analyze", "batch", "synth", "envelope", "oracle")
-
-
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every verb, or, given one of ``VERBS``, for that
-    verb alone.  The one-verb parser reads any argv that starts with the
-    verb exactly as the full parser does, to the byte of every message,
-    and costs about a third as much to build; ``main`` builds a parser on
-    every call."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every verb."""
     parser = argparse.ArgumentParser(
         prog="wallscale",
         description="Scaling-law analysis of turbulent boundary-layer "
                     "velocity profiles.")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        # The usage line in an error names every verb, as the full one does.
-        metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if verb in (None, "analyze"):
-        p = sub.add_parser("analyze", help="analyze one profile file")
-        p.add_argument("file", type=Path)
-        _add_analyze_options(p)
-        p.set_defaults(func=_cmd_analyze)
+    p = sub.add_parser("analyze", help="analyze one profile file")
+    p.add_argument("file", type=Path)
+    _add_analyze_options(p)
+    p.set_defaults(func=_cmd_analyze)
 
-    if verb in (None, "batch"):
-        p = sub.add_parser("batch",
-                           help="analyze every profile in a directory")
-        p.add_argument("dir", type=Path)
-        _add_analyze_options(p)
-        p.set_defaults(func=_cmd_batch)
+    p = sub.add_parser("batch", help="analyze every profile in a directory")
+    p.add_argument("dir", type=Path)
+    _add_analyze_options(p)
+    p.set_defaults(func=_cmd_batch)
 
-    if verb in (None, "synth"):
-        p = sub.add_parser("synth", help="generate a synthetic profile")
-        p.add_argument("specfile", type=Path)
-        p.add_argument("-o", "--output", type=Path, required=True,
-                       help="output profile path (wall_units format)")
-        p.set_defaults(func=_cmd_synth)
+    p = sub.add_parser("synth", help="generate a synthetic profile")
+    p.add_argument("specfile", type=Path)
+    p.add_argument("-o", "--output", type=Path, required=True,
+                   help="output profile path (wall_units format)")
+    p.set_defaults(func=_cmd_synth)
 
-    if verb in (None, "envelope"):
-        p = sub.add_parser("envelope",
-                           help="tabulate the family envelope vs the log law")
-        lo, hi = scaling.DEFAULT_ENVELOPE_RANGE
-        p.add_argument("--ln-eta-min", type=float, default=lo)
-        p.add_argument("--ln-eta-max", type=float, default=hi)
-        p.add_argument("--n-points", type=int,
-                       default=scaling.DEFAULT_ENVELOPE_POINTS)
-        p.add_argument("--out-dir", type=Path, default=None)
-        p.set_defaults(func=_cmd_envelope)
+    p = sub.add_parser("envelope",
+                       help="tabulate the family envelope vs the log law")
+    lo, hi = scaling.DEFAULT_ENVELOPE_RANGE
+    p.add_argument("--ln-eta-min", type=float, default=lo)
+    p.add_argument("--ln-eta-max", type=float, default=hi)
+    p.add_argument("--n-points", type=int,
+                   default=scaling.DEFAULT_ENVELOPE_POINTS)
+    p.add_argument("--out-dir", type=Path, default=None)
+    p.set_defaults(func=_cmd_envelope)
 
-    if verb in (None, "oracle"):
-        p = sub.add_parser("oracle",
-                           help="recompute the published reference tables")
-        p.set_defaults(func=_cmd_oracle)
+    p = sub.add_parser("oracle",
+                       help="recompute the published reference tables")
+    p.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
+# Built once, at import; main reads every argv with it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except WallscaleError as exc:

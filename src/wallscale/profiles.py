@@ -135,6 +135,25 @@ def check_count(name: str, value, minimum: int, error=ValidationError) -> None:
         raise error(f"{name} must be at least {minimum}, got {value}")
 
 
+def check_real(name: str, value, error=ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is a real number (a Python or numpy
+    int or float, not a bool); every real argument is checked so."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def check_pair(name: str, value, error=ValidationError) -> tuple:
+    """``value``'s two items as floats; a value that is not a pair of real
+    numbers (see ``check_real``) is ``error``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a pair, got {value!r}") from None
+    check_real(f"{name}[0]", first, error)
+    check_real(f"{name}[1]", second, error)
+    return float(first), float(second)
+
+
 def libm_column(fn, column) -> np.ndarray:
     """``fn`` (libm's ``math.log``, ``math.log10`` or ``math.exp``) applied
     to each value of a float64 array.  Every log and exp on the value path
@@ -373,7 +392,8 @@ def select_intermediate(profile: VelocityProfile,
     ln_eta, ln_phi = libm_column(math.log, eta), libm_column(math.log, phi)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.diff(ln_phi) / np.diff(ln_eta)
-    band = phi_plateau_tol * phi.max(initial=0.0)   # the cut may keep none
+    with np.errstate(over="ignore"):    # a huge tolerance is an inf band
+        band = phi_plateau_tol * phi.max(initial=0.0)   # the cut may keep none
     flat = (slope <= 0) & (phi[1:] >= np.maximum.accumulate(phi)[1:] - band)
     keep = len(eta) - int(np.logical_and.accumulate(flat[::-1]).sum())
     if keep < 4:

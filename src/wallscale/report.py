@@ -14,7 +14,6 @@ key=value text that round-trips exactly.
 from __future__ import annotations
 
 import math
-import numbers
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,10 +24,6 @@ from .errors import (InputOutputError, ParseError, PipelineError,
 
 ALPHA_SOURCE_MEAN = "mean"
 ALPHA_SOURCE_LNRE1 = "lnRe1"
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -42,12 +37,14 @@ class AnalyzeOptions:
 
     def __post_init__(self):
         profiles.check_count("min_seg", self.min_seg, 3)
-        if not _is_finite(self.lg_eta_min):
+        profiles.check_real("lg_eta_min", self.lg_eta_min)
+        if not math.isfinite(self.lg_eta_min):
             raise ValidationError(
                 f"lg_eta_min must be finite, got {self.lg_eta_min!r}")
         for name in ("phi_plateau_tol", "consistency_tol", "shift_tol"):
             value = getattr(self, name)
-            if not (_is_finite(value) and value >= 0):
+            profiles.check_real(name, value)
+            if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(
                     f"{name} must be finite and >= 0, got {value!r}")
         if self.alpha_source not in (ALPHA_SOURCE_MEAN, ALPHA_SOURCE_LNRE1):

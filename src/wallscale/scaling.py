@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .fitting import _ols
-from .profiles import check_count, freeze_columns, libm_column
+from .profiles import check_count, check_pair, freeze_columns, libm_column
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -200,11 +200,11 @@ def envelope_curve(ln_eta_range, n_points: int) -> EnvelopeCurve:
     """The envelope at ``n_points`` evenly spaced ln eta over a range, in
     one ``solve_envelope`` pass.
 
-    The range's ends must be positive and finite, the first below the
-    second, and ``n_points`` an integer of at least 10; anything else is
-    a ValidationError, checked before anything is computed.
+    The range must be a pair of positive, finite real numbers, the first
+    below the second, and ``n_points`` an integer of at least 10; anything
+    else is a ValidationError, checked before anything is computed.
     """
-    lo, hi = float(ln_eta_range[0]), float(ln_eta_range[1])
+    lo, hi = check_pair("ln_eta_range", ln_eta_range)
     check_count("n_points", n_points, 10)
     if not lo < hi:
         raise ValidationError(f"invalid ln_eta range {(lo, hi)!r}")

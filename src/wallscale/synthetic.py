@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .profiles import (ProfileMetadata, VelocityProfile, check_count,
-                       libm_column, parse_value, read_lines, split_key_value)
+                       check_pair, check_real, libm_column, parse_value,
+                       read_lines, split_key_value)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
 _LN_MAX = math.log(np.finfo(float).max)    # the largest x with a finite exp
@@ -52,13 +53,14 @@ class SynthSpec:
     label: str = ""
 
     def __post_init__(self):
-        lo, hi = self.ln_eta_range
+        lo, hi = check_pair("ln_eta_range", self.ln_eta_range)
         for name, value in (("ln_re", self.ln_re), ("ln_eta_min", lo),
                             ("ln_eta_max", hi),
                             ("break_ln_eta", self.break_ln_eta),
                             ("beta", self.beta),
                             ("noise_sigma", self.noise_sigma),
                             ("shift", self.shift)):
+            check_real(name, value)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         check_count("seed", self.seed, 0)
@@ -126,12 +128,8 @@ def generate(spec: SynthSpec) -> VelocityProfile:
 
     label = spec.label or (f"synth lnRe={spec.ln_re:g} beta={spec.beta:g} "
                            f"seed={spec.seed}")
-    metadata = ProfileMetadata(
-        label=label,
-        re_theta=None,
-        turbulence_level=None,
-    )
-    return VelocityProfile(libm_column(math.exp, ln_eta), phi, metadata)
+    return VelocityProfile(libm_column(math.exp, ln_eta), phi,
+                           ProfileMetadata(label=label))
 
 
 def _exp(x: np.ndarray) -> np.ndarray:

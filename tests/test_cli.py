@@ -17,8 +17,8 @@ import wallscale
 from wallscale import (AnalyzeOptions, SynthSpec, generate, report,
                        save_profile, scaling)
 from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                           EXIT_PARTIAL, EXIT_VALIDATION, VERBS, build_parser,
-                           main)
+                           EXIT_PARTIAL, EXIT_VALIDATION, PARSER,
+                           build_parser, main)
 from wallscale.report import envelope_table
 
 
@@ -373,13 +373,34 @@ def valid_profile_bytes():
         return path.read_bytes()
 
 
+def _flag_words(flag, value):
+    # "-inf" alone reads as an option, so it is joined to its flag
+    return [flag + value] if value.startswith("=") else [flag, value]
+
+
+ANALYSIS_FLAGS = st.lists(st.one_of(
+    st.builds(_flag_words,
+              st.sampled_from(["--plateau-tol", "--min-seg",
+                               "--consistency-tol", "--shift-tol",
+                               "--lg-eta-min"]),
+              st.one_of(st.sampled_from(["nan", "inf", "=-inf", "-1", "0",
+                                         "1e308", str(10**22)]),
+                        st.text(max_size=6))),
+    st.just(["--alpha-source", "lnRe1"]),
+    st.just(["--format", "raw"])), max_size=4).map(
+        lambda groups: [word for group in groups for word in group])
+
+
 class TestOutDirFuzz:
-    """``analyze`` and ``batch`` with ``--out-dir``, on drawn inputs and
-    drawn output directories, exit with a documented code and never raise
-    or warn; where a profile was analyzed, ``envelope.dat`` is the
-    envelope table."""
+    """``analyze`` and ``batch`` with ``--out-dir`` and drawn analysis
+    flags, on drawn inputs and drawn output directories, exit with a
+    documented code (2 is argparse's usage error) and never raise or
+    warn; where a profile was analyzed, ``envelope.dat`` is the envelope
+    table."""
 
     @settings(max_examples=120, deadline=None)
+    @example(verb="analyze", contents=["valid"], out_dir="fresh",
+             flags=["--plateau-tol", "1e308"])
     @given(verb=st.sampled_from(["analyze", "batch"]),
            contents=st.lists(st.one_of(
                st.just("valid"),
@@ -389,8 +410,9 @@ class TestOutDirFuzz:
                st.just(b"label=x\n40 9.8\n80 10.9\xff\n")),
                min_size=1, max_size=3),
            out_dir=st.sampled_from(["fresh", "stale", "missing/nested",
-                                    "file", "envelope_is_dir"]))
-    def test_drawn_inputs_and_out_dirs(self, verb, contents, out_dir):
+                                    "file", "envelope_is_dir"]),
+           flags=ANALYSIS_FLAGS)
+    def test_drawn_inputs_and_out_dirs(self, verb, contents, out_dir, flags):
         with tempfile.TemporaryDirectory() as root:
             root = Path(root)
             in_dir, target = root / "in", root / out_dir
@@ -408,15 +430,18 @@ class TestOutDirFuzz:
                 (target / "envelope.dat").mkdir(parents=True)
             argv = [verb, str(in_dir / "p0.dat" if verb == "analyze"
                               else in_dir),
-                    "--lg-eta-min", "0.5", "--out-dir", str(target)]
+                    "--lg-eta-min", "0.5", "--out-dir", str(target), *flags]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err), \
                     warnings.catch_warnings():
                 warnings.simplefilter("error")    # a warning escapes
-                code = main(argv)
-            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_FIT,
-                            EXIT_PARTIAL, EXIT_IO)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (EXIT_OK, 2, EXIT_PARSE, EXIT_VALIDATION,
+                            EXIT_FIT, EXIT_PARTIAL, EXIT_IO)
             assert "Traceback" not in err.getvalue()
             # the table has a row for each analyzed profile
             analyzed = len(out.getvalue().splitlines()) > 1
@@ -772,41 +797,51 @@ def _parse(parser, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
-class TestParser:
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "f.dat"],
-        ["analyze", "f.dat", "--format", "raw", "--lg-eta-min", "2",
-         "--out-dir", "o", "--alpha-source", "lnRe1"],
-        ["analyze", "f.dat", "--form", "raw", "--min", "4"],
-        ["analyze"], ["analyze", "--help"], ["analyze", "f.dat", "-h"],
-        ["analyze", "f.dat", "--bogus"], ["analyze", "f.dat", "--min-seg", "x"],
-        ["analyze", "f.dat", "--alpha-source", "bad"],
-        ["analyze", "a.dat", "b.dat"], ["analyze", "--", "-f.dat"],
-        ["batch", "d"], ["batch", "d", "--shift-tol", "0.2"], ["batch", "-h"],
-        ["batch"], ["synth", "s.spec"], ["synth", "s.spec", "-o", "x.dat"],
-        ["synth", "s.spec", "--out", "x.dat"], ["synth", "--help"],
-        ["envelope"], ["envelope", "--n-points", "5", "--ln-eta-max", "9"],
-        ["envelope", "extra"], ["envelope", "-h"],
-        ["oracle"], ["oracle", "x"], ["oracle", "--help"],
-        ["batch", "d", "--bogus"], ["synth", "s", "-o", "x", "extra"],
-        ["envelope", "--bogus"], ["analyze", "f.dat", "--he"],
-    ], ids=" ".join)
-    def test_one_verb_parser_reads_argv_as_full_parser(self, argv):
-        assert argv[0] in VERBS
-        assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(),
-                                                             argv)
+PARSER_ARGVS = [
+    ["analyze", "f.dat"],
+    ["analyze", "f.dat", "--format", "raw", "--lg-eta-min", "2",
+     "--out-dir", "o", "--alpha-source", "lnRe1"],
+    ["analyze", "f.dat", "--form", "raw", "--min", "4"],
+    ["analyze"], ["analyze", "--help"], ["analyze", "f.dat", "-h"],
+    ["analyze", "f.dat", "--bogus"], ["analyze", "f.dat", "--min-seg", "x"],
+    ["analyze", "f.dat", "--alpha-source", "bad"],
+    ["analyze", "a.dat", "b.dat"], ["analyze", "--", "-f.dat"],
+    ["batch", "d"], ["batch", "d", "--shift-tol", "0.2"], ["batch", "-h"],
+    ["batch"], ["synth", "s.spec"], ["synth", "s.spec", "-o", "x.dat"],
+    ["synth", "s.spec", "--out", "x.dat"], ["synth", "--help"],
+    ["envelope"], ["envelope", "--n-points", "5", "--ln-eta-max", "9"],
+    ["envelope", "extra"], ["envelope", "-h"],
+    ["oracle"], ["oracle", "x"], ["oracle", "--help"],
+    ["batch", "d", "--bogus"], ["synth", "s", "-o", "x", "extra"],
+    ["envelope", "--bogus"], ["analyze", "f.dat", "--he"],
+]
 
-    @settings(max_examples=150, deadline=None)
-    @given(verb=st.sampled_from(list(VERBS)), words=st.lists(st.sampled_from([
+DRAWN_ARGV = st.builds(
+    lambda verb, words: [verb, *words],
+    st.sampled_from(["analyze", "batch", "synth", "envelope", "oracle"]),
+    st.lists(st.sampled_from([
         "f.dat", "x", "-", "--", "-h", "--help", "--he", "-o", "--out",
         "--output", "--format", "raw", "--min-seg", "4", "--n-points", "5",
         "--ln-eta", "--ln-eta-min", "-1e3", "--alpha-source", "lnRe1",
         "--out-dir", "analyze", "--bogus", "-x", "=", "--min-seg=x"]),
         max_size=6))
-    def test_one_verb_parser_on_drawn_argv(self, verb, words):
-        argv = [verb, *words]
-        assert _parse(build_parser(verb), argv) == _parse(build_parser(),
-                                                          argv)
+
+
+class TestParser:
+    """main reads every argv with one parser, built at import; what it
+    made of the argvs before must not show in any later result."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_shared_parser_reads_argv_as_a_fresh_one(self, argv):
+        assert _parse(PARSER, argv) == _parse(build_parser(), argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argvs=st.lists(st.one_of(
+        st.sampled_from([*PARSER_ARGVS, [], ["-h"], ["bogus"]]), DRAWN_ARGV),
+        min_size=1, max_size=8))
+    def test_shared_parser_reads_drawn_argv_sequences(self, argvs):
+        for argv in argvs:
+            assert _parse(PARSER, argv) == _parse(build_parser(), argv)
 
     def test_analysis_defaults_come_from_analyze_options(self, monkeypatch):
         @dataclasses.dataclass(frozen=True)
@@ -820,7 +855,7 @@ class TestParser:
 
         monkeypatch.setattr(report, "AnalyzeOptions", Other)
         for verb in ("analyze", "batch"):
-            args = build_parser(verb).parse_args([verb, "x"])
+            args = build_parser().parse_args([verb, "x"])
             assert (args.lg_eta_min, args.plateau_tol, args.min_seg,
                     args.consistency_tol, args.shift_tol,
                     args.alpha_source) == (2.5, 0.01, 4, 0.05, 0.2, "lnRe1")

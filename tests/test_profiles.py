@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,20 @@ class TestSelectIntermediate:
         loose = select_intermediate(profile, lg_eta_min=0.3)
         strict = select_intermediate(profile, lg_eta_min=2.0)
         assert len(loose) > len(strict)
+
+    def test_huge_tolerance_is_an_infinite_band(self):
+        eta = np.exp(np.linspace(4.0, 9.0, 20))
+        phi = 8.66 * eta ** 0.14
+        phi[-5:] = phi[-6] * np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+        profile = make_profile(eta, phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # tol * max(phi) overflows
+            huge = select_intermediate(profile, 1.5, 1e308)
+            infinite = select_intermediate(profile, 1.5, math.inf)
+        assert len(infinite) == 15            # the falling tail is cut
+        for column in ("eta", "phi", "ln_eta", "ln_phi"):
+            assert (getattr(huge, column).tolist()
+                    == getattr(infinite, column).tolist())
 
     def test_metadata_preserved(self):
         eta = [10 ** x for x in (2.0, 2.5, 3.0, 3.5, 4.0)]

@@ -5,7 +5,8 @@ Random bytes or lines fed to the two file loaders raise only ParseError or
 ValidationError; a random valid SynthSpec run through the generator and
 the pipeline gives a report or a PipelineError; and any report survives
 report_to_text followed by report_from_text unchanged.  Every count
-argument of the library takes a Python or numpy integer and nothing else.
+argument of the library takes a Python or numpy integer and nothing else,
+and every real-valued one a Python or numpy number that is not a bool.
 """
 
 import typing
@@ -176,4 +177,46 @@ ETA = np.exp(np.linspace(1.0, 3.0, 20))
 def test_counts_are_integers(call, valid, error, bad):
     call(np.int64(valid))
     with pytest.raises(error, match="must be an integer, got"):
+        call(bad)
+
+
+def _spec(**overrides):
+    return SynthSpec(**{**SPEC, **overrides})
+
+
+_REAL_ARGUMENTS = {
+    "SynthSpec.ln_re": (lambda r: _spec(ln_re=r), 10.0),
+    "SynthSpec.break_ln_eta": (lambda r: _spec(break_ln_eta=r), 6.0),
+    "SynthSpec.ln_eta_range[0]": (lambda r: _spec(ln_eta_range=(r, 9.0)), 2.0),
+    "SynthSpec.ln_eta_range[1]": (lambda r: _spec(ln_eta_range=(2.0, r)), 9.0),
+    "SynthSpec.beta": (lambda r: _spec(beta=r), 0.2),
+    "SynthSpec.noise_sigma": (lambda r: _spec(noise_sigma=r), 0.0),
+    "SynthSpec.shift": (lambda r: _spec(shift=r), 0.0),
+    "envelope_curve[0]": (lambda r: envelope_curve((r, 2.0), 10), 1.0),
+    "envelope_curve[1]": (lambda r: envelope_curve((1.0, r), 10), 2.0),
+    **{f"AnalyzeOptions.{name}":
+       (lambda r, name=name: AnalyzeOptions(**{name: r}), 0.5)
+       for name in ("lg_eta_min", "phi_plateau_tol", "consistency_tol",
+                    "shift_tol")},
+}
+_NOT_REAL = ("10", True, None, 1j)
+
+
+@pytest.mark.parametrize("call, valid, bad, message", [
+    *[(call, valid, bad, "must be a real number, got")
+      for call, valid in _REAL_ARGUMENTS.values()
+      for bad in _NOT_REAL],
+    (lambda r: _spec(ln_eta_range=r), (2, 9), (2, 9, 3), "must be a pair"),
+    (lambda r: _spec(ln_eta_range=r), (2, 9), 5, "must be a pair"),
+    (lambda r: envelope_curve(r, 10), (1, 2), (1, 2, 3), "must be a pair"),
+    (lambda r: envelope_curve(r, 10), (1, 2), 5, "must be a pair"),
+    (lambda r: envelope_curve(r, 10), (1, 2), ("a", 2), "a real number"),
+], ids=[*(f"{name}-{bad!r}" for name in _REAL_ARGUMENTS
+          for bad in _NOT_REAL),
+        "SynthSpec.triple", "SynthSpec.scalar", "envelope_curve.triple",
+        "envelope_curve.scalar", "envelope_curve.text"])
+def test_real_arguments_fail_typed(call, valid, bad, message):
+    call(valid)
+    call(np.float64(valid) if np.ndim(valid) == 0 else np.asarray(valid))
+    with pytest.raises(ValidationError, match=message):
         call(bad)
