@@ -18,22 +18,24 @@ on which the fit refits every split exactly.
 
 Each ``NAME=SRC`` tree gets one child interpreter, with ``PYTHONPATH=SRC``,
 for the whole run.  At start-up the child checks, at every n, that
-``fit_broken_line`` on the selected samples of ``nN/p0.dat`` and of
-``single-nN.dat`` equals ``exhaustive_broken_line`` of ``tests/oracle.py``
-in the checkout that holds this script, which calls only the measured
-tree's public ``fit_power_law`` and ``BrokenLineFit``; a difference stops
-the run and names the tree.  It prints one JSON line: the counts (kept
-samples of ``p0.dat``, ``fit_power_law`` calls of both fits, and
-``scaling.solve_envelope`` calls of ``cli.main(ENVELOPE_ARGV)``, the
+``fitting.fit_log_broken_line`` on the selected samples of ``nN/p0.dat``
+and of ``single-nN.dat`` equals ``exhaustive_broken_line`` of
+``tests/oracle.py`` in the checkout that holds this script, which calls
+only the measured tree's public ``fit_power_law`` and ``BrokenLineFit``; a
+difference stops the run and names the tree.  It prints one JSON line: the
+counts (kept samples of ``p0.dat``, ``fit_power_law`` calls of both fits,
+and ``scaling.solve_envelope`` calls of ``cli.main(ENVELOPE_ARGV)``, the
 2000-point envelope of the benchmark's ``envelope_grid`` workload) and the
-names of its stages.  Then it reads stage names from stdin, one a line,
-and answers each with the best of ``--repeats`` ``time.perf_counter``
-timings of one call.  The stages, at every n: ``load_profile``,
-``select_intermediate``, both fits (given the selected ``ln_eta`` and
-``ln_phi`` columns, as ``analyze_profile`` gives them),
-``build_universal_series`` (on the region-I samples, at the alpha
-``analyze_profile`` uses), ``analyze_profile``, ``emit_plotdata``, and
-``cli.main`` of ``analyze FILE`` and ``batch DIR --out-dir OUT``; then
+names of its stages.  Then it reads stage names from stdin, one a line, and
+answers each with the best of ``--repeats`` ``time.perf_counter`` timings
+of one call.  The stages, at every n: ``load_profile``,
+``select_intermediate``, both fits (``fitting.fit_log_broken_line`` of the
+selected ``ln_eta`` and ``ln_phi`` columns, as ``analyze_profile`` calls
+it; the stage keeps its name ``fit_broken_line_s``), the universal series
+(``diagnostics.universal_series`` of the region-I samples at the alpha
+``analyze_profile`` uses, as ``build_universal_series_s``),
+``analyze_profile``, ``emit_plotdata``, and ``cli.main`` of
+``analyze FILE`` and ``batch DIR --out-dir OUT``; then
 ``scaling.envelope_at`` per call (a sweep over ln eta = 5..10 in 50 steps,
 divided by 50), ``report.envelope_table((5, 10), 50)``,
 ``scaling.envelope_curve((2, 30), 2000)`` and ``cli.main(ENVELOPE_ARGV)``.
@@ -143,14 +145,13 @@ def child(corpus: Path, repeats: int) -> None:
         inter = select_intermediate(load_profile(path))
 
         def fit():
-            return fitting.fit_broken_line(inter.eta, inter.phi,
-                                           ln_eta=inter.ln_eta,
-                                           ln_phi=inter.ln_phi)
+            return fitting.fit_log_broken_line(inter.ln_eta, inter.ln_phi)
 
         result, calls = counting_calls(fitting, "fit_power_law", fit)
         if result != exhaustive_broken_line(inter.eta, inter.phi):
-            raise SystemExit(f"{path.relative_to(corpus)}: fit_broken_line "
-                             "differs from the exhaustive search")
+            raise SystemExit(f"{path.relative_to(corpus)}: "
+                             "fit_log_broken_line differs from the "
+                             "exhaustive search")
         return inter, fit, calls
 
     counts, stages = {}, {}
@@ -179,9 +180,8 @@ def child(corpus: Path, repeats: int) -> None:
             "fit_broken_line_s": fit,
             "single_law.fit_broken_line_s": single_fit,
             "build_universal_series_s":
-                lambda: diagnostics.build_universal_series(
-                    inter.eta[:k], inter.phi[:k], alpha,
-                    ln_eta=inter.ln_eta[:k]),
+                lambda: diagnostics.universal_series(
+                    inter.ln_eta[:k], inter.phi[:k], alpha),
             "analyze_profile_s": lambda: analyze_profile(profile),
             "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
                                                      stem=f"n{n}"),

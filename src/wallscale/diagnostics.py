@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .profiles import freeze_columns, libm_column
+from .profiles import check_positive, freeze_columns, libm_column
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -125,35 +125,25 @@ def psi_transform(phi: float, alpha: float) -> float:
     return math.log(argument) / alpha
 
 
-def build_universal_series(eta, phi, alpha: float, *,
-                           ln_eta=None) -> UniversalSeries:
-    """Map region-(I) samples, given as eta and phi columns, to
-    (ln eta, psi) and measure the bisectrix shift.
+def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
+                     alpha: float) -> UniversalSeries:
+    """Map region-(I) samples, given as ln eta and phi columns (float64
+    arrays of one nonzero length), to (ln eta, psi) and measure the
+    bisectrix shift.
 
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point.  One columnar pass
-    (libm ``math.log``, Python sums in row order; ln eta is taken only if
-    not given) gives the per-point values bit for bit; the first sample
-    ``psi_transform`` rejects raises its error.  A tiny alpha for which psi
-    or the rms scatter overflows is a DomainError too."""
-    if len(eta) == 0:
-        raise DomainError("cannot build a universal series from no samples")
-    eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
-    if len(eta) != len(phi):
-        raise DomainError(
-            f"eta and phi differ in length: {len(eta)} and {len(phi)}")
-    if not (eta > 0).all():
-        raise DomainError(
-            f"eta must be positive, got {eta[~(eta > 0)][0].item()!r}")
+    (libm ``math.log``, Python sums in row order) gives the per-point
+    values bit for bit; the first sample ``psi_transform`` rejects raises
+    its error.  A tiny alpha for which psi or the rms scatter overflows
+    is a DomainError too."""
     with np.errstate(all="ignore"):
         argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
     valid = (argument > 0) & (argument < math.inf)
     if not (alpha > 0 and valid.all()):
         # the scalar reference raises the error of the first bad sample
         psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(), alpha)
-    if ln_eta is None:
-        ln_eta = libm_column(math.log, eta)
     try:
         with np.errstate(over="raise"):
             psi = libm_column(math.log, argument) / alpha
@@ -166,6 +156,20 @@ def build_universal_series(eta, phi, alpha: float, *,
                           "ln eta - psi overflows") from None
     return UniversalSeries(ln_eta=ln_eta, psi=psi, mean_shift=mean_shift,
                            rms_scatter=rms)
+
+
+def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
+    """``universal_series`` of the libm ``math.log`` of eta; no samples,
+    columns of two lengths or an eta that is not positive is a
+    DomainError."""
+    if len(eta) == 0:
+        raise DomainError("cannot build a universal series from no samples")
+    eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
+    if len(eta) != len(phi):
+        raise DomainError(
+            f"eta and phi differ in length: {len(eta)} and {len(phi)}")
+    check_positive("eta", eta, DomainError)
+    return universal_series(libm_column(math.log, eta), phi, alpha)
 
 
 def classify_shift(series: UniversalSeries,

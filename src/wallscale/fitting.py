@@ -8,6 +8,10 @@ of squares.  Every split is scored in O(n) from cumulative sums of the
 centred coordinates; only the splits within a rounding margin of the best
 score are refitted exactly, so the result equals that of an exhaustive
 search that refits both segments at every split.
+
+The fits read log columns: ``fit_log_broken_line`` takes ln eta and
+ln phi as ``select_intermediate`` hands them on, and ``fit_broken_line``
+takes the libm logarithms of eta and phi and calls it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
-from .profiles import check_count, libm_column
+from .errors import DomainError, FitError
+from .profiles import check_count, check_positive, libm_column
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -114,10 +118,10 @@ def _flat_runs(x: np.ndarray) -> np.ndarray:
 DEFAULT_MIN_SEG = 3
 
 
-def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
-                    min_seg: int = DEFAULT_MIN_SEG, *,
-                    ln_eta=None, ln_phi=None) -> BrokenLineFit:
-    """Two-segment broken-line fit by least total residual sum of squares.
+def fit_log_broken_line(ln_eta: np.ndarray, ln_phi: np.ndarray,
+                        min_seg: int = DEFAULT_MIN_SEG) -> BrokenLineFit:
+    """Two-segment broken-line fit of a ln phi against a ln eta column, by
+    least total residual sum of squares.
 
     Every split index k in [min_seg, n - min_seg] is admissible; both parts
     are fitted independently (no continuity constraint) and the split with
@@ -142,24 +146,18 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
 
     ``break_ln_eta`` is the intersection of the two fitted lines when it
     falls inside the data span, else the midpoint of ln eta between the
-    two boundary samples.  The fit reads eta and phi only as ``ln_eta``
-    and ``ln_phi``, float64 arrays taken here unless given (a selected
-    profile has them).
+    two boundary samples.  Both columns are float64 arrays, as
+    ``select_intermediate`` hands them on.
     """
-    n = len(eta)
-    for name, column in dict(phi=phi, ln_eta=ln_eta, ln_phi=ln_phi).items():
-        if column is not None and len(column) != n:
-            raise FitError(f"eta and {name} differ in length: {n} and "
-                           f"{len(column)}")
+    n = len(ln_eta)
+    if len(ln_phi) != n:
+        raise FitError(f"ln_eta and ln_phi differ in length: {n} and "
+                       f"{len(ln_phi)}")
     check_count("min_seg", min_seg, 3, FitError)
     if n < 2 * min_seg:
         raise FitError(
             f"broken-line fit needs at least {2 * min_seg} points, got {n}")
 
-    if ln_eta is None:
-        ln_eta = libm_column(math.log, eta)
-    if ln_phi is None:
-        ln_phi = libm_column(math.log, phi)
     mid = 0.5 * (ln_eta[0] + ln_eta[-1])
 
     x = ln_eta - ln_eta.mean()
@@ -211,6 +209,20 @@ def fit_broken_line(eta: np.ndarray, phi: np.ndarray,
         total_rss=seg1.rss + seg2.rss,
         split_index=k,
     )
+
+
+def fit_broken_line(eta, phi, min_seg: int = DEFAULT_MIN_SEG) -> BrokenLineFit:
+    """``fit_log_broken_line`` of the libm ``math.log`` of two positive
+    columns of one length.  Columns of two lengths are a FitError, and a
+    value that is not positive (nan included) a DomainError."""
+    eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
+    if len(eta) != len(phi):
+        raise FitError(
+            f"eta and phi differ in length: {len(eta)} and {len(phi)}")
+    check_positive("eta", eta, DomainError)
+    check_positive("phi", phi, DomainError)
+    return fit_log_broken_line(libm_column(math.log, eta),
+                               libm_column(math.log, phi), min_seg)
 
 
 def significant_break(fit: BrokenLineFit, z: float = 2.0) -> bool:

@@ -62,7 +62,10 @@ class ProfileMetadata:
             if f.name == "label":
                 continue
             value = getattr(self, f.name)
-            if value is not None and not 0 < value < math.inf:
+            if value is None:
+                continue
+            check_real(f"metadata field {f.name}", value)
+            if not 0 < value < math.inf:
                 raise ValidationError(f"metadata field {f.name} must be "
                                       f"positive and finite, got {value!r}")
 
@@ -137,9 +140,15 @@ def check_count(name: str, value, minimum: int, error=ValidationError) -> None:
 
 def check_real(name: str, value, error=ValidationError) -> None:
     """Raise ``error`` unless ``value`` is a real number (a Python or numpy
-    int or float, not a bool); every real argument is checked so."""
+    int or float, not a bool) that a float can hold; every real argument
+    is checked so."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        # no repr: that of an int over 4300 digits raises ValueError
+        raise error(f"{name} is outside the float range") from None
 
 
 def check_pair(name: str, value, error=ValidationError) -> tuple:
@@ -152,6 +161,15 @@ def check_pair(name: str, value, error=ValidationError) -> tuple:
     check_real(f"{name}[0]", first, error)
     check_real(f"{name}[1]", second, error)
     return float(first), float(second)
+
+
+def check_positive(name: str, column: np.ndarray,
+                   error=ValidationError) -> None:
+    """Raise ``error`` naming the first value of a float64 array, in row
+    order, that is not positive (nan is not)."""
+    bad = ~(column > 0)
+    if bad.any():
+        raise error(f"{name} must be positive, got {column[bad][0].item()!r}")
 
 
 def libm_column(fn, column) -> np.ndarray:

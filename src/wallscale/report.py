@@ -106,9 +106,8 @@ def analyze_profile(profile: profiles.VelocityProfile,
     """Run the pipeline on an already-loaded profile."""
     inter = _stage("select_intermediate", profiles.select_intermediate,
                    profile, options.lg_eta_min, options.phi_plateau_tol)
-    fit = _stage("fit_broken_line", fitting.fit_broken_line,
-                 inter.eta, inter.phi, options.min_seg,
-                 ln_eta=inter.ln_eta, ln_phi=inter.ln_phi)
+    fit = _stage("fit_broken_line", fitting.fit_log_broken_line,
+                 inter.ln_eta, inter.ln_phi, options.min_seg)
     a = fit.region1.prefactor
     alpha = fit.region1.exponent
     ln_re1 = _stage("reynolds_extraction",
@@ -128,9 +127,8 @@ def analyze_profile(profile: profiles.VelocityProfile,
     else:
         alpha_u = scaling.alpha_of_ln_re(ln_re1)
     k = fit.split_index
-    series = _stage("universal_series", diagnostics.build_universal_series,
-                    inter.eta[:k], inter.phi[:k], alpha_u,
-                    ln_eta=inter.ln_eta[:k])
+    series = _stage("universal_series", diagnostics.universal_series,
+                    inter.ln_eta[:k], inter.phi[:k], alpha_u)
     shift_class = diagnostics.classify_shift(series, options.shift_tol)
 
     report = AnalysisReport(
@@ -321,10 +319,9 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str) -> list[Path]:
 
     ln_eta = profile.ln_eta
     # x = ln eta - psi at the report's ln Re, over the whole selected range.
-    shift = _stage("shift_series", diagnostics.build_universal_series,
-                   profile.eta, profile.phi,
-                   scaling.alpha_of_ln_re(bundle.report.ln_re),
-                   ln_eta=ln_eta)
+    shift = _stage("shift_series", diagnostics.universal_series,
+                   ln_eta, profile.phi,
+                   scaling.alpha_of_ln_re(bundle.report.ln_re))
     texts = {
         f"{stem}_loglog.dat": profiles.format_columns(
             "ln_eta ln_phi fit_region1 fit_region2", ln_eta, profile.ln_phi,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .fitting import _ols
-from .profiles import check_count, check_pair, freeze_columns, libm_column
+from .profiles import (check_count, check_pair, check_real, freeze_columns,
+                       libm_column)
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -43,6 +44,8 @@ class LogLawParams:
     c_offset: float
 
     def __post_init__(self):
+        check_real("kappa", self.kappa, DomainError)
+        check_real("c_offset", self.c_offset, DomainError)
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
 

@@ -112,10 +112,11 @@ class TestAnalyze:
                          ("log", k), ("log", n), ("exp", 50)]
         calls.clear()
         selected = bundle.profile
-        wallscale.fitting.fit_broken_line(selected.eta, selected.phi,
-                                          ln_eta=selected.ln_eta,
-                                          ln_phi=selected.ln_phi)
+        wallscale.fitting.fit_log_broken_line(selected.ln_eta, selected.ln_phi)
         assert calls == []
+        wallscale.diagnostics.universal_series(selected.ln_eta, selected.phi,
+                                               bundle.report.alpha)
+        assert calls == [("log", n)]    # the psi argument only
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.dat"

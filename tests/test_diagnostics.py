@@ -12,7 +12,7 @@ from wallscale import (COLLAPSED, DomainError, SHIFTED_ABOVE, SHIFTED_BELOW,
                        ln_re1_from_prefactor, ln_re2_from_exponent,
                        psi_transform, scaling_law_phi)
 
-from oracle import per_point_series
+from oracle import log_columns, per_point_series
 
 
 class TestReynoldsEstimates:
@@ -234,14 +234,17 @@ class TestUniversalSeries:
                                    "alpha=1.0: its log argument is inf")
 
     def test_handed_ln_eta_is_used_as_given(self):
-        eta, phi = [10.0, 20.0, 30.0], [5.0, 6.0, 7.0]
-        ln_eta = np.array([math.log(e) for e in eta])
+        eta, phi = [10.0, 20.0, 30.0], np.array([5.0, 6.0, 7.0])
+        ln_eta, = log_columns(eta)
         own = build_universal_series(eta, phi, 0.14)
-        handed = build_universal_series(eta, phi, 0.14, ln_eta=ln_eta)
+        handed = diagnostics.universal_series(ln_eta, phi, 0.14)
         assert_bit_equal(handed, (own.ln_eta.tolist(), own.psi.tolist(),
                                   own.mean_shift, own.rms_scatter))
-        shifted = build_universal_series(eta, phi, 0.14, ln_eta=ln_eta + 1.0)
+        shifted = diagnostics.universal_series(ln_eta + 1.0, phi, 0.14)
+        assert bits(shifted.ln_eta.tolist()) == bits((ln_eta + 1.0).tolist())
+        assert bits(shifted.psi.tolist()) == bits(own.psi.tolist())
         assert shifted.mean_shift == pytest.approx(own.mean_shift + 1.0)
+        assert shifted.rms_scatter == pytest.approx(own.rms_scatter)
 
     @pytest.mark.parametrize("phi, alpha", [
         ([1e-10, 1e10], 1e-300),    # the rms sum overflows

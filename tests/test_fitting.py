@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wallscale import (FitError, fit_broken_line, fit_power_law, fitting,
-                       significant_break)
+from wallscale import (DomainError, FitError, fit_broken_line, fit_power_law,
+                       fitting, significant_break)
+from wallscale.fitting import fit_log_broken_line
 from wallscale.synthetic import SynthSpec, generate
 
 from oracle import exhaustive_broken_line, log_columns
@@ -197,9 +198,7 @@ class TestFitBrokenLine:
             assume(False)
         assert (dataclasses.asdict(fit_broken_line(eta, phi, min_seg))
                 == dataclasses.asdict(reference))
-        ln_eta, ln_phi = log_columns(eta, phi)
-        handed = fit_broken_line(eta, phi, min_seg, ln_eta=ln_eta,
-                                 ln_phi=ln_phi)
+        handed = fit_log_broken_line(*log_columns(eta, phi), min_seg)
         assert dataclasses.asdict(handed) == dataclasses.asdict(reference)
 
     def test_break_is_line_intersection(self):
@@ -252,15 +251,34 @@ class TestFitBrokenLine:
 TEN, NINE = np.arange(1, 11.), np.arange(1, 10.)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: fit_power_law(TEN, NINE),
-    lambda: fit_broken_line(TEN, NINE),
-    lambda: fit_broken_line(TEN, TEN, ln_eta=NINE),
-    lambda: fit_broken_line(TEN, TEN, ln_phi=NINE),
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_power_law(TEN, NINE),
+     "ln_eta and ln_phi differ in length: 10 and 9"),
+    (lambda: fit_broken_line(TEN, NINE),
+     "eta and phi differ in length: 10 and 9"),
+    (lambda: fit_log_broken_line(NINE, TEN),
+     "ln_eta and ln_phi differ in length: 9 and 10"),
+    (lambda: fit_log_broken_line(TEN, NINE),
+     "ln_eta and ln_phi differ in length: 10 and 9"),
 ], ids=["power_law", "broken_line", "ln_eta", "ln_phi"])
-def test_length_mismatch_is_fit_error(call):
-    with pytest.raises(FitError, match="differ in length: 10 and 9"):
+def test_length_mismatch_is_fit_error(call, message):
+    with pytest.raises(FitError) as info:
         call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("eta, phi, message", [
+    (TEN - 1, TEN, "eta must be positive, got 0.0"),
+    (TEN, TEN - 2, "phi must be positive, got -1.0"),
+    (TEN, TEN - 1, "phi must be positive, got 0.0"),
+    (np.where(TEN == 4, np.nan, TEN), TEN, "eta must be positive, got nan"),
+    # eta is checked before phi
+    (TEN - 1, TEN - 2, "eta must be positive, got 0.0"),
+], ids=["eta_zero", "phi_negative", "phi_zero", "eta_nan", "eta_first"])
+def test_nonpositive_column_is_domain_error(eta, phi, message):
+    with pytest.raises(DomainError) as info:
+        fit_broken_line(eta, phi)
+    assert str(info.value) == message
 
 
 class TestSignificantBreak:

@@ -134,6 +134,21 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="positive and finite"):
             ProfileMetadata(**{field: value})
 
+    @pytest.mark.parametrize("field", ["re_theta", "turbulence_level",
+                                       "free_stream_velocity", "nu",
+                                       "u_star"])
+    @pytest.mark.parametrize("value, message", [
+        ("5", "must be a real number, got '5'"),
+        (True, "must be a real number, got True"),
+        (10**400, "is outside the float range"),
+    ], ids=["text", "bool", "10**400"])
+    def test_metadata_numbers_are_real(self, field, value, message):
+        for good in (5, 5.0, np.float64(5.0)):
+            assert getattr(ProfileMetadata(**{field: good}), field) == 5
+        with pytest.raises(ValidationError) as info:
+            ProfileMetadata(**{field: value})
+        assert str(info.value) == f"metadata field {field} {message}"
+
     @pytest.mark.parametrize("label", ["a\nb", "a\r", "\n", "a\x0bb",
                                        "a\u2028b", None])
     def test_label_is_one_line_of_text(self, label):

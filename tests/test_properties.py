@@ -6,9 +6,12 @@ ValidationError; a random valid SynthSpec run through the generator and
 the pipeline gives a report or a PipelineError; and any report survives
 report_to_text followed by report_from_text unchanged.  Every count
 argument of the library takes a Python or numpy integer and nothing else,
-and every real-valued one a Python or numpy number that is not a bool.
+and every real-valued one a Python or numpy number that is not a bool and
+that a float can hold.  ``fit_broken_line`` and ``build_universal_series``
+equal the log-column functions they wrap, given the same logarithms.
 """
 
+import dataclasses
 import typing
 
 import numpy as np
@@ -17,12 +20,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallscale import (AnalysisReport, AnalyzeOptions, FitError, ParseError,
-                       PipelineError, SynthSpec, ValidationError,
-                       analyze_profile, envelope_curve, envelope_line_fit,
-                       fit_broken_line, generate, generate_ensemble,
-                       load_profile, load_synth_spec)
+                       PipelineError, SynthSpec, UniversalSeries,
+                       ValidationError, WallscaleError, analyze_profile,
+                       build_universal_series, envelope_curve,
+                       envelope_line_fit, fit_broken_line, generate,
+                       generate_ensemble, load_profile, load_synth_spec)
+from wallscale.diagnostics import universal_series
+from wallscale.fitting import fit_log_broken_line
 from wallscale.report import envelope_table, report_from_text, report_to_text
 from wallscale.scaling import grid
+
+from oracle import log_columns
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -200,6 +208,8 @@ _REAL_ARGUMENTS = {
                     "shift_tol")},
 }
 _NOT_REAL = ("10", True, None, 1j)
+# ints a float cannot hold; the repr of the second raises ValueError
+_HUGE = {"10**400": 10**400, "10**5000": 10**5000}
 
 
 @pytest.mark.parametrize("call, valid, bad, message", [
@@ -211,12 +221,48 @@ _NOT_REAL = ("10", True, None, 1j)
     (lambda r: envelope_curve(r, 10), (1, 2), (1, 2, 3), "must be a pair"),
     (lambda r: envelope_curve(r, 10), (1, 2), 5, "must be a pair"),
     (lambda r: envelope_curve(r, 10), (1, 2), ("a", 2), "a real number"),
+    *[(call, valid, bad, "is outside the float range")
+      for call, valid in _REAL_ARGUMENTS.values()
+      for bad in _HUGE.values()],
 ], ids=[*(f"{name}-{bad!r}" for name in _REAL_ARGUMENTS
           for bad in _NOT_REAL),
         "SynthSpec.triple", "SynthSpec.scalar", "envelope_curve.triple",
-        "envelope_curve.scalar", "envelope_curve.text"])
+        "envelope_curve.scalar", "envelope_curve.text",
+        *(f"{name}-{huge}" for name in _REAL_ARGUMENTS for huge in _HUGE)])
 def test_real_arguments_fail_typed(call, valid, bad, message):
     call(valid)
     call(np.float64(valid) if np.ndim(valid) == 0 else np.asarray(valid))
     with pytest.raises(ValidationError, match=message):
         call(bad)
+
+
+def _outcome(fn, *args):
+    """A fit as its fields, a universal series as the bits of its columns
+    and statistics, an error as its type and message."""
+    try:
+        result = fn(*args)
+    except WallscaleError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, UniversalSeries):
+        return [float.hex(v) for v in (*result.ln_eta.tolist(),
+                                       *result.psi.tolist(),
+                                       result.mean_shift, result.rms_scatter)]
+    return dataclasses.asdict(result)
+
+
+_POSITIVE = st.floats(1e-3, 1e6)
+
+
+@SETTINGS
+@given(columns=st.integers(6, 40).flatmap(lambda n: st.tuples(
+           st.lists(_POSITIVE, min_size=n, max_size=n),
+           st.lists(_POSITIVE, min_size=n, max_size=n),
+           st.integers(3, n // 2))),
+       alpha=st.floats(1e-3, 10.0))
+def test_wrappers_equal_their_log_column_functions(columns, alpha):
+    eta, phi, min_seg = columns
+    ln_eta, ln_phi = log_columns(eta, phi)
+    assert (_outcome(fit_broken_line, eta, phi, min_seg)
+            == _outcome(fit_log_broken_line, ln_eta, ln_phi, min_seg))
+    assert (_outcome(build_universal_series, eta, phi, alpha)
+            == _outcome(universal_series, ln_eta, np.array(phi), alpha))

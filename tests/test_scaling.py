@@ -103,6 +103,18 @@ class TestParams:
         with pytest.raises(DomainError):
             LogLawParams(kappa=0.0, c_offset=5.1)
 
+    @pytest.mark.parametrize("field", ["kappa", "c_offset"])
+    @pytest.mark.parametrize("bad, message", [
+        ("a", "must be a real number, got 'a'"),
+        (True, "must be a real number, got True"),
+        (None, "must be a real number, got None"),
+        (10**400, "is outside the float range"),
+    ], ids=["text", "bool", "none", "10**400"])
+    def test_log_law_numbers_are_real(self, field, bad, message):
+        with pytest.raises(DomainError) as info:
+            LogLawParams(**{"kappa": 0.4, "c_offset": 5.1, field: bad})
+        assert str(info.value) == f"{field} {message}"
+
 
 class TestLogLawPhi:
     def test_values(self):
