@@ -4,8 +4,8 @@
         --tree parent=/path/to/parent/src --tree change=src [--repeats 10]
 
 Needs only numpy and the standard library.  At defaults two trees take
-about 3 minutes on 2 vCPUs, most of it in the single-law fit at n = 4000
-(about 0.3 s a call).
+a few minutes on 2 vCPUs; a tree whose fit refits every split of a
+noiseless single law (about 0.3 s a call at n = 4000) takes most of it.
 
 The corpus is written once, with numpy and ``repr`` only, so every tree
 reads the same bytes.  For each n = 40, 200, 1000 and 4000 it holds a
@@ -14,14 +14,14 @@ each a noisy (sigma = 0.01) power law phi = 8.67 eta**0.14 breaking to
 eta**0.2 at ln eta = 6.5, whose last 5 samples are set to its maximum, so
 the sublayer cut, the plateau cut and the break are all exercised; and
 ``single-nN.dat``, the noiseless phi = 8.67 eta**0.14 over the same ln eta,
-on which the fit refits every split exactly.
+on which every split's total RSS is rounding noise.
 
 Each ``NAME=SRC`` tree gets one child interpreter, with ``PYTHONPATH=SRC``,
 for the whole run.  At start-up the child checks, at every n, that
 ``fitting.fit_log_broken_line`` on the selected samples of ``nN/p0.dat``
 and of ``single-nN.dat`` equals ``exhaustive_broken_line`` of
-``tests/oracle.py`` in the checkout that holds this script, which calls
-only the measured tree's public ``fit_power_law`` and ``BrokenLineFit``; a
+``tests/oracle.py`` in the measured tree's own checkout (the directory
+above ``SRC``), so each tree is checked against the rule it states; a
 difference stops the run and names the tree.  It prints one JSON line: the
 counts (kept samples of ``p0.dat``, ``fit_power_law`` calls of both fits,
 and ``scaling.solve_envelope`` calls of ``cli.main(ENVELOPE_ARGV)``, the
@@ -118,7 +118,7 @@ def child(corpus: Path, repeats: int) -> None:
     from wallscale import (analyze_profile, cli, diagnostics, emit_plotdata,
                            fitting, load_profile, report, scaling,
                            select_intermediate)
-    sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+    sys.path.append(str(Path(fitting.__file__).parents[2] / "tests"))
     from oracle import exhaustive_broken_line
 
     def run_cli(*argv):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .profiles import check_positive, freeze_columns, libm_column
+from .profiles import (check_option, check_positive, freeze_columns,
+                       libm_column)
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -85,7 +86,9 @@ def combine_reynolds(ln_re1: float, ln_re2: float,
     consistency verdict on the relative discrepancy |ln Re_1 - ln Re_2| / ln Re.
 
     Raises DomainError when Re = exp(ln Re) overflows and so Re_theta/Re
-    has no value."""
+    has no value, and ValidationError when ``tol`` is not >= 0 (see
+    ``check_option``)."""
+    check_option("tol", tol, nonnegative=True, finite=False)
     if not (ln_re1 > 0 and ln_re2 > 0):
         raise DomainError("ln_re1 and ln_re2 must be positive")
     mean = 0.5 * (ln_re1 + ln_re2)
@@ -175,7 +178,10 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
 def classify_shift(series: UniversalSeries,
                    shift_tol: float = DEFAULT_SHIFT_TOL) -> str:
     """Classify a universal series as collapsed onto the bisectrix, shifted
-    below it (the roughness/turbulence signature), or shifted above."""
+    below it (the roughness/turbulence signature), or shifted above.
+    A ``shift_tol`` that is not >= 0 is a ValidationError (see
+    ``check_option``)."""
+    check_option("shift_tol", shift_tol, nonnegative=True, finite=False)
     if abs(series.mean_shift) <= shift_tol:
         return COLLAPSED
     if series.mean_shift > shift_tol:

@@ -151,6 +151,23 @@ def check_real(name: str, value, error=ValidationError) -> None:
         raise error(f"{name} is outside the float range") from None
 
 
+def check_option(name: str, value, nonnegative: bool = False,
+                 finite: bool = True) -> None:
+    """``check_real``, then a ValidationError unless ``value`` is finite
+    (with ``finite``) and at least 0 (with ``nonnegative``): the rule for
+    the analysis options.  ``AnalyzeOptions`` holds its cutoff finite and
+    its tolerances finite and >= 0; a library call that takes one holds a
+    cutoff finite and a tolerance >= 0, so an infinite tolerance is an
+    infinite band there."""
+    check_real(name, value)
+    rules = [rule for rule, on in (("finite", finite), (">= 0", nonnegative))
+             if on]
+    if ((finite and not math.isfinite(value))
+            or (nonnegative and not value >= 0)):
+        raise ValidationError(
+            f"{name} must be {' and '.join(rules)}, got {value!r}")
+
+
 def check_pair(name: str, value, error=ValidationError) -> tuple:
     """``value``'s two items as floats; a value that is not a pair of real
     numbers (see ``check_real``) is ``error``."""
@@ -170,6 +187,16 @@ def check_positive(name: str, column: np.ndarray,
     bad = ~(column > 0)
     if bad.any():
         raise error(f"{name} must be positive, got {column[bad][0].item()!r}")
+
+
+def check_finite(name: str, column: np.ndarray,
+                 error=ValidationError) -> None:
+    """Raise ``error`` naming the first value of a float64 array, in row
+    order, that is not finite."""
+    finite = np.isfinite(column)
+    if not finite.all():
+        raise error(
+            f"{name} must be finite, got {column[~finite][0].item()!r}")
 
 
 def libm_column(fn, column) -> np.ndarray:
@@ -402,8 +429,13 @@ def select_intermediate(profile: VelocityProfile,
     ``math.log10``: ln eta / ln 10 can move a boundary sample), and handed
     on as the result's ``ln_eta`` and ``ln_phi`` columns.
 
-    Raises ValidationError if fewer than 4 samples survive.
+    Raises ValidationError if fewer than 4 samples survive, or if
+    ``lg_eta_min`` is not finite or ``phi_plateau_tol`` is not >= 0 (see
+    ``check_option``).
     """
+    check_option("lg_eta_min", lg_eta_min)
+    check_option("phi_plateau_tol", phi_plateau_tol, nonnegative=True,
+                 finite=False)
     eta, phi = profile.eta, profile.phi
     above = libm_column(math.log10, eta) > lg_eta_min
     eta, phi = eta[above], phi[above]

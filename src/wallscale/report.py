@@ -13,7 +13,6 @@ key=value text that round-trips exactly.
 
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -37,16 +36,9 @@ class AnalyzeOptions:
 
     def __post_init__(self):
         profiles.check_count("min_seg", self.min_seg, 3)
-        profiles.check_real("lg_eta_min", self.lg_eta_min)
-        if not math.isfinite(self.lg_eta_min):
-            raise ValidationError(
-                f"lg_eta_min must be finite, got {self.lg_eta_min!r}")
+        profiles.check_option("lg_eta_min", self.lg_eta_min)
         for name in ("phi_plateau_tol", "consistency_tol", "shift_tol"):
-            value = getattr(self, name)
-            profiles.check_real(name, value)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(
-                    f"{name} must be finite and >= 0, got {value!r}")
+            profiles.check_option(name, getattr(self, name), nonnegative=True)
         if self.alpha_source not in (ALPHA_SOURCE_MEAN, ALPHA_SOURCE_LNRE1):
             raise ValidationError(
                 f"alpha_source must be '{ALPHA_SOURCE_MEAN}' or "

@@ -6,16 +6,19 @@ calls, the package's scalar formulas and Python loops, or by brute force
 (``exhaustive_broken_line``, ``grid_envelope``), never with the columnar
 code it checks.  The tests compare the package with them, bit for bit
 where the arithmetic is the same, and ``benchmarks/run.py`` checks every
-measured tree's fit against ``exhaustive_broken_line``.
+measured tree's fit against the ``exhaustive_broken_line`` of its own
+checkout.
 
-This module imports only ``math``, ``numpy`` and ``wallscale``, never
-``pytest`` or ``hypothesis``, so that a bare interpreter can import it;
-``exhaustive_broken_line`` uses only the public ``fit_power_law`` and
-``BrokenLineFit``.  Not to be confused with the ``wallscale oracle``
-command, which recomputes the published tables.
+This module imports only the standard library, ``numpy`` and
+``wallscale``, never ``pytest`` or ``hypothesis``, so that a bare
+interpreter can import it; ``exhaustive_broken_line`` uses only the public
+``fit_power_law`` and ``BrokenLineFit``.  Not to be confused with the
+``wallscale oracle`` command, which recomputes the published tables.
 """
 
+import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -42,22 +45,51 @@ def log_columns(*columns):
 
 # --- fitting ---------------------------------------------------------------
 
+def tie_band(ln_eta, ln_phi, fits):
+    """``fit_log_broken_line``'s tie band delta, from Python sums over the
+    log columns and the exact segment pair ``fits[k]`` of every split k
+    in place of the fit's running sums."""
+    n = len(ln_eta)
+    eta_mean, phi_mean = sum(ln_eta) / n, sum(ln_phi) / n
+    xx = [0.0, *itertools.accumulate((v - eta_mean) ** 2 for v in ln_eta)]
+    yy = [0.0, *itertools.accumulate((v - phi_mean) ** 2 for v in ln_phi)]
+
+    def size(seg, lo, hi):
+        """sum(y**2) + m a**2 + b**2 sum(x**2) over samples lo..hi-1."""
+        at = math.log(seg.prefactor) + seg.exponent * eta_mean - phi_mean
+        return (yy[hi] - yy[lo] + (hi - lo) * at ** 2
+                + seg.exponent ** 2 * (xx[hi] - xx[lo]))
+
+    largest = max(size(seg1, 0, k) + size(seg2, k, n)
+                  for k, (seg1, seg2) in fits.items())
+    steepest = max(abs(seg.exponent) for pair in fits.values() for seg in pair)
+    scale = max(map(abs, ln_phi)) + steepest * max(map(abs, ln_eta))
+    eps = sys.float_info.epsilon
+    return 2.0 * (2 * (n + 4) * eps * largest
+                  + eps * scale * math.sqrt(n * yy[n])
+                  + n * (n * eps * scale) ** 2)
+
+
 def exhaustive_broken_line(eta, phi, min_seg=3):
-    """Reference fit: both segments refitted at every admissible split."""
+    """Reference fit: both segments refitted at every admissible split,
+    and the fit's rule applied to the exact totals.  Every split within
+    ``tie_band`` of the least total ties; the tie whose boundary is
+    nearest the middle of the ln eta span wins, then the smaller k."""
     if len(eta) < 2 * min_seg:
         raise FitError(f"broken-line fit needs at least {2 * min_seg} "
                        f"points, got {len(eta)}")
     ln_eta, ln_phi = log_columns(eta, phi)
+    n = len(ln_eta)
+    fits = {k: (fit_power_law(ln_eta[:k], ln_phi[:k]),
+                fit_power_law(ln_eta[k:], ln_phi[k:]))
+            for k in range(min_seg, n - min_seg + 1)}
+    totals = {k: seg1.rss + seg2.rss for k, (seg1, seg2) in fits.items()}
+    edge = min(totals.values()) + tie_band(ln_eta.tolist(), ln_phi.tolist(),
+                                           fits)
     mid = 0.5 * (ln_eta[0] + ln_eta[-1])
-    best = None  # (total_rss, dist_to_mid, k, seg1, seg2)
-    for k in range(min_seg, len(eta) - min_seg + 1):
-        seg1 = fit_power_law(ln_eta[:k], ln_phi[:k])
-        seg2 = fit_power_law(ln_eta[k:], ln_phi[k:])
-        total = seg1.rss + seg2.rss
-        dist = abs(0.5 * (ln_eta[k - 1] + ln_eta[k]) - mid)
-        if best is None or total < best[0] or (total == best[0] and dist < best[1]):
-            best = (total, dist, k, seg1, seg2)
-    total, _, k, seg1, seg2 = best
+    _, k = min((abs(0.5 * (ln_eta[k - 1] + ln_eta[k]) - mid), k)
+               for k, total in totals.items() if total <= edge)
+    seg1, seg2 = fits[k]
     break_ln_eta = 0.5 * (ln_eta[k - 1] + ln_eta[k])
     if seg1.exponent != seg2.exponent:
         xi = ((math.log(seg1.prefactor) - math.log(seg2.prefactor))

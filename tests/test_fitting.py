@@ -172,18 +172,55 @@ class TestFitBrokenLine:
         points = power_samples(math.e, slope, np.linspace(0.125, 0.11 * n, n))
         assert fit_broken_line(*points) == exhaustive_broken_line(*points)
 
-    def test_single_law_refits_every_split(self, monkeypatch):
-        # On a noiseless single power law every split's approximate RSS is
-        # within the rounding margin of the best, so the exact pass refits
-        # both segments at all 195 splits: the fit is quadratic in n.  A
-        # change that closes this cliff changes the count on purpose.
-        points = power_samples(8.66, 0.14, np.linspace(2.0, 9.5, 200))
+    @pytest.mark.parametrize("n", [200, 4000])
+    def test_single_law_fits_only_the_winner(self, monkeypatch, n):
+        # On a noiseless single power law every split's total RSS is
+        # rounding noise, far inside the tie band: every split ties, the
+        # one nearest the middle wins, and only its two segments are
+        # fitted, so the fit stays linear in n.
+        points = power_samples(8.66, 0.14, np.linspace(2.0, 9.5, n))
         reference = exhaustive_broken_line(*points)
         real, calls = fitting.fit_power_law, []
         monkeypatch.setattr(fitting, "fit_power_law",
                             lambda *args: calls.append(args) or real(*args))
-        assert fit_broken_line(*points) == reference
-        assert len(calls) == 390
+        fit = fit_broken_line(*points)
+        assert fit == reference
+        assert len(calls) == 2
+        # evenly spaced, so the boundary before sample n/2 is the middle
+        assert fit.split_index == n // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(broken_line_cases())
+    def test_score_error_within_half_the_band(self, case):
+        # the tie band is twice a bound on how far each split's O(n) score
+        # lies from the exact total RSS of its two refits
+        eta, phi, min_seg = case
+        ln_eta, ln_phi = log_columns(eta, phi)
+        ks, scores, delta = fitting._split_scores(ln_eta, ln_phi, min_seg)
+        exact = [fitting._ols(ln_eta[:k], ln_phi[:k])[2]
+                 + fitting._ols(ln_eta[k:], ln_phi[k:])[2] for k in ks]
+        assert np.max(np.abs(scores - exact)) <= delta / 2
+
+    @pytest.mark.parametrize("equal, min_seg", [
+        (slice(0, 3), 3), (slice(7, 10), 3), (slice(0, 4), 4),
+        (slice(6, 10), 4)], ids=["first-3", "last-3", "first-4", "last-4"])
+    def test_degenerate_end_segment(self, equal, min_seg):
+        ln_eta = np.linspace(1.0, 5.0, 10)
+        ln_eta[equal] = ln_eta[equal.start]
+        points = samples_from(ln_eta, np.exp(2.0 + 0.14 * ln_eta))
+        message = "^degenerate fit: all ln eta values are equal$"
+        with pytest.raises(FitError, match=message):
+            fit_log_broken_line(*log_columns(*points), min_seg)
+        with pytest.raises(FitError, match=message):
+            exhaustive_broken_line(*points, min_seg)
+
+    def test_equal_values_short_of_an_end_segment(self):
+        # three equal first values are no segment when min_seg is 4
+        ln_eta = np.linspace(1.0, 5.0, 10)
+        ln_eta[:3] = ln_eta[0]
+        points = samples_from(ln_eta, np.exp(2.0 + 0.14 * ln_eta))
+        assert (fit_broken_line(*points, min_seg=4)
+                == exhaustive_broken_line(*points, min_seg=4))
 
     @settings(max_examples=60, deadline=None)
     @given(broken_line_cases())
@@ -264,6 +301,36 @@ TEN, NINE = np.arange(1, 11.), np.arange(1, 10.)
 def test_length_mismatch_is_fit_error(call, message):
     with pytest.raises(FitError) as info:
         call()
+    assert str(info.value) == message
+
+
+TEN_WITH = {value: np.where(TEN == 4, value, TEN)
+            for value in (np.inf, -np.inf, np.nan)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fit_broken_line(TEN_WITH[np.inf], TEN), DomainError,
+     "eta must be finite, got inf"),
+    (lambda: fit_broken_line(TEN, TEN_WITH[np.inf]), DomainError,
+     "phi must be finite, got inf"),
+    (lambda: fit_power_law(TEN_WITH[-np.inf], TEN), FitError,
+     "ln_eta must be finite, got -inf"),
+    (lambda: fit_power_law(TEN, TEN_WITH[np.inf]), FitError,
+     "ln_phi must be finite, got inf"),
+    (lambda: fit_log_broken_line(TEN_WITH[np.nan], TEN), FitError,
+     "ln_eta must be finite, got nan"),
+    (lambda: fit_log_broken_line(TEN, TEN_WITH[np.nan]), FitError,
+     "ln_phi must be finite, got nan"),
+    (lambda: fit_log_broken_line(TEN, TEN_WITH[np.inf]), FitError,
+     "ln_phi must be finite, got inf"),
+], ids=["broken_line.eta", "broken_line.phi", "power_law.ln_eta",
+        "power_law.ln_phi", "log_broken_line.ln_eta",
+        "log_broken_line.ln_phi", "log_broken_line.ln_phi_inf"])
+def test_nonfinite_column_is_named_without_warning(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
     assert str(info.value) == message
 
 

@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 from wallscale import (AnalysisReport, AnalyzeOptions, FitError, ParseError,
                        PipelineError, SynthSpec, UniversalSeries,
                        ValidationError, WallscaleError, analyze_profile,
-                       build_universal_series, envelope_curve,
-                       envelope_line_fit, fit_broken_line, generate,
-                       generate_ensemble, load_profile, load_synth_spec)
+                       build_universal_series, classify_shift,
+                       combine_reynolds, envelope_curve, envelope_line_fit,
+                       fit_broken_line, generate, generate_ensemble,
+                       load_profile, load_synth_spec, select_intermediate,
+                       significant_break)
 from wallscale.diagnostics import universal_series
 from wallscale.fitting import fit_log_broken_line
 from wallscale.report import envelope_table, report_from_text, report_to_text
@@ -207,6 +209,34 @@ _REAL_ARGUMENTS = {
        for name in ("lg_eta_min", "phi_plateau_tol", "consistency_tol",
                     "shift_tol")},
 }
+PROFILE = generate(SynthSpec(**SPEC))
+FIT = fit_broken_line(PROFILE.eta, PROFILE.phi)
+SERIES = build_universal_series(PROFILE.eta, PROFILE.phi, 0.14)
+# the library calls that take an analysis option, one entry per option
+_OPTION_ARGUMENTS = {
+    "select_intermediate.lg_eta_min":
+        (lambda r: select_intermediate(PROFILE, r), 0.5),
+    "select_intermediate.phi_plateau_tol":
+        (lambda r: select_intermediate(PROFILE, 1.5, r), 0.5),
+    "significant_break.z": (lambda r: significant_break(FIT, r), 2.0),
+    "classify_shift.shift_tol": (lambda r: classify_shift(SERIES, r), 0.5),
+    "combine_reynolds.tol":
+        (lambda r: combine_reynolds(10.0, 10.0, tol=r), 0.5),
+}
+_REAL_ARGUMENTS.update(_OPTION_ARGUMENTS)
+# AnalyzeOptions' rule and messages: a cutoff is finite and a tolerance
+# >= 0; a library call takes an infinite tolerance as an infinite band
+_OPTION_RULES = {
+    f"{name}-{bad!r}": (*_OPTION_ARGUMENTS[name], bad, message)
+    for name, bad, message in [
+        ("select_intermediate.lg_eta_min", float("nan"),
+         "^lg_eta_min must be finite, got nan$"),
+        ("select_intermediate.lg_eta_min", float("inf"),
+         "^lg_eta_min must be finite, got inf$"),
+        *[(name, bad, f"^{name.partition('.')[2]} must be >= 0, got {bad!r}$")
+          for name in list(_OPTION_ARGUMENTS)[1:]
+          for bad in (float("nan"), -1.0)],
+    ]}
 _NOT_REAL = ("10", True, None, 1j)
 # ints a float cannot hold; the repr of the second raises ValueError
 _HUGE = {"10**400": 10**400, "10**5000": 10**5000}
@@ -224,16 +254,25 @@ _HUGE = {"10**400": 10**400, "10**5000": 10**5000}
     *[(call, valid, bad, "is outside the float range")
       for call, valid in _REAL_ARGUMENTS.values()
       for bad in _HUGE.values()],
+    *_OPTION_RULES.values(),
 ], ids=[*(f"{name}-{bad!r}" for name in _REAL_ARGUMENTS
           for bad in _NOT_REAL),
         "SynthSpec.triple", "SynthSpec.scalar", "envelope_curve.triple",
         "envelope_curve.scalar", "envelope_curve.text",
-        *(f"{name}-{huge}" for name in _REAL_ARGUMENTS for huge in _HUGE)])
+        *(f"{name}-{huge}" for name in _REAL_ARGUMENTS for huge in _HUGE),
+        *_OPTION_RULES])
 def test_real_arguments_fail_typed(call, valid, bad, message):
     call(valid)
     call(np.float64(valid) if np.ndim(valid) == 0 else np.asarray(valid))
     with pytest.raises(ValidationError, match=message):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [call for call, _ in
+                                  list(_OPTION_ARGUMENTS.values())[1:]],
+                         ids=list(_OPTION_ARGUMENTS)[1:])
+def test_library_tolerance_may_be_infinite(call):
+    call(float("inf"))
 
 
 def _outcome(fn, *args):
