@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .profiles import (check_option, check_positive, freeze_columns,
-                       libm_column)
+from .profiles import (as_columns, check_option, check_positive, check_real,
+                       freeze_columns, libm_column)
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -66,6 +66,7 @@ class UniversalSeries:
 
 def ln_re1_from_prefactor(a: float) -> float:
     """Solve (1/sqrt(3)) ln Re_1 + 5/2 = A for ln Re_1."""
+    a = check_real("prefactor", a, DomainError)
     if not a > 2.5:
         raise DomainError(
             f"prefactor {a!r} <= 5/2: region-I fit inconsistent with the scaling law")
@@ -74,6 +75,7 @@ def ln_re1_from_prefactor(a: float) -> float:
 
 def ln_re2_from_exponent(alpha: float) -> float:
     """Solve 3 / (2 ln Re_2) = alpha for ln Re_2."""
+    alpha = check_real("alpha", alpha, DomainError)
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     return alpha_of_ln_re(alpha)
@@ -88,6 +90,8 @@ def combine_reynolds(ln_re1: float, ln_re2: float,
     Raises DomainError when Re = exp(ln Re) overflows and so Re_theta/Re
     has no value, and ValidationError when ``tol`` is not >= 0 (see
     ``check_option``)."""
+    ln_re1 = check_real("ln_re1", ln_re1, DomainError)
+    ln_re2 = check_real("ln_re2", ln_re2, DomainError)
     check_option("tol", tol, nonnegative=True, finite=False)
     if not (ln_re1 > 0 and ln_re2 > 0):
         raise DomainError("ln_re1 and ln_re2 must be positive")
@@ -96,7 +100,8 @@ def combine_reynolds(ln_re1: float, ln_re2: float,
     ratio = None
     if re_theta is not None:
         try:
-            ratio = re_theta / math.exp(mean)
+            ratio = (check_real("re_theta", re_theta, DomainError)
+                     / math.exp(mean))
         except OverflowError:
             raise DomainError(f"ln Re = {mean!r} is too large: exp(ln Re) "
                               "overflows, so Re_theta/Re has no value") from None
@@ -117,6 +122,8 @@ def psi_transform(phi: float, alpha: float) -> float:
     with the matching alpha returns ln eta.  A log argument that is not
     positive and finite (0 for a tiny phi, inf for a huge one) is a
     DomainError."""
+    phi = check_real("phi", phi, DomainError)
+    alpha = check_real("alpha", alpha, DomainError)
     if not phi > 0:
         raise DomainError(f"phi must be positive, got {phi!r}")
     if not alpha > 0:
@@ -130,33 +137,35 @@ def psi_transform(phi: float, alpha: float) -> float:
 
 def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
                      alpha: float) -> UniversalSeries:
-    """Map region-(I) samples, given as ln eta and phi columns (float64
-    arrays of one nonzero length), to (ln eta, psi) and measure the
-    bisectrix shift.
+    """Map region-(I) samples, given as ln eta and phi columns of one
+    nonzero length, to (ln eta, psi) and measure the bisectrix shift.
 
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point.  One columnar pass
-    (libm ``math.log``, Python sums in row order) gives the per-point
-    values bit for bit; the first sample ``psi_transform`` rejects raises
-    its error.  A tiny alpha for which psi or the rms scatter overflows
-    is a DomainError too."""
+    (libm ``math.log``, Python sums in row order, squares as products, not
+    libm ``pow``) gives the per-point values bit for bit; the first sample
+    ``psi_transform`` rejects raises its error.  No samples, or a tiny
+    alpha for which psi or the rms scatter overflows, is a DomainError."""
+    ln_eta, phi = as_columns(DomainError, ln_eta=ln_eta, phi=phi)
+    alpha = check_real("alpha", alpha, DomainError)
+    if not len(phi):
+        raise DomainError("cannot build a universal series from no samples")
     with np.errstate(all="ignore"):
         argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
-    valid = (argument > 0) & (argument < math.inf)
-    if not (alpha > 0 and valid.all()):
-        # the scalar reference raises the error of the first bad sample
-        psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(), alpha)
-    try:
-        with np.errstate(over="raise"):
-            psi = libm_column(math.log, argument) / alpha
+        valid = (argument > 0) & (argument < math.inf)
+        if not (alpha > 0 and valid.all()):
+            # the scalar reference raises the error of the first bad sample
+            psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(),
+                          alpha)
+        psi = libm_column(math.log, argument) / alpha
         deviations = (ln_eta - psi).tolist()
-        mean_shift = sum(deviations) / len(deviations)
-        rms = math.sqrt(sum((d - mean_shift) ** 2 for d in deviations)
-                        / len(deviations))
-    except (FloatingPointError, OverflowError):
+    mean_shift = sum(deviations) / len(deviations)
+    rms = math.sqrt(sum((d - mean_shift) * (d - mean_shift)
+                        for d in deviations) / len(deviations))
+    if rms == math.inf or np.isinf(psi).any():
         raise DomainError(f"alpha={alpha!r} is too small: psi or the rms of "
-                          "ln eta - psi overflows") from None
+                          "ln eta - psi overflows")
     return UniversalSeries(ln_eta=ln_eta, psi=psi, mean_shift=mean_shift,
                            rms_scatter=rms)
 
@@ -165,12 +174,7 @@ def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
     """``universal_series`` of the libm ``math.log`` of eta; no samples,
     columns of two lengths or an eta that is not positive is a
     DomainError."""
-    if len(eta) == 0:
-        raise DomainError("cannot build a universal series from no samples")
-    eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
-    if len(eta) != len(phi):
-        raise DomainError(
-            f"eta and phi differ in length: {len(eta)} and {len(phi)}")
+    eta, phi = as_columns(DomainError, eta=eta, phi=phi)
     check_positive("eta", eta, DomainError)
     return universal_series(libm_column(math.log, eta), phi, alpha)
 

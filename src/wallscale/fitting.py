@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .profiles import (check_count, check_finite, check_option,
-                       check_positive, libm_column)
+from .profiles import (as_columns, check_count, check_finite, check_option,
+                       check_positive, libm_column, real_or_column)
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -52,7 +52,9 @@ class PowerLawSegment:
     stderr_exponent: float
 
     def ln_phi_at(self, ln_eta):
-        return math.log(self.prefactor) + self.exponent * np.asarray(ln_eta, dtype=float)
+        (ln_eta,) = real_or_column(DomainError, ln_eta=ln_eta)
+        with np.errstate(over="ignore"):
+            return math.log(self.prefactor) + self.exponent * ln_eta
 
 
 @dataclass(frozen=True)
@@ -68,37 +70,27 @@ class BrokenLineFit:
 
 def _ols(x: np.ndarray, y: np.ndarray):
     """Closed-form OLS line fit; returns (slope, intercept, rss, sxx)."""
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    sxx = float(np.sum(dx * dx))
-    if sxx == 0.0:
-        raise FitError("degenerate fit: all ln eta values are equal")
-    slope = float(np.sum(dx * (y - ym))) / sxx
-    intercept = float(ym - slope * xm)
-    resid = y - (slope * x + intercept)
-    rss = float(np.sum(resid * resid))
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check
+        xm = x.mean()
+        ym = y.mean()
+        dx = x - xm
+        sxx = float(np.sum(dx * dx))
+        if sxx == 0.0:
+            raise FitError("degenerate fit: all ln eta values are equal")
+        slope = float(np.sum(dx * (y - ym))) / sxx
+        intercept = float(ym - slope * xm)
+        resid = y - (slope * x + intercept)
+        rss = float(np.sum(resid * resid))
     return slope, intercept, rss, sxx
-
-
-def _checked_columns(ln_eta, ln_phi):
-    """Both log columns as float64 arrays.  Columns of two lengths, or a
-    value that is not finite, are a FitError."""
-    ln_eta = np.asarray(ln_eta, dtype=float)
-    ln_phi = np.asarray(ln_phi, dtype=float)
-    if len(ln_phi) != len(ln_eta):
-        raise FitError(f"ln_eta and ln_phi differ in length: {len(ln_eta)} "
-                       f"and {len(ln_phi)}")
-    check_finite("ln_eta", ln_eta, FitError)
-    check_finite("ln_phi", ln_phi, FitError)
-    return ln_eta, ln_phi
 
 
 def fit_power_law(ln_eta, ln_phi) -> PowerLawSegment:
     """Fit phi = K * eta**p by OLS of a ln phi against a ln eta column.
-    Columns of two lengths or with a value that is not finite are a
-    FitError."""
-    ln_eta, ln_phi = _checked_columns(ln_eta, ln_phi)
+    Columns of two lengths, a value that is not finite, or sums that
+    overflow (a prefactor outside the float range) are a FitError."""
+    ln_eta, ln_phi = as_columns(FitError, ln_eta=ln_eta, ln_phi=ln_phi)
+    check_finite("ln_eta", ln_eta, FitError)
+    check_finite("ln_phi", ln_phi, FitError)
     n = len(ln_eta)
     if n < 3:
         raise FitError(f"power-law fit needs at least 3 points, got {n}")
@@ -219,7 +211,9 @@ def fit_log_broken_line(ln_eta: np.ndarray, ln_phi: np.ndarray,
     finite, or min_seg first or last ln eta values that are all equal are
     a FitError.
     """
-    ln_eta, ln_phi = _checked_columns(ln_eta, ln_phi)
+    ln_eta, ln_phi = as_columns(FitError, ln_eta=ln_eta, ln_phi=ln_phi)
+    check_finite("ln_eta", ln_eta, FitError)
+    check_finite("ln_phi", ln_phi, FitError)
     n = len(ln_eta)
     check_count("min_seg", min_seg, 3, FitError)
     if n < 2 * min_seg:
@@ -257,10 +251,7 @@ def fit_broken_line(eta, phi, min_seg: int = DEFAULT_MIN_SEG) -> BrokenLineFit:
     columns of one length.  Columns of two lengths are a FitError, and a
     value that is not positive (nan included) or not finite a
     DomainError."""
-    eta, phi = np.asarray(eta, dtype=float), np.asarray(phi, dtype=float)
-    if len(eta) != len(phi):
-        raise FitError(
-            f"eta and phi differ in length: {len(eta)} and {len(phi)}")
+    eta, phi = as_columns(FitError, eta=eta, phi=phi)
     for name, column in (("eta", eta), ("phi", phi)):
         check_positive(name, column, DomainError)
         check_finite(name, column, DomainError)

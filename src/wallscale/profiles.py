@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 import os
 import typing
 from dataclasses import dataclass, fields
@@ -93,10 +92,6 @@ class VelocityProfile:
                 if getattr(self, name) is not None]
         freeze_columns(self, "eta", "phi", *logs)
         eta, phi = self.eta, self.phi
-        for name in ("phi", *logs):
-            if (n := len(getattr(self, name))) != len(eta):
-                raise ValidationError(
-                    f"eta and {name} differ in length: {len(eta)} and {n}")
         _require_positive_finite(eta=eta, phi=phi)
         steps = eta[1:] <= eta[:-1]
         if steps.any():
@@ -113,17 +108,32 @@ class VelocityProfile:
         return len(self.eta)
 
 
+def as_columns(error, **named) -> list:
+    """Each named argument as a 1-D float64 array (itself if it is one);
+    anything else, or columns of two lengths, is ``error`` naming it."""
+    columns = []
+    for name, value in named.items():
+        try:
+            column = np.asarray(value)
+        except ValueError:                  # a ragged nested sequence
+            column = np.asarray(value, dtype=object)
+        if column.ndim != 1 or column.dtype.kind not in "iuf":
+            raise error(f"{name} must be a 1-D column of real numbers, got "
+                        f"shape {column.shape} of {column.dtype}")
+        if columns and len(column) != len(columns[0]):
+            raise error(f"{next(iter(named))} and {name} differ in length: "
+                        f"{len(columns[0])} and {len(column)}")
+        columns.append(column.astype(np.float64, copy=False))
+    return columns
+
+
 def freeze_columns(obj, *names) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a read-only
-    1-D float64 copy; a value that cannot be one is a ValidationError."""
-    for name in names:
-        try:
-            column = np.array(getattr(obj, name), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name} is not numeric: {exc}") from None
-        if column.ndim != 1:
-            raise ValidationError(
-                f"{name} must be one-dimensional, got shape {column.shape}")
+    copy of its ``as_columns`` column, with ValidationError."""
+    columns = as_columns(ValidationError,
+                         **{name: getattr(obj, name) for name in names})
+    for name, column in zip(names, columns):
+        column = column.copy()
         column.flags.writeable = False
         object.__setattr__(obj, name, column)
 
@@ -132,23 +142,37 @@ def check_count(name: str, value, minimum: int, error=ValidationError) -> None:
     """Raise ``error`` unless ``value`` is an integer (a Python or numpy
     integer, not a bool) of at least ``minimum``; every count is checked
     so."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise error(f"{name} must be at least {minimum}, got {value}")
+        # no value for an int over 4300 digits: its str raises ValueError
+        got = f", got {value}" if value > -10**4000 else ""
+        raise error(f"{name} must be at least {minimum}{got}")
 
 
-def check_real(name: str, value, error=ValidationError) -> None:
-    """Raise ``error`` unless ``value`` is a real number (a Python or numpy
-    int or float, not a bool) that a float can hold; every real argument
-    is checked so."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+def check_real(name: str, value, error=ValidationError) -> float:
+    """``value`` as a float; ``error`` unless it is a real number (a Python
+    or numpy int or float, not a bool) that a float can hold.  Every real
+    argument is checked so."""
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, bool)):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
-        float(value)
+        return float(value)
     except OverflowError:
         # no repr: that of an int over 4300 digits raises ValueError
         raise error(f"{name} is outside the float range") from None
+
+
+def real_or_column(error, **named) -> list:
+    """Each named argument as its ``as_columns`` column when it is an
+    array, a list or a tuple, and as ``check_real``'s float otherwise."""
+    columns = {name: value for name, value in named.items()
+               if isinstance(value, (np.ndarray, list, tuple))}
+    columns = dict(zip(columns, as_columns(error, **columns)))
+    return [columns[name] if name in columns
+            else check_real(name, value, error)
+            for name, value in named.items()]
 
 
 def check_option(name: str, value, nonnegative: bool = False,
@@ -175,9 +199,8 @@ def check_pair(name: str, value, error=ValidationError) -> tuple:
         first, second = value
     except (TypeError, ValueError):
         raise error(f"{name} must be a pair, got {value!r}") from None
-    check_real(f"{name}[0]", first, error)
-    check_real(f"{name}[1]", second, error)
-    return float(first), float(second)
+    return (check_real(f"{name}[0]", first, error),
+            check_real(f"{name}[1]", second, error))
 
 
 def check_positive(name: str, column: np.ndarray,

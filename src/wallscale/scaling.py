@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, FitError, ValidationError
 from .fitting import _ols
-from .profiles import (check_count, check_pair, check_real, freeze_columns,
-                       libm_column)
+from .profiles import (as_columns, check_count, check_pair, check_real,
+                       freeze_columns, libm_column, real_or_column)
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -82,51 +82,52 @@ class EnvelopeCurve:
 
 
 def alpha_of_ln_re(ln_re):
-    """Exponent of the scaling law, alpha = 3 / (2 ln Re).
+    """Exponent of the scaling law, alpha = 3 / (2 ln Re) = 1.5 / ln Re.
 
-    Accepts a scalar or a numpy array.  The map is its own inverse, so it
+    Accepts a real number or a column.  The map is its own inverse, so it
     also gives ln Re_2 from a fitted exponent.
     """
-    positive = ln_re > 0
-    if not (positive if isinstance(positive, bool) else np.all(positive)):
+    (ln_re,) = real_or_column(DomainError, ln_re=ln_re)
+    if not np.all(ln_re > 0):
         raise DomainError(f"ln_re must be positive, got {ln_re!r}")
-    return 3.0 / (2.0 * ln_re)
+    with np.errstate(over="ignore"):    # a subnormal ln Re: alpha is inf
+        return 1.5 / ln_re
 
 
 def prefactor_of_ln_re(ln_re):
     """Prefactor of the scaling law, A = ln Re / sqrt(3) + 5/2.
 
-    Accepts a scalar or a numpy array.  A is finite for every finite ln Re,
+    Accepts a real number or a column.  A is finite for every finite ln Re,
     so no domain is checked here: every caller already holds ln Re > 0.
     """
+    (ln_re,) = real_or_column(DomainError, ln_re=ln_re)
     return ln_re / SQRT3 + 2.5
 
 
 def scaling_law_phi(eta, ln_re):
     """Evaluate the scaling law (ln Re/sqrt(3) + 5/2) * eta**(3/(2 ln Re)).
 
-    Accepts scalars or numpy arrays (broadcasting applies); scalar inputs
-    return a plain float.
+    Accepts real numbers or columns of one length; two numbers return a
+    float.  A value of the law that overflows is a DomainError.
     """
-    eta_a = np.asarray(eta, dtype=float)
-    ln_re_a = np.asarray(ln_re, dtype=float)
-    if not np.all(eta_a > 0):
+    eta, ln_re = real_or_column(DomainError, eta=eta, ln_re=ln_re)
+    if not np.all(eta > 0):
         raise DomainError("eta must be positive")
-    if not np.all(ln_re_a > 0):
-        raise DomainError("ln_re must be positive")
-    out = prefactor_of_ln_re(ln_re_a) * eta_a ** alpha_of_ln_re(ln_re_a)
-    if np.isscalar(eta) and np.isscalar(ln_re):
-        return float(out)
-    return out
+    with np.errstate(over="ignore"):
+        out = prefactor_of_ln_re(ln_re) * np.power(eta, alpha_of_ln_re(ln_re))
+    if not np.all(out < math.inf):
+        raise DomainError("the scaling law overflows")
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_law_phi(eta, params: LogLawParams):
     """Evaluate the logarithmic law ln(eta)/kappa + c_offset."""
-    eta_a = np.asarray(eta, dtype=float)
-    if not np.all(eta_a > 0):
+    (eta,) = real_or_column(DomainError, eta=eta)
+    if not np.all(eta > 0):
         raise DomainError("eta must be positive")
-    out = libm_column(math.log, eta_a) / params.kappa + params.c_offset
-    return float(out) if np.isscalar(eta) else out
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal kappa
+        out = libm_column(math.log, eta) / params.kappa + params.c_offset
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def envelope_at(ln_eta: float) -> EnvelopePoint:
@@ -138,6 +139,7 @@ def envelope_at(ln_eta: float) -> EnvelopePoint:
     pointwise minimum over L, found by ``solve_envelope``.  A ln eta that
     is not positive and finite, or above about 8.9e153, is a DomainError.
     """
+    ln_eta = check_real("ln_eta", ln_eta, DomainError)
     if not 0 < ln_eta < math.inf:
         raise DomainError(f"ln_eta must be positive and finite, got {ln_eta!r}")
     curve = solve_envelope(np.array([ln_eta], dtype=np.float64))
@@ -225,10 +227,12 @@ def fit_log_law(ln_eta, phi) -> LogLawParams:
     a DomainError, without a numpy warning first.  So is an intercept
     ym - slope * xm (the means) whose rounding error, at most about
     4 eps (|ym| + |slope * xm|), may exceed 5e-5, half a unit of the 4th
-    decimal the CLI prints: on the envelope, a mean ln eta above 1.2e10."""
-    x, y = np.asarray(ln_eta, dtype=float), np.asarray(phi, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope, intercept, _, _ = _ols(x, y)
+    decimal the CLI prints: on the envelope, a mean ln eta above 1.2e10.
+    Fewer than 2 points are a FitError."""
+    x, y = as_columns(FitError, ln_eta=ln_eta, phi=phi)
+    if len(x) < 2:
+        raise FitError(f"log-law fit needs at least 2 points, got {len(x)}")
+    slope, intercept, _, _ = _ols(x, y)
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise DomainError(f"the line fit overflows: slope {slope!r}, "
                           f"intercept {intercept!r}")

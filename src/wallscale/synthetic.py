@@ -15,6 +15,7 @@ no random draw is consumed at all.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .profiles import (ProfileMetadata, VelocityProfile, check_count,
-                       check_pair, check_real, libm_column, parse_value,
+                       check_option, check_pair, libm_column, parse_value,
                        read_lines, split_key_value)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
@@ -60,9 +61,7 @@ class SynthSpec:
                             ("beta", self.beta),
                             ("noise_sigma", self.noise_sigma),
                             ("shift", self.shift)):
-            check_real(name, value)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            check_option(name, value)
         check_count("seed", self.seed, 0)
         if not self.ln_re > 0:
             raise ValidationError(f"ln_re must be positive, got {self.ln_re!r}")
@@ -140,6 +139,8 @@ def _exp(x: np.ndarray) -> np.ndarray:
 def generate_ensemble(spec: SynthSpec, n_realizations: int) -> list[VelocityProfile]:
     """n_realizations profiles with seeds seed, seed+1, ...; deterministic."""
     check_count("n_realizations", n_realizations, 1)
+    if n_realizations > sys.maxsize:
+        raise ValidationError("n_realizations must be at most sys.maxsize")
     return [generate(replace(spec, seed=spec.seed + i))
             for i in range(n_realizations)]
 

@@ -182,7 +182,8 @@ def reference_load(path, format):
 def per_point_series(eta, phi, alpha):
     """The reference for the columnar build: the same checks, then
     ``math.log`` and ``psi_transform`` sample by sample, and Python sums
-    in row order.  Returns (ln_eta, psi, mean_shift, rms_scatter)."""
+    in row order, of squares taken as products.  Returns (ln_eta, psi,
+    mean_shift, rms_scatter)."""
     if not eta:
         raise DomainError("cannot build a universal series from no samples")
     for e in eta:
@@ -192,7 +193,11 @@ def per_point_series(eta, phi, alpha):
     psi = [psi_transform(p, alpha) for p in phi]
     deviations = [x - y for x, y in zip(ln_eta, psi)]
     mean = sum(deviations) / len(deviations)
-    rms = math.sqrt(sum((d - mean) ** 2 for d in deviations) / len(deviations))
+    rms = math.sqrt(sum((d - mean) * (d - mean) for d in deviations)
+                    / len(deviations))
+    if rms == math.inf:
+        raise DomainError(f"alpha={alpha!r} is too small: psi or the rms of "
+                          "ln eta - psi overflows")
     return ln_eta, psi, mean, rms
 
 

@@ -21,6 +21,9 @@ from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
                            build_parser, main)
 from wallscale.report import envelope_table
 
+from odd_values import (ENVELOPE_ENDS, FLOAT_NEAR_LIMITS, INT_NEAR_LIMITS,
+                        OPTION_VALUES)
+
 
 def write_profile(path, **overrides):
     kwargs = dict(ln_re=10.69, break_ln_eta=6.5, ln_eta_range=(2.0, 9.5),
@@ -384,9 +387,7 @@ ANALYSIS_FLAGS = st.lists(st.one_of(
               st.sampled_from(["--plateau-tol", "--min-seg",
                                "--consistency-tol", "--shift-tol",
                                "--lg-eta-min"]),
-              st.one_of(st.sampled_from(["nan", "inf", "=-inf", "-1", "0",
-                                         "1e308", str(10**22)]),
-                        st.text(max_size=6))),
+              OPTION_VALUES),
     st.just(["--alpha-source", "lnRe1"]),
     st.just(["--format", "raw"])), max_size=4).map(
         lambda groups: [word for group in groups for word in group])
@@ -521,16 +522,6 @@ class TestSynth:
 VALID_SPEC = dict(ln_re="10.69", break_ln_eta="6.5", ln_eta_min="2.0",
                   ln_eta_max="9.5", n_points="36", noise_sigma="0.01",
                   shift="0.5", plateau_points="3", seed="7", beta="0.2")
-# Values at and beyond the limits of exp, of float64 and of the spec's
-# own checks.  No count between 10**5 and 2**59 is drawn: the generator
-# would allocate it.
-FLOAT_NEAR_LIMITS = st.sampled_from([
-    "709.78", "709.79", "710", "-745.2", "-746", "1e308", "-1e308",
-    "1.7976931348623157e308", "5e-324", "-5e-324", "2.2e-308", "0", "-0.0",
-    "1e-300", "inf", "-inf", "nan", "1e999"])
-INT_NEAR_LIMITS = st.sampled_from([
-    "-1", "0", "4", "7", "8", "32", "33", "100000", str(2**59 + 1),
-    str(10**20), str(2**63), str(2**64), str(10**30)])
 
 
 @st.composite
@@ -744,9 +735,7 @@ class TestEnvelope:
     @example(ends=[5e-324, 1.7976931348623157e308], n=10, out_dir=None)
     @given(ends=st.lists(st.one_of(
                st.floats(),
-               st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e154,
-                                8.9e153, 1e308, math.nan, math.inf,
-                                -math.inf]),
+               st.sampled_from(ENVELOPE_ENDS),
                st.floats(0.01, 60.0)), min_size=2, max_size=2),
            n=st.one_of(st.integers(-5, 3000), st.just(10**20)),
            out_dir=st.sampled_from([None, "dir", "missing/nested", "file"]))

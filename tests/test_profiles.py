@@ -1,6 +1,8 @@
 import math
 import os
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 from wallscale import (ParseError, ProfileMetadata, ValidationError,
                        VelocityProfile, load_profile, save_profile,
                        select_intermediate)
-from wallscale.profiles import atomic_write_text, format_columns
+from wallscale.profiles import (as_columns, atomic_write_text, check_real,
+                                format_columns, real_or_column)
 
 from oracle import select_reference
 
@@ -154,6 +157,62 @@ class TestInvariants:
     def test_label_is_one_line_of_text(self, label):
         with pytest.raises(ValidationError, match="one line"):
             ProfileMetadata(label=label)
+
+
+class TestColumnContract:
+    def test_float64_column_is_not_copied(self):
+        column = np.linspace(1.0, 2.0, 10)
+        view = column[::2]      # strided
+        head = column[:5]
+        first, second = as_columns(ValidationError, a=head, b=view)
+        assert first is head and second is view
+
+    @pytest.mark.parametrize("value", [[1, 2, 3], (1.0, 2.0, 3.0),
+                                       np.arange(1, 4),
+                                       np.float32([1.0, 2.0, 3.0])])
+    def test_other_columns_become_float64(self, value):
+        (column,) = as_columns(ValidationError, x=value)
+        assert column.dtype == np.float64 and column.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("value, got", [
+        ("1 2 3", "shape () of <U5"), (5.0, "shape () of float64"),
+        (None, "shape () of object"), ([[1.0, 2.0]], "shape (1, 2) of float64"),
+        ([[1.0], [1.0, 2.0]], "shape (2,) of object"),
+        (["1", "2"], "shape (2,) of <U1"), ([1.0, None], "shape (2,) of object"),
+        (np.array([1j]), "shape (1,) of complex128"),
+        (np.array([True]), "shape (1,) of bool"),
+        ([1.0, 10**400], "shape (2,) of object")])
+    def test_not_a_column_is_the_given_error(self, value, got):
+        for error in (ValidationError, ParseError):
+            with pytest.raises(error) as info:
+                as_columns(error, first=[1.0], x=value)
+            assert str(info.value) == (
+                f"x must be a 1-D column of real numbers, got {got}")
+
+    def test_lengths_are_named(self):
+        with pytest.raises(ValidationError) as info:
+            as_columns(ValidationError, a=[1.0], b=[1.0], c=[1.0, 2.0])
+        assert str(info.value) == "a and c differ in length: 1 and 2"
+
+    def test_real_or_column(self):
+        column = np.ones(3)
+        assert real_or_column(ValidationError, a=np.int64(2), b=column,
+                              c=[1, 2, 3]) [:2] == [2.0, column]
+        with pytest.raises(ValidationError, match="a and b differ"):
+            real_or_column(ValidationError, x=1.0, a=[1.0], b=(1.0, 2.0))
+        with pytest.raises(ValidationError, match="must be a real number"):
+            real_or_column(ValidationError, x="1.0")
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), Decimal("1.5"),
+                                       np.complex128(1.0), np.bool_(True),
+                                       True, "1.0", None])
+    def test_check_real_takes_ints_and_floats_only(self, value):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            check_real("x", value)
+
+    def test_check_real_returns_a_float(self):
+        for value in (3, np.int64(3), np.float32(3.0), 3.0):
+            assert type(check_real("x", value)) is float
 
 
 class TestLoadProfile:
