@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .profiles import (as_columns, check_option, check_positive, check_real,
-                       freeze_columns, libm_column)
+from .errors import DomainError, ValidationError
+from .profiles import (as_columns, check_real, check_values, freeze_columns,
+                       libm_column)
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -70,14 +70,14 @@ def ln_re1_from_prefactor(a: float) -> float:
     if not a > 2.5:
         raise DomainError(
             f"prefactor {a!r} <= 5/2: region-I fit inconsistent with the scaling law")
+    check_values(DomainError, "finite", prefactor=a)
     return SQRT3 * (a - 2.5)
 
 
 def ln_re2_from_exponent(alpha: float) -> float:
     """Solve 3 / (2 ln Re_2) = alpha for ln Re_2."""
     alpha = check_real("alpha", alpha, DomainError)
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    check_values(DomainError, "positive and finite", alpha=alpha)
     return alpha_of_ln_re(alpha)
 
 
@@ -87,21 +87,22 @@ def combine_reynolds(ln_re1: float, ln_re2: float,
     """Mean Reynolds estimate ln Re = (ln Re_1 + ln Re_2)/2 with a
     consistency verdict on the relative discrepancy |ln Re_1 - ln Re_2| / ln Re.
 
-    Raises DomainError when Re = exp(ln Re) overflows and so Re_theta/Re
-    has no value, and ValidationError when ``tol`` is not >= 0 (see
-    ``check_option``)."""
+    Raises DomainError when an estimate is not positive, when ``re_theta``
+    is not positive and finite, or when Re = exp(ln Re) overflows and so
+    Re_theta/Re has no value, and ValidationError when ``tol`` is not
+    >= 0 (an infinite tolerance is an infinite band)."""
     ln_re1 = check_real("ln_re1", ln_re1, DomainError)
     ln_re2 = check_real("ln_re2", ln_re2, DomainError)
-    check_option("tol", tol, nonnegative=True, finite=False)
-    if not (ln_re1 > 0 and ln_re2 > 0):
-        raise DomainError("ln_re1 and ln_re2 must be positive")
+    check_values(ValidationError, ">= 0", tol=check_real("tol", tol))
+    check_values(DomainError, "positive", ln_re1=ln_re1, ln_re2=ln_re2)
     mean = 0.5 * (ln_re1 + ln_re2)
     rel = abs(ln_re1 - ln_re2) / mean
     ratio = None
     if re_theta is not None:
+        re_theta = check_real("re_theta", re_theta, DomainError)
+        check_values(DomainError, "positive and finite", re_theta=re_theta)
         try:
-            ratio = (check_real("re_theta", re_theta, DomainError)
-                     / math.exp(mean))
+            ratio = re_theta / math.exp(mean)
         except OverflowError:
             raise DomainError(f"ln Re = {mean!r} is too large: exp(ln Re) "
                               "overflows, so Re_theta/Re has no value") from None
@@ -124,10 +125,7 @@ def psi_transform(phi: float, alpha: float) -> float:
     DomainError."""
     phi = check_real("phi", phi, DomainError)
     alpha = check_real("alpha", alpha, DomainError)
-    if not phi > 0:
-        raise DomainError(f"phi must be positive, got {phi!r}")
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    check_values(DomainError, "positive", phi=phi, alpha=alpha)
     argument = 2.0 * alpha * phi / (SQRT3 + 5.0 * alpha)
     if not 0 < argument < math.inf:
         raise DomainError(f"psi has no value at phi={phi!r}, alpha={alpha!r}:"
@@ -149,6 +147,7 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
     alpha for which psi or the rms scatter overflows, is a DomainError."""
     ln_eta, phi = as_columns(DomainError, ln_eta=ln_eta, phi=phi)
     alpha = check_real("alpha", alpha, DomainError)
+    check_values(DomainError, "finite", ln_eta=ln_eta)
     if not len(phi):
         raise DomainError("cannot build a universal series from no samples")
     with np.errstate(all="ignore"):
@@ -172,10 +171,11 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
 
 def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
     """``universal_series`` of the libm ``math.log`` of eta; no samples,
-    columns of two lengths or an eta that is not positive is a
-    DomainError."""
+    columns of two lengths or an eta that is not positive, then one that
+    is not finite, is a DomainError."""
     eta, phi = as_columns(DomainError, eta=eta, phi=phi)
-    check_positive("eta", eta, DomainError)
+    check_values(DomainError, "positive", eta=eta)
+    check_values(DomainError, "finite", eta=eta)
     return universal_series(libm_column(math.log, eta), phi, alpha)
 
 
@@ -183,9 +183,10 @@ def classify_shift(series: UniversalSeries,
                    shift_tol: float = DEFAULT_SHIFT_TOL) -> str:
     """Classify a universal series as collapsed onto the bisectrix, shifted
     below it (the roughness/turbulence signature), or shifted above.
-    A ``shift_tol`` that is not >= 0 is a ValidationError (see
-    ``check_option``)."""
-    check_option("shift_tol", shift_tol, nonnegative=True, finite=False)
+    A ``shift_tol`` that is not >= 0 is a ValidationError (an infinite
+    tolerance is an infinite band)."""
+    check_values(ValidationError, ">= 0",
+                 shift_tol=check_real("shift_tol", shift_tol))
     if abs(series.mean_shift) <= shift_tol:
         return COLLAPSED
     if series.mean_shift > shift_tol:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
-from .profiles import (as_columns, check_count, check_finite, check_option,
-                       check_positive, libm_column, real_or_column)
+from .errors import DomainError, FitError, ValidationError
+from .profiles import (as_columns, check_count, check_real, check_values,
+                       libm_column, real_or_column)
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -89,8 +89,7 @@ def fit_power_law(ln_eta, ln_phi) -> PowerLawSegment:
     Columns of two lengths, a value that is not finite, or sums that
     overflow (a prefactor outside the float range) are a FitError."""
     ln_eta, ln_phi = as_columns(FitError, ln_eta=ln_eta, ln_phi=ln_phi)
-    check_finite("ln_eta", ln_eta, FitError)
-    check_finite("ln_phi", ln_phi, FitError)
+    check_values(FitError, "finite", ln_eta=ln_eta, ln_phi=ln_phi)
     n = len(ln_eta)
     if n < 3:
         raise FitError(f"power-law fit needs at least 3 points, got {n}")
@@ -212,8 +211,7 @@ def fit_log_broken_line(ln_eta: np.ndarray, ln_phi: np.ndarray,
     a FitError.
     """
     ln_eta, ln_phi = as_columns(FitError, ln_eta=ln_eta, ln_phi=ln_phi)
-    check_finite("ln_eta", ln_eta, FitError)
-    check_finite("ln_phi", ln_phi, FitError)
+    check_values(FitError, "finite", ln_eta=ln_eta, ln_phi=ln_phi)
     n = len(ln_eta)
     check_count("min_seg", min_seg, 3, FitError)
     if n < 2 * min_seg:
@@ -252,9 +250,8 @@ def fit_broken_line(eta, phi, min_seg: int = DEFAULT_MIN_SEG) -> BrokenLineFit:
     value that is not positive (nan included) or not finite a
     DomainError."""
     eta, phi = as_columns(FitError, eta=eta, phi=phi)
-    for name, column in (("eta", eta), ("phi", phi)):
-        check_positive(name, column, DomainError)
-        check_finite(name, column, DomainError)
+    check_values(DomainError, "positive", eta=eta, phi=phi)
+    check_values(DomainError, "finite", eta=eta, phi=phi)
     return fit_log_broken_line(libm_column(math.log, eta),
                                libm_column(math.log, phi), min_seg)
 
@@ -265,9 +262,9 @@ def significant_break(fit: BrokenLineFit, z: float = 2.0) -> bool:
 
     Guards against reporting a second region when the outer structure is
     not actually revealed by the data.  A ``z`` that is not >= 0 is a
-    ValidationError (see ``check_option``).
+    ValidationError (an infinite ``z`` is an infinite band).
     """
-    check_option("z", z, nonnegative=True, finite=False)
+    check_values(ValidationError, ">= 0", z=check_real("z", z))
     gap = abs(fit.region1.exponent - fit.region2.exponent)
     combined = math.hypot(fit.region1.stderr_exponent,
                           fit.region2.stderr_exponent)

@@ -57,16 +57,12 @@ class ProfileMetadata:
                 or self.label.splitlines() not in ([], [self.label])):
             raise ValidationError(
                 f"label must be one line of text, got {self.label!r}")
-        for f in fields(self):
-            if f.name == "label":
-                continue
+        for f in fields(self)[1:]:
             value = getattr(self, f.name)
-            if value is None:
-                continue
-            check_real(f"metadata field {f.name}", value)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"metadata field {f.name} must be "
-                                      f"positive and finite, got {value!r}")
+            if value is not None:
+                name = f"metadata field {f.name}"
+                check_values(ValidationError, "positive and finite",
+                             **{name: check_real(name, value)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +88,7 @@ class VelocityProfile:
                 if getattr(self, name) is not None]
         freeze_columns(self, "eta", "phi", *logs)
         eta, phi = self.eta, self.phi
-        _require_positive_finite(eta=eta, phi=phi)
+        check_values(ValidationError, "positive and finite", eta=eta, phi=phi)
         steps = eta[1:] <= eta[:-1]
         if steps.any():
             i = int(steps.argmax())
@@ -169,27 +165,42 @@ def real_or_column(error, **named) -> list:
     array, a list or a tuple, and as ``check_real``'s float otherwise."""
     columns = {name: value for name, value in named.items()
                if isinstance(value, (np.ndarray, list, tuple))}
-    columns = dict(zip(columns, as_columns(error, **columns)))
+    if columns:
+        columns = dict(zip(columns, as_columns(error, **columns)))
     return [columns[name] if name in columns
             else check_real(name, value, error)
             for name, value in named.items()]
 
 
-def check_option(name: str, value, nonnegative: bool = False,
-                 finite: bool = True) -> None:
-    """``check_real``, then a ValidationError unless ``value`` is finite
-    (with ``finite``) and at least 0 (with ``nonnegative``): the rule for
-    the analysis options.  ``AnalyzeOptions`` holds its cutoff finite and
-    its tolerances finite and >= 0; a library call that takes one holds a
-    cutoff finite and a tolerance >= 0, so an infinite tolerance is an
-    infinite band there."""
-    check_real(name, value)
-    rules = [rule for rule, on in (("finite", finite), (">= 0", nonnegative))
-             if on]
-    if ((finite and not math.isfinite(value))
-            or (nonnegative and not value >= 0)):
-        raise ValidationError(
-            f"{name} must be {' and '.join(rules)}, got {value!r}")
+# Each value rule as a test that takes a float or a float64 column.
+_RULES = {
+    "finite": lambda v: abs(v) < math.inf,
+    ">= 0": lambda v: v >= 0,
+    "finite and >= 0": lambda v: (v >= 0) & (v < math.inf),
+    "positive": lambda v: v > 0,
+    "positive and finite": lambda v: (v > 0) & (v < math.inf),
+}
+
+
+def check_values(error, rule: str, **values) -> None:
+    """Raise ``error("{name} must be {rule}, got {value!r}")`` for the
+    first value that breaks ``rule`` (a key of ``_RULES``; nan breaks
+    every rule).  A value is a number, as ``check_real`` returns it, which
+    stands in every row and takes no numpy call, or a float64 column, as
+    ``as_columns`` returns it.  The first bad row wins, then the first
+    argument in it.  Every sign and finiteness rule is checked so."""
+    ok, bad = _RULES[rule], []
+    for name, value in values.items():
+        good = ok(value)
+        if isinstance(good, np.ndarray):
+            if not good.all():
+                row = int(good.argmin())
+                bad.append((row, name, value[row].item()))
+        elif not good:
+            bad.append((0, name, value))
+    if bad:
+        _, name, value = min(bad, key=lambda item: item[0])
+        raise error(f"{name} must be {rule}, got {value!r}")
 
 
 def check_pair(name: str, value, error=ValidationError) -> tuple:
@@ -203,25 +214,6 @@ def check_pair(name: str, value, error=ValidationError) -> tuple:
             check_real(f"{name}[1]", second, error))
 
 
-def check_positive(name: str, column: np.ndarray,
-                   error=ValidationError) -> None:
-    """Raise ``error`` naming the first value of a float64 array, in row
-    order, that is not positive (nan is not)."""
-    bad = ~(column > 0)
-    if bad.any():
-        raise error(f"{name} must be positive, got {column[bad][0].item()!r}")
-
-
-def check_finite(name: str, column: np.ndarray,
-                 error=ValidationError) -> None:
-    """Raise ``error`` naming the first value of a float64 array, in row
-    order, that is not finite."""
-    finite = np.isfinite(column)
-    if not finite.all():
-        raise error(
-            f"{name} must be finite, got {column[~finite][0].item()!r}")
-
-
 def libm_column(fn, column) -> np.ndarray:
     """``fn`` (libm's ``math.log``, ``math.log10`` or ``math.exp``) applied
     to each value of a float64 array.  Every log and exp on the value path
@@ -230,21 +222,6 @@ def libm_column(fn, column) -> np.ndarray:
     values = np.asarray(column, dtype=np.float64)
     return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
                        values.size).reshape(values.shape)
-
-
-def _require_positive_finite(**columns) -> None:
-    """Raise ValidationError naming the first value, in row order, that is
-    not positive and finite."""
-    ok = np.logical_and.reduce([np.isfinite(c) & (c > 0)
-                                for c in columns.values()])
-    if ok.all():
-        return
-    i = int(ok.argmin())
-    for name, column in columns.items():
-        value = column[i].item()
-        if not 0 < value < math.inf:
-            raise ValidationError(
-                f"{name} must be positive and finite, got {value!r}")
 
 
 def read_lines(path):
@@ -354,7 +331,8 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
             if metadata.u_star is None or metadata.nu is None:
                 raise ValidationError(
                     "raw format requires u_star and nu metadata")
-            _require_positive_finite(y=first, u=second)
+            check_values(ValidationError, "positive and finite",
+                         y=first, u=second)
             first = metadata.u_star * first / metadata.nu
             second = second / metadata.u_star
         return VelocityProfile(first, second, metadata)
@@ -453,12 +431,13 @@ def select_intermediate(profile: VelocityProfile,
     on as the result's ``ln_eta`` and ``ln_phi`` columns.
 
     Raises ValidationError if fewer than 4 samples survive, or if
-    ``lg_eta_min`` is not finite or ``phi_plateau_tol`` is not >= 0 (see
-    ``check_option``).
+    ``lg_eta_min`` is not finite or ``phi_plateau_tol`` is not >= 0 (an
+    infinite tolerance is an infinite band).
     """
-    check_option("lg_eta_min", lg_eta_min)
-    check_option("phi_plateau_tol", phi_plateau_tol, nonnegative=True,
-                 finite=False)
+    check_values(ValidationError, "finite",
+                 lg_eta_min=check_real("lg_eta_min", lg_eta_min))
+    check_values(ValidationError, ">= 0", phi_plateau_tol=check_real(
+        "phi_plateau_tol", phi_plateau_tol))
     eta, phi = profile.eta, profile.phi
     above = libm_column(math.log10, eta) > lg_eta_min
     eta, phi = eta[above], phi[above]

@@ -36,9 +36,11 @@ class AnalyzeOptions:
 
     def __post_init__(self):
         profiles.check_count("min_seg", self.min_seg, 3)
-        profiles.check_option("lg_eta_min", self.lg_eta_min)
-        for name in ("phi_plateau_tol", "consistency_tol", "shift_tol"):
-            profiles.check_option(name, getattr(self, name), nonnegative=True)
+        profiles.check_values(ValidationError, "finite", lg_eta_min=(
+            profiles.check_real("lg_eta_min", self.lg_eta_min)))
+        profiles.check_values(ValidationError, "finite and >= 0", **{
+            name: profiles.check_real(name, getattr(self, name))
+            for name in ("phi_plateau_tol", "consistency_tol", "shift_tol")})
         if self.alpha_source not in (ALPHA_SOURCE_MEAN, ALPHA_SOURCE_LNRE1):
             raise ValidationError(
                 f"alpha_source must be '{ALPHA_SOURCE_MEAN}' or "

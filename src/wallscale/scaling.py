@@ -24,7 +24,8 @@ import numpy as np
 from .errors import DomainError, FitError, ValidationError
 from .fitting import _ols
 from .profiles import (as_columns, check_count, check_pair, check_real,
-                       freeze_columns, libm_column, real_or_column)
+                       check_values, freeze_columns, libm_column,
+                       real_or_column)
 
 SQRT3 = math.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -44,10 +45,10 @@ class LogLawParams:
     c_offset: float
 
     def __post_init__(self):
-        check_real("kappa", self.kappa, DomainError)
-        check_real("c_offset", self.c_offset, DomainError)
-        if not self.kappa > 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa!r}")
+        check_values(DomainError, "positive and finite",
+                     kappa=check_real("kappa", self.kappa, DomainError))
+        check_values(DomainError, "finite", c_offset=check_real(
+            "c_offset", self.c_offset, DomainError))
 
 
 # The classical logarithmic law the envelope is compared with.
@@ -88,8 +89,7 @@ def alpha_of_ln_re(ln_re):
     also gives ln Re_2 from a fitted exponent.
     """
     (ln_re,) = real_or_column(DomainError, ln_re=ln_re)
-    if not np.all(ln_re > 0):
-        raise DomainError(f"ln_re must be positive, got {ln_re!r}")
+    check_values(DomainError, "positive", ln_re=ln_re)
     with np.errstate(over="ignore"):    # a subnormal ln Re: alpha is inf
         return 1.5 / ln_re
 
@@ -111,8 +111,7 @@ def scaling_law_phi(eta, ln_re):
     float.  A value of the law that overflows is a DomainError.
     """
     eta, ln_re = real_or_column(DomainError, eta=eta, ln_re=ln_re)
-    if not np.all(eta > 0):
-        raise DomainError("eta must be positive")
+    check_values(DomainError, "positive", eta=eta)
     with np.errstate(over="ignore"):
         out = prefactor_of_ln_re(ln_re) * np.power(eta, alpha_of_ln_re(ln_re))
     if not np.all(out < math.inf):
@@ -123,8 +122,7 @@ def scaling_law_phi(eta, ln_re):
 def log_law_phi(eta, params: LogLawParams):
     """Evaluate the logarithmic law ln(eta)/kappa + c_offset."""
     (eta,) = real_or_column(DomainError, eta=eta)
-    if not np.all(eta > 0):
-        raise DomainError("eta must be positive")
+    check_values(DomainError, "positive", eta=eta)
     with np.errstate(over="ignore", invalid="ignore"):  # a subnormal kappa
         out = libm_column(math.log, eta) / params.kappa + params.c_offset
     return float(out) if np.ndim(out) == 0 else out
@@ -140,8 +138,7 @@ def envelope_at(ln_eta: float) -> EnvelopePoint:
     is not positive and finite, or above about 8.9e153, is a DomainError.
     """
     ln_eta = check_real("ln_eta", ln_eta, DomainError)
-    if not 0 < ln_eta < math.inf:
-        raise DomainError(f"ln_eta must be positive and finite, got {ln_eta!r}")
+    check_values(DomainError, "positive and finite", ln_eta=ln_eta)
     curve = solve_envelope(np.array([ln_eta], dtype=np.float64))
     return EnvelopePoint(ln_eta=curve.ln_eta.item(),
                          phi_env=curve.phi_env.item(),
@@ -214,9 +211,7 @@ def envelope_curve(ln_eta_range, n_points: int) -> EnvelopeCurve:
     if not lo < hi:
         raise ValidationError(f"invalid ln_eta range {(lo, hi)!r}")
     for ln_eta in (lo, hi):
-        if not 0 < ln_eta < math.inf:
-            raise ValidationError(
-                f"ln_eta must be positive and finite, got {ln_eta!r}")
+        check_values(ValidationError, "positive and finite", ln_eta=ln_eta)
     return solve_envelope(grid(lo, hi, n_points))
 
 
@@ -230,14 +225,14 @@ def fit_log_law(ln_eta, phi) -> LogLawParams:
     decimal the CLI prints: on the envelope, a mean ln eta above 1.2e10.
     Fewer than 2 points are a FitError."""
     x, y = as_columns(FitError, ln_eta=ln_eta, phi=phi)
+    check_values(FitError, "finite", ln_eta=x, phi=y)
     if len(x) < 2:
         raise FitError(f"log-law fit needs at least 2 points, got {len(x)}")
     slope, intercept, _, _ = _ols(x, y)
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise DomainError(f"the line fit overflows: slope {slope!r}, "
                           f"intercept {intercept!r}")
-    if slope <= 0:
-        raise DomainError(f"nonpositive slope {slope!r}, no effective kappa")
+    check_values(DomainError, "positive", slope=slope)
     error = 4 * EPS * (abs(float(y.mean())) + abs(slope * float(x.mean())))
     if error > 5e-5:
         raise DomainError(f"the line fit's offset C cancels: its rounding "

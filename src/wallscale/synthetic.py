@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .profiles import (ProfileMetadata, VelocityProfile, check_count,
-                       check_option, check_pair, libm_column, parse_value,
-                       read_lines, split_key_value)
+                       check_pair, check_real, check_values, libm_column,
+                       parse_value, read_lines, split_key_value)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
 _LN_MAX = math.log(np.finfo(float).max)    # the largest x with a finite exp
@@ -55,25 +55,20 @@ class SynthSpec:
 
     def __post_init__(self):
         lo, hi = check_pair("ln_eta_range", self.ln_eta_range)
-        for name, value in (("ln_re", self.ln_re), ("ln_eta_min", lo),
-                            ("ln_eta_max", hi),
-                            ("break_ln_eta", self.break_ln_eta),
-                            ("beta", self.beta),
-                            ("noise_sigma", self.noise_sigma),
-                            ("shift", self.shift)):
-            check_option(name, value)
+        reals = {name: check_real(name, getattr(self, name))
+                 for name in ("ln_re", "break_ln_eta", "beta", "shift")}
+        check_values(ValidationError, "finite", ln_eta_min=lo, ln_eta_max=hi,
+                     **reals)
+        check_values(ValidationError, "finite and >= 0", noise_sigma=(
+            check_real("noise_sigma", self.noise_sigma)))
         check_count("seed", self.seed, 0)
-        if not self.ln_re > 0:
-            raise ValidationError(f"ln_re must be positive, got {self.ln_re!r}")
+        check_values(ValidationError, "positive", ln_re=reals["ln_re"])
         if not lo < hi:
             raise ValidationError(f"invalid ln_eta_range {self.ln_eta_range!r}")
         if not lo < self.break_ln_eta < hi:
             raise ValidationError(
                 f"break_ln_eta {self.break_ln_eta!r} outside ln_eta_range")
         check_count("n_points", self.n_points, 8)
-        if self.noise_sigma < 0:
-            raise ValidationError(
-                f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
         check_count("plateau_points", self.plateau_points, 0)
         if not self.plateau_points <= self.n_points - 4:
             raise ValidationError(

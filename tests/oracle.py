@@ -29,8 +29,7 @@ from wallscale import (BrokenLineFit, DomainError, FitError, ParseError,
                        fit_power_law, ln_re1_from_prefactor,
                        ln_re2_from_exponent, psi_transform,
                        significant_break)
-from wallscale.profiles import (_METADATA_KEYS, _require_positive_finite,
-                                read_lines)
+from wallscale.profiles import _METADATA_KEYS, read_lines
 from wallscale.report import ALPHA_SOURCE_MEAN
 
 SQRT3 = math.sqrt(3.0)
@@ -169,7 +168,11 @@ def reference_load(path, format):
             if metadata.u_star is None or metadata.nu is None:
                 raise ValidationError(
                     "raw format requires u_star and nu metadata")
-            _require_positive_finite(y=first, u=second)
+            for row in rows:
+                for name, value in zip(("y", "u"), row):
+                    if not 0 < value < math.inf:
+                        raise ValidationError(f"{name} must be positive and "
+                                              f"finite, got {value!r}")
             first = metadata.u_star * first / metadata.nu
             second = second / metadata.u_star
         return VelocityProfile(first, second, metadata)
@@ -180,15 +183,19 @@ def reference_load(path, format):
 # --- diagnostics -----------------------------------------------------------
 
 def per_point_series(eta, phi, alpha):
-    """The reference for the columnar build: the same checks, then
-    ``math.log`` and ``psi_transform`` sample by sample, and Python sums
-    in row order, of squares taken as products.  Returns (ln_eta, psi,
-    mean_shift, rms_scatter)."""
+    """The reference for the columnar build: the same checks (every eta
+    positive, then every eta finite), then ``math.log`` and
+    ``psi_transform`` sample by sample, and Python sums in row order, of
+    squares taken as products.  Returns (ln_eta, psi, mean_shift,
+    rms_scatter)."""
     if not eta:
         raise DomainError("cannot build a universal series from no samples")
     for e in eta:
         if not e > 0:
             raise DomainError(f"eta must be positive, got {e!r}")
+    for e in eta:
+        if not e < math.inf:
+            raise DomainError(f"eta must be finite, got {e!r}")
     ln_eta = log_columns(eta)[0].tolist()
     psi = [psi_transform(p, alpha) for p in phi]
     deviations = [x - y for x, y in zip(ln_eta, psi)]

@@ -13,6 +13,8 @@ the two, or ``test_table_covers_every_export`` fails.
 """
 
 import dataclasses
+import math
+import pathlib
 import sys
 import types
 import warnings
@@ -238,3 +240,49 @@ def test_probe_escapes_fail_typed(call, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+NAN, INF = math.nan, math.inf
+
+
+# Calls that returned nan, inf or an ln Re that is not positive, and the
+# message each now raises.
+@pytest.mark.parametrize("call, error, message", [
+    *[(lambda bad=bad: combine_reynolds(10.0, 10.0, re_theta=bad),
+       DomainError, f"re_theta must be positive and finite, got {bad!r}")
+      for bad in (-5.0, NAN, 0.0, INF)],
+    (lambda: ln_re1_from_prefactor(INF), DomainError,
+     "prefactor must be finite, got inf"),
+    (lambda: ln_re2_from_exponent(INF), DomainError,
+     "alpha must be positive and finite, got inf"),
+    (lambda: build_universal_series([1, INF, 3], [8, 9, 10], 0.15),
+     DomainError, "eta must be finite, got inf"),
+    (lambda: universal_series(np.array([1.0, NAN, 3.0]), np.ones(3), 0.15),
+     DomainError, "ln_eta must be finite, got nan"),
+    (lambda: fit_log_law([1, NAN, 3], [1, 2, 3]), FitError,
+     "ln_eta must be finite, got nan"),
+    (lambda: fit_log_law([1, 2, 3], [1, INF, 3]), FitError,
+     "phi must be finite, got inf"),
+    (lambda: LogLawParams(kappa=INF, c_offset=5.1), DomainError,
+     "kappa must be positive and finite, got inf"),
+    (lambda: LogLawParams(0.4, NAN), DomainError,
+     "c_offset must be finite, got nan"),
+])
+def test_silent_non_answers_fail_typed(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_value_rules_have_one_owner():
+    # every sign and finiteness message comes from profiles.check_values
+    source = pathlib.Path(wallscale.__file__).parent
+    spelled = [f"{path.name}: {phrase}" for path in sorted(source.glob("*.py"))
+               if path.name != "profiles.py"
+               for phrase in ("must be positive", "must be finite",
+                              "must be >= 0")
+               if phrase in path.read_text(encoding="utf-8")]
+    assert spelled == []

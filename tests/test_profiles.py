@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wallscale import (ParseError, ProfileMetadata, ValidationError,
-                       VelocityProfile, load_profile, save_profile,
-                       select_intermediate)
+from wallscale import (DomainError, FitError, ParseError, ProfileMetadata,
+                       ValidationError, VelocityProfile, load_profile,
+                       save_profile, select_intermediate)
 from wallscale.profiles import (as_columns, atomic_write_text, check_real,
-                                format_columns, real_or_column)
+                                check_values, format_columns, real_or_column)
 
 from oracle import select_reference
 
@@ -213,6 +213,55 @@ class TestColumnContract:
     def test_check_real_returns_a_float(self):
         for value in (3, np.int64(3), np.float32(3.0), 3.0):
             assert type(check_real("x", value)) is float
+
+
+# rule -> (values that keep it, values that break it)
+VALUE_RULES = {
+    "finite": ([-1e308, -0.0, 5e-324, 1e308], [math.inf, -math.inf, math.nan]),
+    ">= 0": ([0.0, -0.0, 5e-324, math.inf], [-5e-324, -math.inf, math.nan]),
+    "finite and >= 0": ([0.0, -0.0, 1e308], [-1.0, math.inf, math.nan]),
+    "positive": ([5e-324, 1.0, math.inf], [0.0, -0.0, -1.0, math.nan]),
+    "positive and finite": ([5e-324, 1e308], [0.0, -1.0, math.inf, math.nan]),
+}
+
+
+def _value_rule_cases():
+    """(rule, named values, the message or None) for each rule on numbers
+    and on columns, then the order of the rows and the arguments."""
+    for rule, (good, bad) in VALUE_RULES.items():
+        yield rule, dict(x=good[0], y=np.array(good)), None
+        for value in bad:
+            message = f"y must be {rule}, got {value!r}"
+            yield rule, dict(x=good[-1], y=value), message
+            yield rule, dict(x=np.array(good), y=np.array(
+                [*good[:2], value, good[0], value])), message
+    # the first bad row wins, then the first argument in it; a number
+    # stands in every row
+    yield "positive", dict(a=[1.0, 1.0, -1.0], b=[1.0, -2.0, 1.0]), \
+        "b must be positive, got -2.0"
+    yield "positive", dict(a=[1.0, -1.0], b=[1.0, -2.0]), \
+        "a must be positive, got -1.0"
+    yield "positive", dict(a=[1.0, -1.0], b=-2.0), \
+        "b must be positive, got -2.0"
+    yield "positive", dict(a=[-1.0, 1.0], b=-2.0), \
+        "a must be positive, got -1.0"
+    yield "finite", dict(a=[math.nan], b=[math.inf]), \
+        "a must be finite, got nan"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("error", [ValidationError, DomainError, FitError])
+@pytest.mark.parametrize("rule, values, message", list(_value_rule_cases()))
+def test_check_values(rule, values, message, error):
+    values = {name: np.array(value) if isinstance(value, list) else value
+              for name, value in values.items()}
+    if message is None:
+        assert check_values(error, rule, **values) is None
+        return
+    with pytest.raises(error) as info:
+        check_values(error, rule, **values)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 class TestLoadProfile:
