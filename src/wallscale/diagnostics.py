@@ -75,10 +75,15 @@ def ln_re1_from_prefactor(a: float) -> float:
 
 
 def ln_re2_from_exponent(alpha: float) -> float:
-    """Solve 3 / (2 ln Re_2) = alpha for ln Re_2."""
+    """Solve 3 / (2 ln Re_2) = alpha for ln Re_2.  An alpha below about
+    8.3e-309, where 1.5 / alpha overflows, is a DomainError."""
     alpha = check_real("alpha", alpha, DomainError)
     check_values(DomainError, "positive and finite", alpha=alpha)
-    return alpha_of_ln_re(alpha)
+    ln_re2 = alpha_of_ln_re(alpha)
+    if ln_re2 == math.inf:
+        raise DomainError(f"alpha={alpha!r} is too small: 1.5 / alpha "
+                          "overflows, so ln Re_2 has no value")
+    return ln_re2
 
 
 def combine_reynolds(ln_re1: float, ln_re2: float,
@@ -87,15 +92,20 @@ def combine_reynolds(ln_re1: float, ln_re2: float,
     """Mean Reynolds estimate ln Re = (ln Re_1 + ln Re_2)/2 with a
     consistency verdict on the relative discrepancy |ln Re_1 - ln Re_2| / ln Re.
 
-    Raises DomainError when an estimate is not positive, when ``re_theta``
-    is not positive and finite, or when Re = exp(ln Re) overflows and so
-    Re_theta/Re has no value, and ValidationError when ``tol`` is not
-    >= 0 (an infinite tolerance is an infinite band)."""
+    Raises DomainError when an estimate is not positive and finite, when
+    their sum overflows, when ``re_theta`` is not positive and finite, or
+    when Re = exp(ln Re) overflows and so Re_theta/Re has no value, and
+    ValidationError when ``tol`` is not >= 0 (an infinite tolerance is an
+    infinite band)."""
     ln_re1 = check_real("ln_re1", ln_re1, DomainError)
     ln_re2 = check_real("ln_re2", ln_re2, DomainError)
     check_values(ValidationError, ">= 0", tol=check_real("tol", tol))
-    check_values(DomainError, "positive", ln_re1=ln_re1, ln_re2=ln_re2)
+    check_values(DomainError, "positive and finite",
+                 ln_re1=ln_re1, ln_re2=ln_re2)
     mean = 0.5 * (ln_re1 + ln_re2)
+    if mean == math.inf:
+        raise DomainError(f"ln_re1 + ln_re2 overflows at ln_re1={ln_re1!r}, "
+                          f"ln_re2={ln_re2!r}, so ln Re has no value")
     rel = abs(ln_re1 - ln_re2) / mean
     ratio = None
     if re_theta is not None:

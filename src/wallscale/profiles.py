@@ -15,8 +15,10 @@ raw
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -282,6 +284,31 @@ def parse_value(kind, key: str, raw: str, path=None, lineno=None):
                      path=path, line=lineno)
 
 
+def block_values(block: str) -> list[float] | None:
+    r"""The numbers of ``block``'s data rows, in row order, or None unless
+    every row is a plain one.  The rows are the pieces between the
+    ``"\n"``s of the block (universal-newline text, so no ``"\r"``) once
+    its trailing whitespace is dropped; never ``str.splitlines``, which
+    also splits at ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``,
+    ``\u2028`` and ``\u2029``.  The block must hold no ``=`` and no
+    ``#``, and each row must split into exactly two fields, at commas if
+    the block holds one and at whitespace otherwise, that ``float`` reads.
+    ``load_profile``'s per-line loop then reads each row as a data row of
+    the same fields, up to outer whitespace (which ``float`` strips, or
+    fails on and leaves to the loop), and skips each trailing line dropped
+    as blank."""
+    if "=" in block or "#" in block:
+        return None
+    sep = "," if "," in block else None
+    rows = [row.split(sep) for row in block.rstrip().split("\n")]
+    if any(len(fields) != 2 for fields in rows):
+        return None
+    try:
+        return list(map(float, itertools.chain.from_iterable(rows)))
+    except ValueError:
+        return None
+
+
 def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     """Load and validate a velocity profile from a text file.
 
@@ -295,13 +322,18 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     split at commas if it holds one and at whitespace otherwise, each read
     by ``float``.  The first bad line, in line order, is a ParseError that
     names it; a row's checks are spelled out only once it fails to read.
+
+    From the first data row on, the rest of the file is read as one block
+    when ``block_values`` takes it, which gives the numbers the lines would;
+    otherwise the lines are read one by one from that row.
     """
     if format not in ("wall_units", "raw"):
         raise ValidationError(f"unknown format {format!r}")
     path = Path(path)
     meta_kwargs: dict = {}
     values: list[float] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
+    lines = read_lines(path)
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text[0] == "#":
             continue
@@ -312,18 +344,25 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
                 str if key == "label" else float, key, value.strip(),
                 path, lineno)
             continue
+        if not values:      # the first data row (each row read adds two)
+            mark = lines.tell()
+            block = block_values(line + lines.read())
+            if block is not None:
+                values = block
+                break
+            lines.seek(mark)
         parts = text.split(",") if "," in text else text.split()
         try:
-            # float strips the whitespace that str.strip does.
             a, b = parts
             values += float(a), float(b)
         except ValueError:
+            # float strips the outer whitespace that str.strip does but for
+            # \x1c-\x1f, which parse_value strips first
             if len(parts) != 2:
                 raise ParseError(f"expected 2 columns, got {len(parts)}",
                                  path=path, line=lineno) from None
-            parse_value(float, "column 1", parts[0], path, lineno)
-            parse_value(float, "column 2", parts[1], path, lineno)
-            raise
+            values += (parse_value(float, "column 1", parts[0], path, lineno),
+                       parse_value(float, "column 2", parts[1], path, lineno))
     try:
         metadata = ProfileMetadata(**meta_kwargs)
         first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
@@ -414,6 +453,33 @@ DEFAULT_LG_ETA_MIN = 1.5
 DEFAULT_PLATEAU_TOL = 0.002
 
 
+def above_sublayer(eta: np.ndarray, lg_eta_min: float) -> np.ndarray:
+    """The mask of the samples of ``eta`` (positive and finite) whose libm
+    ``math.log10`` exceeds ``lg_eta_min``, taking that logarithm only near
+    the edge ``10.0 ** lg_eta_min``.
+
+    Away from the edge the mask is ``eta > edge``: libm ``log10`` errs by
+    at most 2 ulp and ``pow`` by at most 1 ulp, far below log10(1 + 1e-9)
+    ~ 4.3e-10, so a sample more than a relative 1e-9 from the edge falls
+    on the same side of ``lg_eta_min`` either way.  The samples within it
+    take ``math.log10`` (ln eta / ln 10 can move a boundary sample), and so
+    does the whole column when the edge is not a normal float: 0 or
+    subnormal, where it keeps too few bits, or beyond the float range.
+    The mask thus equals the libm one sample for sample.
+    """
+    try:
+        edge = 10.0 ** lg_eta_min
+    except OverflowError:
+        edge = math.inf
+    above = eta > edge
+    if sys.float_info.min <= edge < math.inf:
+        near = np.abs(eta - edge) <= 1e-9 * edge
+    else:
+        near = np.ones_like(above)
+    above[near] = libm_column(math.log10, eta[near]) > lg_eta_min
+    return above
+
+
 def select_intermediate(profile: VelocityProfile,
                         lg_eta_min: float = DEFAULT_LG_ETA_MIN,
                         phi_plateau_tol: float = DEFAULT_PLATEAU_TOL
@@ -426,9 +492,9 @@ def select_intermediate(profile: VelocityProfile,
     forward slope in (ln eta, ln phi); those samples corrupt region-II
     fits and are dropped as well.
 
-    ln eta and ln phi are taken once, after the sublayer cut (made with
-    ``math.log10``: ln eta / ln 10 can move a boundary sample), and handed
-    on as the result's ``ln_eta`` and ``ln_phi`` columns.
+    The sublayer cut is ``above_sublayer``'s.  ln eta and ln phi are
+    taken once, after it, and handed on as the result's ``ln_eta`` and
+    ``ln_phi`` columns.
 
     Raises ValidationError if fewer than 4 samples survive, or if
     ``lg_eta_min`` is not finite or ``phi_plateau_tol`` is not >= 0 (an
@@ -439,7 +505,7 @@ def select_intermediate(profile: VelocityProfile,
     check_values(ValidationError, ">= 0", phi_plateau_tol=check_real(
         "phi_plateau_tol", phi_plateau_tol))
     eta, phi = profile.eta, profile.phi
-    above = libm_column(math.log10, eta) > lg_eta_min
+    above = above_sublayer(eta, lg_eta_min)
     eta, phi = eta[above], phi[above]
     ln_eta, ln_phi = libm_column(math.log, eta), libm_column(math.log, phi)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -87,16 +87,17 @@ class TestAnalyze:
 
     def test_out_dir_takes_each_logarithm_once(self, tmp_path, capsys,
                                                monkeypatch):
-        # Every log and exp goes through profiles.libm_column.  The loaded
-        # eta takes one log10 pass for the sublayer cut, the selected
-        # eta and phi are logged once each, the psi argument once per
+        # Every log and exp goes through profiles.libm_column.  The
+        # sublayer cut takes log10 of the samples near its edge only: here
+        # the fourth sample, whose log10 is lg_eta_min.  The selected eta
+        # and phi are logged once each, the psi argument once per
         # universal series (region I, then the shift column), and the
         # envelope table takes one exp pass; the fit takes no logarithm.
         path = tmp_path / "case.dat"
         write_profile(path)     # noiseless: no plateau to cut
-        bundle = report.analyze(path, AnalyzeOptions(lg_eta_min=0.5))
+        lg_eta_min = math.log10(wallscale.load_profile(path).eta[3])
+        bundle = report.analyze(path, AnalyzeOptions(lg_eta_min=lg_eta_min))
         n, k = len(bundle.profile), bundle.fit.split_index
-        loaded = len(wallscale.load_profile(path))
         real, calls = wallscale.profiles.libm_column, []
 
         def counting(fn, column):
@@ -108,10 +109,11 @@ class TestAnalyze:
                        wallscale.scaling, wallscale.synthetic):
             if getattr(module, "libm_column", None) is real:
                 monkeypatch.setattr(module, "libm_column", counting)
-        code = main(["analyze", str(path), "--lg-eta-min", "0.5",
+        code = main(["analyze", str(path), "--lg-eta-min", repr(lg_eta_min),
                      "--out-dir", str(tmp_path / "plots")])
         assert code == EXIT_OK
-        assert calls == [("log10", loaded), ("log", n), ("log", n),
+        assert n in (32, 33)    # the fourth sample is on either side
+        assert calls == [("log10", 1), ("log", n), ("log", n),
                          ("log", k), ("log", n), ("exp", 50)]
         calls.clear()
         selected = bundle.profile
@@ -761,9 +763,9 @@ class TestEnvelope:
         src = str(Path(wallscale.__file__).resolve().parents[1])
         code = ("import sys, wallscale.cli; "
                 "print('scipy' in sys.modules)")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={"PYTHONPATH": src}, check=True)
+        result = subprocess.run(     # -B: leave no byte code in the tree
+            [sys.executable, "-B", "-c", code], capture_output=True,
+            text=True, env={"PYTHONPATH": src}, check=True)
         assert result.stdout.strip() == "False"
 
 

@@ -255,6 +255,16 @@ NAN, INF = math.nan, math.inf
      "prefactor must be finite, got inf"),
     (lambda: ln_re2_from_exponent(INF), DomainError,
      "alpha must be positive and finite, got inf"),
+    (lambda: ln_re2_from_exponent(5e-324), DomainError,
+     "alpha=5e-324 is too small: 1.5 / alpha overflows, so ln Re_2 has no "
+     "value"),
+    (lambda: combine_reynolds(10.0, INF), DomainError,
+     "ln_re2 must be positive and finite, got inf"),
+    (lambda: combine_reynolds(INF, 10.0), DomainError,
+     "ln_re1 must be positive and finite, got inf"),
+    (lambda: combine_reynolds(1e308, 1.7e308), DomainError,
+     "ln_re1 + ln_re2 overflows at ln_re1=1e+308, ln_re2=1.7e+308, so ln Re "
+     "has no value"),
     (lambda: build_universal_series([1, INF, 3], [8, 9, 10], 0.15),
      DomainError, "eta must be finite, got inf"),
     (lambda: universal_series(np.array([1.0, NAN, 3.0]), np.ones(3), 0.15),

@@ -41,6 +41,9 @@ class TestReynoldsEstimates:
             ln_re1_from_prefactor(1.0)
         with pytest.raises(DomainError):
             ln_re2_from_exponent(0.0)
+        with pytest.raises(DomainError, match="overflows"):
+            ln_re2_from_exponent(5e-324)
+        assert ln_re2_from_exponent(1e-308) < math.inf   # subnormal alpha
 
 
 class TestCombineReynolds:
@@ -65,8 +68,10 @@ class TestCombineReynolds:
         assert combine_reynolds(10.0, 10.2).re_theta_over_re is None
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            combine_reynolds(-1.0, 10.0)
+        for ln_re1, ln_re2 in ((-1.0, 10.0), (10.0, math.inf),
+                               (math.nan, 10.0), (1e308, 1.7e308)):
+            with pytest.raises(DomainError):
+                combine_reynolds(ln_re1, ln_re2)
 
     def test_ratio_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="too large"):

@@ -1,24 +1,34 @@
 """``load_profile`` reads every file exactly as a plain per-line parser.
 
-``load_profile`` reads each data row with one unpacking and two ``float``
-calls and works out why a row is bad only once it fails.  The reference,
-``oracle.reference_load``, is the loader as it was before that: one line
+``load_profile`` reads the rows from the first data row on as one block
+when ``profiles.block_values`` takes them, and otherwise one line at a
+time, each data row with one unpacking and two ``float`` calls, working
+out why a row is bad only once it fails.  The reference,
+``oracle.reference_load``, is the loader as it was before both: one line
 at a time, every check spelled out in order.  These tests draw profile
 files from a grammar that mixes valid rows with every kind of trouble
-(separators, trailing comments, empty fields, numbers only ``float``
-reads, wrong widths, metadata after the rows, line endings) and require
-bit-equal columns and equal metadata, or the same exception type and
-message.
+(separators, whitespace that ``str.splitlines`` would split at, trailing
+comments, empty fields, numbers only ``float`` reads, a bad number deep
+in the rows, wrong widths, commas in some rows only, metadata or comments
+after the rows, line endings, trailing blank lines, no final newline) and
+require bit-equal columns and equal metadata, or the same exception type
+and message; and they require the grammar to draw files that each path
+reads.
 """
 
 import re
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import (HealthCheck, Phase, example, find, given,
+                        settings)
 from hypothesis import strategies as st
 
-from wallscale import load_profile
+from wallscale import WallscaleError, load_profile, profiles
 
 from oracle import reference_load
 
@@ -31,8 +41,12 @@ ODD_NUMBER = st.sampled_from([
     "", "1_0", "1_000.5", "nan", "-nan", "inf", "+inf", "-inf", "Infinity",
     "1e999", "1e-999", "0", "-3", "0x10", "x", "1.5.2", "\u0661\u0662",
     "1e", ".5", "5.", "7\x00"])
+# whitespace that str.splitlines, but not a universal-newline read, ends a
+# line at
+LINE_BREAKING_SPACE = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 SEPARATOR = st.sampled_from([" ", "\t", ",", ", ", " ,", "  \t ", "\u3000",
-                             "\x0b", "\x1c", ",,", ""])
+                             *LINE_BREAKING_SPACE, ",,", ""])
+BAD_NUMBER = st.sampled_from(["x", "1.5.2", "1e", "0x10", "--1", "\u0661x"])
 COMMENT = st.sampled_from([" # text", "#", "\t#1 2"])
 
 
@@ -74,35 +88,67 @@ ODD_LINE = st.sampled_from([
 CLEAN = clean_rows()
 ODD = {"odd rows": odd_rows(), "odd lines": ODD_LINE | METADATA}
 EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
-         "underscore", "comment", "width")
+         "underscore", "comment", "width", "odd whitespace", "some commas",
+         "after the rows", "bad number", "joined rows")
+ENDINGS = {"newline": "\n", "no final newline": "",
+           "trailing blank line": "\n\n", "trailing spaces": "\n \x85 \n"}
 
 
 @st.composite
 def profile_files(draw):
-    """Metadata and clean rows, often edited by putting one or two odd
-    rows, or odd or metadata lines, anywhere (after the rows too), by
-    drawing each row's separator anew, by an underscore in one number
-    (``1_0`` reads as 10 with ``float``), by a trailing comment on one
-    row, or by giving every row one or three columns."""
+    r"""A file's text and the edit and ending drawn for it.  Metadata and
+    clean rows, often edited by putting one or two odd rows, or odd or
+    metadata lines, anywhere (after the rows too), by drawing each row's
+    separator anew, by an underscore in one number (``1_0`` reads as 10
+    with ``float``), by a trailing comment on one row, by giving every row
+    one or three columns, by putting whitespace that ``str.splitlines``
+    splits at around some rows and their separators (``float`` strips no
+    ``\x1c``), by a comma where one row had whitespace or whitespace where
+    it had a comma, by a metadata or comment line after one of the rows,
+    by a number ``float`` rejects in the second half of the rows, or by
+    joining two rows into one line at a whitespace that ``str.splitlines``
+    splits at.  The file ends in one newline, none, or a blank line."""
     rows = draw(CLEAN)
     edit = draw(st.sampled_from(EDITS))
+    index = st.integers(0, len(rows) - 1)
     if edit == "mixed separators":
         rows = [draw(SEPARATOR).join(re.split(r"[ \t,]+", row))
                 for row in rows]
     elif edit in ("underscore", "comment"):
-        i = draw(st.integers(0, len(rows) - 1))
+        i = draw(index)
         rows[i] = (re.sub(r"(\d)(\d)", r"\1_\2", rows[i], count=1)
                    if edit == "underscore" else rows[i] + draw(COMMENT))
     elif edit == "width":
         cut = draw(st.booleans())
         rows = [re.split(r"[ \t,]+", row)[0] if cut else
                 row + re.findall(r"[ \t,]+", row)[0] + "1.0" for row in rows]
-    lines = draw(st.lists(METADATA, max_size=3)) + rows
+    elif edit == "odd whitespace":
+        pad = st.sampled_from(["", *LINE_BREAKING_SPACE])
+        for i in draw(st.lists(index, min_size=1, max_size=3)):
+            rows[i] = re.sub(r"[ \t,]+", draw(pad) + r"\g<0>" + draw(pad),
+                             draw(pad) + rows[i] + draw(pad), count=1)
+    elif edit == "some commas":
+        i = draw(index)
+        rows[i] = re.sub(r"[ \t,]+", " " if "," in rows[i] else ",",
+                         rows[i], count=1)
+    elif edit == "joined rows":
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i] += draw(st.sampled_from(LINE_BREAKING_SPACE)) + rows.pop(i + 1)
+    elif edit == "bad number":
+        i = draw(st.integers(len(rows) // 2, len(rows) - 1))
+        rows[i] = re.sub(r"[^ \t,]+$", draw(BAD_NUMBER), rows[i])
+    lines = draw(st.lists(METADATA, max_size=3))
+    if edit == "after the rows":
+        rows.insert(draw(st.integers(1, len(rows))),
+                    draw(METADATA | st.sampled_from(["# comment", "#"])))
+    lines += rows
     if edit in ODD:
         for line in draw(st.lists(ODD[edit], min_size=1, max_size=2)):
             lines.insert(draw(st.integers(0, len(lines))), line)
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(lines) + "\n"
+    ending = draw(st.sampled_from(sorted(ENDINGS)))
+    text = newline.join(lines) + ENDINGS[ending].replace("\n", newline)
+    return text, edit, ending
 
 
 def _outcome(fn):
@@ -117,8 +163,13 @@ def _outcome(fn):
 
 
 @SETTINGS
-@given(text=profile_files(), fmt=st.sampled_from(["wall_units", "raw"]))
-def test_load_profile_matches_per_line_parser(tmp_path, text, fmt):
+@given(case=profile_files(), fmt=st.sampled_from(["wall_units", "raw"]))
+@example(case=("1\x1c,2\n2 ,\x1c3\n3,4\n4,5\n", "odd whitespace", "newline"),
+         fmt="wall_units")
+@example(case=("1 2\n3 4\x0c5 6\n7 8\n9 10\n", "joined rows", "newline"),
+         fmt="wall_units")
+def test_load_profile_matches_per_line_parser(tmp_path, case, fmt):
+    text = case[0]
     path = tmp_path / "p.dat"
     path.write_text(text, encoding="utf-8", newline="")
     got = _outcome(lambda: load_profile(path, fmt))
@@ -131,3 +182,46 @@ def test_load_profile_matches_per_line_parser(tmp_path, text, fmt):
         for name in ("eta", "phi"):
             assert (getattr(got[1], name).view(np.uint64)
                     == getattr(want[1], name).view(np.uint64)).all()
+
+
+def _path_taken(text):
+    """"block" or "lines" as ``load_profile`` reads ``text``'s rows from
+    the first data row on, or None if it stops before that row."""
+    taken, real = [], profiles.block_values
+
+    def spy(block):
+        values = real(block)
+        taken.append("lines" if values is None else "block")
+        return values
+
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.object(profiles, "block_values", spy):
+        path = Path(root) / "p.dat"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            load_profile(path)
+        except WallscaleError:
+            pass
+    return taken[0] if taken else None
+
+
+@pytest.mark.parametrize("edit, ending, path", [
+    ("none", "newline", "block"),
+    ("none", "no final newline", "block"),
+    ("none", "trailing blank line", "block"),
+    ("none", "trailing spaces", "block"),
+    ("odd whitespace", None, "block"),
+    ("odd whitespace", None, "lines"),
+    ("some commas", None, "lines"),
+    ("after the rows", None, "lines"),
+    ("bad number", None, "lines"),
+    ("joined rows", None, "lines"),
+])
+def test_grammar_draws_both_paths(edit, ending, path):
+    def drawn(case):
+        return (case[1] == edit and ending in (None, case[2])
+                and _path_taken(case[0]) == path)
+
+    find(profile_files(), drawn,    # no shrinking: one such file will do
+         settings=settings(max_examples=2000, database=None, deadline=None,
+                           phases=[Phase.generate]))

@@ -13,8 +13,9 @@ from hypothesis.extra import numpy as hnp
 from wallscale import (DomainError, FitError, ParseError, ProfileMetadata,
                        ValidationError, VelocityProfile, load_profile,
                        save_profile, select_intermediate)
-from wallscale.profiles import (as_columns, atomic_write_text, check_real,
-                                check_values, format_columns, real_or_column)
+from wallscale.profiles import (above_sublayer, as_columns, atomic_write_text,
+                                check_real, check_values, format_columns,
+                                real_or_column)
 
 from oracle import select_reference
 
@@ -529,3 +530,54 @@ def test_select_intermediate_matches_reference(n, seed, plateau, lg_eta_min,
     # the logarithms handed on are libm's, bit for bit
     assert kept.ln_eta.tolist() == [math.log(e) for e, _ in expected]
     assert kept.ln_phi.tolist() == [math.log(p) for _, p in expected]
+
+
+def _edge(lg_eta_min):
+    try:
+        return 10.0 ** lg_eta_min
+    except OverflowError:
+        return math.inf
+
+
+def _steps(x, k):
+    """``x`` moved ``k`` floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+@st.composite
+def edge_samples(draw):
+    """``lg_eta_min`` in [-400, 400], so that the edge ``10.0 **
+    lg_eta_min`` is 0, subnormal, normal or beyond the float range, and
+    positive finite eta at the edge's float neighbours, at the neighbours
+    of the band's ends edge * (1 +- 1e-9), among the subnormals and
+    anywhere."""
+    lg_eta_min = draw(st.floats(-400.0, 400.0) | st.floats(-330.0, -300.0)
+                      | st.floats(300.0, 310.0)
+                      | st.integers(-400, 400).map(float))
+    edge = min(max(_edge(lg_eta_min), 5e-324), 1.7976931348623157e308)
+    centres = [edge, edge * (1 - 1e-9), edge * (1 + 1e-9)]
+    near = [_steps(draw(st.sampled_from(centres)), draw(st.integers(-4, 4)))
+            for _ in range(draw(st.integers(0, 8)))]
+    subnormal = [5e-324 * m for m in
+                 draw(st.lists(st.integers(1, 2**52 - 1), max_size=4))]
+    anywhere = draw(st.lists(st.floats(5e-324, 1.7976931348623157e308),
+                             max_size=4))
+    eta = np.array([e for e in near + subnormal + anywhere
+                    if 0.0 < e < math.inf])
+    return lg_eta_min, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_samples())
+@example(case=(0.5, np.array([_steps(_edge(0.5), k) for k in range(-3, 4)])))
+@example(case=(-323.5, np.array([5e-324, 1e-323, 1e-310])))     # subnormal
+@example(case=(-400.0, np.array([5e-324, 1.0])))                # edge 0
+@example(case=(308.3, np.array([1e308, 1.7976931348623157e308])))   # inf
+def test_sublayer_mask_is_the_libm_mask(case):
+    lg_eta_min, eta = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = above_sublayer(eta, lg_eta_min)
+    assert got.tolist() == [math.log10(e) > lg_eta_min for e in eta]
