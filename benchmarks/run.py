@@ -12,7 +12,8 @@ reads the same bytes.  For each n = 40, 200, 1000 and 4000 it holds a
 directory ``nN`` of ``PROFILES`` profiles of n samples over ln eta = 1..10,
 each a noisy (sigma = 0.01) power law phi = 8.67 eta**0.14 breaking to
 eta**0.2 at ln eta = 6.5, whose last 5 samples are set to its maximum, so
-the sublayer cut, the plateau cut and the break are all exercised; and
+the sublayer cut, the plateau cut and the break are all exercised;
+``comma-nN.dat``, ``nN/p0.dat`` with commas for separators; and
 ``single-nN.dat``, the noiseless phi = 8.67 eta**0.14 over the same ln eta,
 on which every split's total RSS is rounding noise.
 
@@ -28,7 +29,8 @@ and ``scaling.solve_envelope`` calls of ``cli.main(ENVELOPE_ARGV)``, the
 2000-point envelope of the benchmark's ``envelope_grid`` workload) and the
 names of its stages.  Then it reads stage names from stdin, one a line, and
 answers each with the best of ``--repeats`` ``time.perf_counter`` timings
-of one call.  The stages, at every n: ``load_profile``,
+of one call.  The stages, at every n: ``load_profile`` (of ``p0.dat``,
+and of ``comma-nN.dat`` as ``load_profile_comma_s``),
 ``select_intermediate``, both fits (``fitting.fit_log_broken_line`` of the
 selected ``ln_eta`` and ``ln_phi`` columns, as ``analyze_profile`` calls
 it; the stage keeps its name ``fit_broken_line_s``), the universal series
@@ -79,9 +81,9 @@ ENVELOPE_ARGV = ("envelope", "--ln-eta-min", "2", "--ln-eta-max", "30",
                  "--n-points", "2000")
 
 
-def write_profile(path: Path, label: str, eta, phi) -> None:
-    rows = "".join(f"{e!r} {p!r}\n" for e, p in zip(eta.tolist(),
-                                                    phi.tolist()))
+def write_profile(path: Path, label: str, eta, phi, sep=" ") -> None:
+    rows = "".join(f"{e!r}{sep}{p!r}\n" for e, p in zip(eta.tolist(),
+                                                       phi.tolist()))
     path.write_text(f"label={label}\n" + rows, encoding="utf-8")
 
 
@@ -98,6 +100,9 @@ def write_corpus(root: Path) -> None:
             phi = np.exp(ln_law + rng.normal(0.0, 0.01, n))
             phi[-5:] = phi.max()
             write_profile(folder / f"p{i}.dat", f"n{n}-{i}", eta, phi)
+            if i == 0:
+                write_profile(root / f"comma-n{n}.dat", f"n{n}-{i}", eta,
+                              phi, sep=",")
         write_profile(root / f"single-n{n}.dat", f"single-n{n}", eta,
                       8.67 * eta ** 0.14)
 
@@ -176,6 +181,8 @@ def child(corpus: Path, repeats: int) -> None:
                        f"n{n}.single_law.fit_power_law_calls": single_calls})
         stages.update({f"n{n}.{name}": fn for name, fn in {
             "load_profile_s": lambda: load_profile(path),
+            "load_profile_comma_s":
+                lambda: load_profile(corpus / f"comma-n{n}.dat"),
             "select_intermediate_s": lambda: select_intermediate(profile),
             "fit_broken_line_s": fit,
             "single_law.fit_broken_line_s": single_fit,

@@ -143,6 +143,12 @@ def psi_transform(phi: float, alpha: float) -> float:
     return math.log(argument) / alpha
 
 
+def _row_sum(column: np.ndarray) -> float:
+    """A nonempty float64 column's sum, taken left to right from 0 as
+    Python's ``sum`` of floats did before 3.12 (it compensates since)."""
+    return 0.0 + np.add.accumulate(column)[-1].item()
+
+
 def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
                      alpha: float) -> UniversalSeries:
     """Map region-(I) samples, given as ln eta and phi columns of one
@@ -151,10 +157,11 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point.  One columnar pass
-    (libm ``math.log``, Python sums in row order, squares as products, not
-    libm ``pow``) gives the per-point values bit for bit; the first sample
-    ``psi_transform`` rejects raises its error.  No samples, or a tiny
-    alpha for which psi or the rms scatter overflows, is a DomainError."""
+    (libm ``math.log``, sums left to right in row order, so the same on
+    every Python, squares as products, not libm ``pow``) gives the
+    per-point values bit for bit; the first sample ``psi_transform``
+    rejects raises its error.  No samples, or a tiny alpha for which psi
+    or the rms scatter overflows, is a DomainError."""
     ln_eta, phi = as_columns(DomainError, ln_eta=ln_eta, phi=phi)
     alpha = check_real("alpha", alpha, DomainError)
     check_values(DomainError, "finite", ln_eta=ln_eta)
@@ -168,10 +175,10 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
             psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(),
                           alpha)
         psi = libm_column(math.log, argument) / alpha
-        deviations = (ln_eta - psi).tolist()
-    mean_shift = sum(deviations) / len(deviations)
-    rms = math.sqrt(sum((d - mean_shift) * (d - mean_shift)
-                        for d in deviations) / len(deviations))
+        deviations = ln_eta - psi
+        mean_shift = _row_sum(deviations) / len(deviations)
+        centred = deviations - mean_shift
+        rms = math.sqrt(_row_sum(centred * centred) / len(deviations))
     if rms == math.inf or np.isinf(psi).any():
         raise DomainError(f"alpha={alpha!r} is too small: psi or the rms of "
                           "ln eta - psi overflows")

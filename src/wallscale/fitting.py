@@ -71,16 +71,18 @@ class BrokenLineFit:
 def _ols(x: np.ndarray, y: np.ndarray):
     """Closed-form OLS line fit; returns (slope, intercept, rss, sxx)."""
     with np.errstate(over="ignore", invalid="ignore"):  # callers check
-        xm = x.mean()
-        ym = y.mean()
+        # np.add.reduce: the pairwise sums of ndarray.mean and np.sum,
+        # without their Python-level dispatch
+        xm = np.add.reduce(x) / len(x)
+        ym = np.add.reduce(y) / len(y)
         dx = x - xm
-        sxx = float(np.sum(dx * dx))
+        sxx = float(np.add.reduce(dx * dx))
         if sxx == 0.0:
             raise FitError("degenerate fit: all ln eta values are equal")
-        slope = float(np.sum(dx * (y - ym))) / sxx
+        slope = float(np.add.reduce(dx * (y - ym))) / sxx
         intercept = float(ym - slope * xm)
         resid = y - (slope * x + intercept)
-        rss = float(np.sum(resid * resid))
+        rss = float(np.add.reduce(resid * resid))
     return slope, intercept, rss, sxx
 
 

@@ -15,7 +15,6 @@ raw
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import os
 import sys
@@ -296,15 +295,25 @@ def block_values(block: str) -> list[float] | None:
     ``load_profile``'s per-line loop then reads each row as a data row of
     the same fields, up to outer whitespace (which ``float`` strips, or
     fails on and leaves to the loop), and skips each trailing line dropped
-    as blank."""
-    if "=" in block or "#" in block:
+    as blank.
+
+    The block is split once: each ``"\n"`` becomes a sentinel field ``|``
+    (``" | "`` or ``",|,"``, always a field of its own), so n rows of two
+    fields give 3n - 1 fields with a sentinel at every third place, and
+    no other widths do (a total alone would pass a row of three fields
+    and a row of one).  A block holding ``|`` is rejected first; a ``|``
+    left among the fields would fail ``float`` anyway."""
+    if "=" in block or "#" in block or "|" in block:
         return None
-    sep = "," if "," in block else None
-    rows = [row.split(sep) for row in block.rstrip().split("\n")]
-    if any(len(fields) != 2 for fields in rows):
+    sep, sentinel = (",", ",|,") if "," in block else (None, " | ")
+    block = block.rstrip()
+    n = block.count("\n") + 1
+    fields = block.replace("\n", sentinel).split(sep)
+    if len(fields) != 3 * n - 1 or fields[2::3] != ["|"] * (n - 1):
         return None
+    del fields[2::3]
     try:
-        return list(map(float, itertools.chain.from_iterable(rows)))
+        return list(map(float, fields))
     except ValueError:
         return None
 

@@ -4,10 +4,11 @@ Each function redoes one stage of the pipeline, or all of it
 (``analyze``), the slow way: value by value, with per-value ``math``
 calls, the package's scalar formulas and Python loops, or by brute force
 (``exhaustive_broken_line``, ``grid_envelope``), never with the columnar
-code it checks.  The tests compare the package with them, bit for bit
-where the arithmetic is the same, and ``benchmarks/run.py`` checks every
-measured tree's fit against the ``exhaustive_broken_line`` of its own
-checkout.
+code it checks; ``ols`` keeps the ``ndarray.mean`` and ``np.sum`` form
+that ``fitting._ols`` replaced.  The tests compare the package with them,
+bit for bit where the arithmetic is the same, and ``benchmarks/run.py``
+checks every measured tree's fit against the ``exhaustive_broken_line``
+of its own checkout.
 
 This module imports only the standard library, ``numpy`` and
 ``wallscale``, never ``pytest`` or ``hypothesis``, so that a bare
@@ -42,14 +43,40 @@ def log_columns(*columns):
                  for column in columns)
 
 
+def row_sum(values):
+    """``values`` added left to right from 0, as Python's ``sum`` of
+    floats did before 3.12 (it compensates since)."""
+    acc = 0
+    for d in values:
+        acc += d
+    return acc
+
+
 # --- fitting ---------------------------------------------------------------
 
+def ols(x, y):
+    """``fitting._ols`` as ``ndarray.mean`` and ``np.sum`` give it:
+    (slope, intercept, rss, sxx) of the OLS line through (x, y)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x.mean()
+        ym = y.mean()
+        dx = x - xm
+        sxx = float(np.sum(dx * dx))
+        if sxx == 0.0:
+            raise FitError("degenerate fit: all ln eta values are equal")
+        slope = float(np.sum(dx * (y - ym))) / sxx
+        intercept = float(ym - slope * xm)
+        resid = y - (slope * x + intercept)
+        rss = float(np.sum(resid * resid))
+    return slope, intercept, rss, sxx
+
+
 def tie_band(ln_eta, ln_phi, fits):
-    """``fit_log_broken_line``'s tie band delta, from Python sums over the
+    """``fit_log_broken_line``'s tie band delta, from ``row_sum``s over the
     log columns and the exact segment pair ``fits[k]`` of every split k
     in place of the fit's running sums."""
     n = len(ln_eta)
-    eta_mean, phi_mean = sum(ln_eta) / n, sum(ln_phi) / n
+    eta_mean, phi_mean = row_sum(ln_eta) / n, row_sum(ln_phi) / n
     xx = [0.0, *itertools.accumulate((v - eta_mean) ** 2 for v in ln_eta)]
     yy = [0.0, *itertools.accumulate((v - phi_mean) ** 2 for v in ln_phi)]
 
@@ -185,7 +212,7 @@ def reference_load(path, format):
 def per_point_series(eta, phi, alpha):
     """The reference for the columnar build: the same checks (every eta
     positive, then every eta finite), then ``math.log`` and
-    ``psi_transform`` sample by sample, and Python sums in row order, of
+    ``psi_transform`` sample by sample, and ``row_sum``s in row order, of
     squares taken as products.  Returns (ln_eta, psi, mean_shift,
     rms_scatter)."""
     if not eta:
@@ -199,8 +226,8 @@ def per_point_series(eta, phi, alpha):
     ln_eta = log_columns(eta)[0].tolist()
     psi = [psi_transform(p, alpha) for p in phi]
     deviations = [x - y for x, y in zip(ln_eta, psi)]
-    mean = sum(deviations) / len(deviations)
-    rms = math.sqrt(sum((d - mean) * (d - mean) for d in deviations)
+    mean = row_sum(deviations) / len(deviations)
+    rms = math.sqrt(row_sum((d - mean) * (d - mean) for d in deviations)
                     / len(deviations))
     if rms == math.inf:
         raise DomainError(f"alpha={alpha!r} is too small: psi or the rms of "

@@ -13,7 +13,7 @@ from wallscale import (COLLAPSED, DomainError, SHIFTED_ABOVE, SHIFTED_BELOW,
                        psi_transform, scaling_law_phi)
 
 from odd_values import INVALID
-from oracle import log_columns, per_point_series
+from oracle import log_columns, per_point_series, row_sum
 
 
 class TestReynoldsEstimates:
@@ -314,6 +314,22 @@ class TestUniversalSeries:
         phi = rng.uniform(1.0, 60.0, 3000).tolist()
         assert_bit_equal(build_warnings_as_errors(eta, phi, alpha),
                          per_point_series(eta, phi, alpha))
+
+    # [1e16, 1, -1e16]: a left-to-right sum drops the 1, a compensated one
+    # (Python's sum since 3.12, math.fsum) keeps it
+    @settings(max_examples=150, deadline=None)
+    @example(ln_eta=[1e16, 1.0, -1e16])
+    @given(ln_eta=st.lists(st.floats(-1e16, 1e16) | st.floats(-30.0, 30.0),
+                           min_size=1, max_size=700))
+    def test_sums_run_left_to_right(self, ln_eta):
+        series = diagnostics.universal_series(ln_eta, [20.0] * len(ln_eta),
+                                              0.14)
+        deviations = (series.ln_eta - series.psi).tolist()
+        mean = row_sum(deviations) / len(deviations)
+        rms = math.sqrt(row_sum((d - mean) * (d - mean) for d in deviations)
+                        / len(deviations))
+        assert bits([series.mean_shift, series.rms_scatter]) == \
+            bits([mean, rms])
 
 
 def assert_bit_equal(series, expected):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallscale import (DomainError, FitError, fit_broken_line, fit_power_law,
@@ -11,7 +11,7 @@ from wallscale import (DomainError, FitError, fit_broken_line, fit_power_law,
 from wallscale.fitting import fit_log_broken_line
 from wallscale.synthetic import SynthSpec, generate
 
-from oracle import exhaustive_broken_line, log_columns
+from oracle import exhaustive_broken_line, log_columns, ols
 
 
 def samples_from(ln_eta, phi):
@@ -109,6 +109,21 @@ class TestFitPowerLaw:
         ln_eta = np.array([14.0, 14.01, 14.02])
         with pytest.raises(FitError, match="float range"):
             fit_power_law(ln_eta, 2.0 + slope * (ln_eta - 14.0))
+
+    # n = 7, 8, 9 and 129 sit at the edges of numpy's pairwise blocks
+    @settings(max_examples=150, deadline=None)
+    @example(n=7, seed=0, scale=1.0)
+    @example(n=8, seed=1, scale=1.0)
+    @example(n=9, seed=2, scale=1e150)
+    @example(n=129, seed=3, scale=1e-150)
+    @given(n=st.integers(3, 1400), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e3, 1e150]))
+    def test_ols_equals_mean_and_sum_form(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-1.0, 15.0, n))
+        y = scale * (2.0 + 0.14 * x + rng.normal(0.0, 0.01, n))
+        assert [v.hex() for v in fitting._ols(scale * x, y)] == \
+            [v.hex() for v in ols(scale * x, y)]
 
     def test_broken_line_prefactor_outside_float_range(self):
         ln_eta = 14.0 + 0.01 * np.arange(8)

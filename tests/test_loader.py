@@ -9,8 +9,9 @@ at a time, every check spelled out in order.  These tests draw profile
 files from a grammar that mixes valid rows with every kind of trouble
 (separators, whitespace that ``str.splitlines`` would split at, trailing
 comments, empty fields, numbers only ``float`` reads, a bad number deep
-in the rows, wrong widths, commas in some rows only, metadata or comments
-after the rows, line endings, trailing blank lines, no final newline) and
+in the rows, wrong widths, widths that keep the total, ``|``, commas in
+some rows only, blank lines among comma rows, metadata or comments after
+the rows, line endings, trailing blank lines, no final newline) and
 require bit-equal columns and equal metadata, or the same exception type
 and message; and they require the grammar to draw files that each path
 reads.
@@ -33,7 +34,7 @@ from wallscale import WallscaleError, load_profile, profiles
 from oracle import reference_load
 
 
-SETTINGS = settings(max_examples=100, deadline=None,
+SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 FORMS = ("{!r}", "{:.6g}", "{:.17e}")
@@ -48,6 +49,8 @@ SEPARATOR = st.sampled_from([" ", "\t", ",", ", ", " ,", "  \t ", "\u3000",
                              *LINE_BREAKING_SPACE, ",,", ""])
 BAD_NUMBER = st.sampled_from(["x", "1.5.2", "1e", "0x10", "--1", "\u0661x"])
 COMMENT = st.sampled_from([" # text", "#", "\t#1 2"])
+PIPE = st.sampled_from(["|", " | ", "|,", " |"])
+BLANK = st.sampled_from(["", " ", "\t", " \x0c ", "\x85"])
 
 
 @st.composite
@@ -89,7 +92,8 @@ CLEAN = clean_rows()
 ODD = {"odd rows": odd_rows(), "odd lines": ODD_LINE | METADATA}
 EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
          "underscore", "comment", "width", "odd whitespace", "some commas",
-         "after the rows", "bad number", "joined rows")
+         "after the rows", "bad number", "joined rows",
+         "compensating widths", "pipe", "blank between commas")
 ENDINGS = {"newline": "\n", "no final newline": "",
            "trailing blank line": "\n\n", "trailing spaces": "\n \x85 \n"}
 
@@ -105,9 +109,13 @@ def profile_files(draw):
     splits at around some rows and their separators (``float`` strips no
     ``\x1c``), by a comma where one row had whitespace or whitespace where
     it had a comma, by a metadata or comment line after one of the rows,
-    by a number ``float`` rejects in the second half of the rows, or by
+    by a number ``float`` rejects in the second half of the rows, by
     joining two rows into one line at a whitespace that ``str.splitlines``
-    splits at.  The file ends in one newline, none, or a blank line."""
+    splits at, by giving one row a third field and another only its first
+    (the total stays two a row), by a ``|`` as one row's separator or
+    anywhere in it, or by a blank or whitespace-only line between the rows
+    of a comma file.  The file ends in one newline, none, or a blank
+    line."""
     rows = draw(CLEAN)
     edit = draw(st.sampled_from(EDITS))
     index = st.integers(0, len(rows) - 1)
@@ -134,6 +142,19 @@ def profile_files(draw):
     elif edit == "joined rows":
         i = draw(st.integers(0, len(rows) - 2))
         rows[i] += draw(st.sampled_from(LINE_BREAKING_SPACE)) + rows.pop(i + 1)
+    elif edit == "compensating widths":
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        rows[i] += re.findall(r"[ \t,]+", rows[i])[0] + "1.0"
+        rows[j] = re.split(r"[ \t,]+", rows[j])[0]
+    elif edit == "pipe":
+        i = draw(index)
+        k = draw(st.integers(0, len(rows[i])))
+        rows[i] = (re.sub(r"[ \t,]+", draw(PIPE), rows[i], count=1)
+                   if draw(st.booleans()) else
+                   rows[i][:k] + draw(PIPE) + rows[i][k:])
+    elif edit == "blank between commas":
+        rows = [re.sub(r"[ \t,]+", ",", row) for row in rows]
+        rows.insert(draw(st.integers(1, len(rows) - 1)), draw(BLANK))
     elif edit == "bad number":
         i = draw(st.integers(len(rows) // 2, len(rows) - 1))
         rows[i] = re.sub(r"[^ \t,]+$", draw(BAD_NUMBER), rows[i])
@@ -167,6 +188,8 @@ def _outcome(fn):
 @example(case=("1\x1c,2\n2 ,\x1c3\n3,4\n4,5\n", "odd whitespace", "newline"),
          fmt="wall_units")
 @example(case=("1 2\n3 4\x0c5 6\n7 8\n9 10\n", "joined rows", "newline"),
+         fmt="wall_units")
+@example(case=("1 2 3\n4\n5 6\n7 8\n", "compensating widths", "newline"),
          fmt="wall_units")
 def test_load_profile_matches_per_line_parser(tmp_path, case, fmt):
     text = case[0]
@@ -216,6 +239,9 @@ def _path_taken(text):
     ("after the rows", None, "lines"),
     ("bad number", None, "lines"),
     ("joined rows", None, "lines"),
+    ("compensating widths", None, "lines"),
+    ("pipe", None, "lines"),
+    ("blank between commas", None, "lines"),
 ])
 def test_grammar_draws_both_paths(edit, ending, path):
     def drawn(case):
