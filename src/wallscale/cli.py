@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import reference, report, scaling, synthetic
 from .errors import (InputOutputError, ParseError, PipelineError,
                      ValidationError, WallscaleError)
-from .profiles import atomic_write_text, make_output_dir, save_profile
+from .profiles import save_profile, write_texts
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -45,70 +46,54 @@ def _exit_code_for(exc: WallscaleError) -> int:
 
 
 def _add_analyze_options(parser: argparse.ArgumentParser) -> None:
-    # A dataclass holds each field's default as a class attribute, so no
-    # options are built here.
-    defaults = report.AnalyzeOptions
     parser.add_argument("--format", choices=["wall_units", "raw"],
                         default="wall_units", help="input file format")
     parser.add_argument("--lg-eta-min", type=float,
-                        default=defaults.lg_eta_min,
                         help="sublayer cutoff in log10(eta) (default "
                              "%(default)s)")
     parser.add_argument("--plateau-tol", type=float,
-                        default=defaults.phi_plateau_tol,
+                        dest="phi_plateau_tol", metavar="PLATEAU_TOL",
                         help="relative tolerance of the free-stream plateau "
                              "heuristic (default %(default)s)")
-    parser.add_argument("--min-seg", type=int, default=defaults.min_seg,
+    parser.add_argument("--min-seg", type=int,
                         help="minimum points per fitted segment (default "
                              "%(default)s)")
     parser.add_argument("--consistency-tol", type=float,
-                        default=defaults.consistency_tol,
                         help="relative ln Re discrepancy threshold (default "
                              "%(default)s)")
     parser.add_argument("--shift-tol", type=float,
-                        default=defaults.shift_tol,
                         help="bisectrix shift classification threshold "
                              "(default %(default)s)")
     parser.add_argument("--alpha-source",
                         choices=[report.ALPHA_SOURCE_MEAN,
                                  report.ALPHA_SOURCE_LNRE1],
-                        default=defaults.alpha_source,
                         help="Reynolds estimate used for the universal "
                              "transform (default %(default)s)")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="directory for plot data and structured reports")
-
-
-def _options_from_args(args) -> report.AnalyzeOptions:
-    return report.AnalyzeOptions(
-        lg_eta_min=args.lg_eta_min,
-        phi_plateau_tol=args.plateau_tol,
-        min_seg=args.min_seg,
-        consistency_tol=args.consistency_tol,
-        shift_tol=args.shift_tol,
-        alpha_source=args.alpha_source,
-    )
-
-
-def _write_envelope(out_dir, table: str) -> None:
-    """Write the one envelope table of an output directory."""
-    atomic_write_text(make_output_dir(out_dir) / "envelope.dat", table)
+    # Each analysis flag's dest is an AnalyzeOptions field, whose default
+    # it takes; no options are built here.
+    parser.set_defaults(**{f.name: f.default
+                           for f in fields(report.AnalyzeOptions)})
 
 
 def _cmd_analyze(args) -> int:
-    bundle = report.analyze(args.file, _options_from_args(args), args.format)
+    options = report.AnalyzeOptions(**{
+        f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
+    bundle = report.analyze(args.file, options, args.format)
     # The row is printed once the profile's files are written.
     if args.out_dir is not None:
         report.emit_plotdata(bundle, args.out_dir,
                              stem=bundle.source.stem)
-        _write_envelope(args.out_dir, report.envelope_table())
+        write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
     print(report.format_table([bundle.report]), end="")
     return EXIT_OK
 
 
 def _cmd_batch(args) -> int:
-    bundles, failures = report.batch(args.dir, _options_from_args(args),
-                                     args.format)
+    options = report.AnalyzeOptions(**{
+        f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
+    bundles, failures = report.batch(args.dir, options, args.format)
     if args.out_dir is not None:
         written = []
         for bundle in bundles:
@@ -123,7 +108,8 @@ def _cmd_batch(args) -> int:
         bundles = written
         # A batch in which no profile was written creates no directory.
         if bundles:
-            _write_envelope(args.out_dir, report.envelope_table())
+            write_texts(args.out_dir,
+                        {"envelope.dat": report.envelope_table()})
     print(report.format_table([b.report for b in bundles]), end="")
     for path, exc in sorted(failures, key=lambda failure: failure[0]):
         print(f"error: {path}: {exc}", file=sys.stderr)
@@ -144,7 +130,7 @@ def _cmd_envelope(args) -> int:
     table = report.format_envelope(curve)
     line = scaling.fit_log_law(curve.ln_eta, curve.phi_env)
     if args.out_dir is not None:
-        _write_envelope(args.out_dir, table)
+        write_texts(args.out_dir, {"envelope.dat": table})
     else:
         print(table, end="")
     print(f"effective log law: kappa={line.kappa:.4f} "

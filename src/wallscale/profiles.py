@@ -34,16 +34,18 @@ _METADATA_KEYS = {
     "nu": "nu",
     "u_star": "u_star",
 }
-_FIELD_TO_KEY = {v: k for k, v in _METADATA_KEYS.items()}
+_METADATA_KINDS = {key: str if key == "label" else float
+                   for key in _METADATA_KEYS}
 
 
 @dataclass(frozen=True)
 class ProfileMetadata:
     """Flow metadata attached to a profile; all numeric fields optional.
 
-    Every number given must be positive and finite, and the label must be
-    one line: a line break (anything ``str.splitlines`` splits at) would
-    break the line-based profile and report formats.
+    Every number given must be positive and finite (it is stored as a
+    float), and the label one line of UTF-8 text: a line break (anything
+    ``str.splitlines`` splits at) would break the line-based formats, and a
+    lone surrogate (a file name's undecodable byte) cannot be written.
     """
 
     label: str = ""
@@ -55,15 +57,18 @@ class ProfileMetadata:
 
     def __post_init__(self):
         if (not isinstance(self.label, str)
-                or self.label.splitlines() not in ([], [self.label])):
+                or self.label.splitlines() not in ([], [self.label])
+                or self.label.encode(errors="replace").decode() != self.label):
             raise ValidationError(
                 f"label must be one line of text, got {self.label!r}")
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if value is not None:
                 name = f"metadata field {f.name}"
+                value = check_real(name, value)
                 check_values(ValidationError, "positive and finite",
-                             **{name: check_real(name, value)})
+                             **{name: value})
+                object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,18 +249,62 @@ def read_lines(path):
     return io.StringIO(text, newline=None)
 
 
-def split_key_value(line: str, keys, what: str, path=None, lineno=None):
-    """Split a ``key=value`` line at its first ``=`` and return the key,
-    without outer whitespace, and the raw value after the ``=``.  A line
-    without ``=`` or whose key is not in ``keys`` is a ParseError; ``what``
-    names the kind of key in its message."""
+def _content_lines(lines):
+    """(number from 1, line, stripped line) of each line that is neither
+    blank nor a ``#`` comment: the one skip rule of every reader."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and text[0] != "#":
+            yield lineno, line, text
+
+
+def read_key_value(line: str, kinds, what: str, path=None, lineno=None,
+                   strip: bool = True):
+    """(key, value) of a ``key=value`` line split at its first ``=``: the
+    key without outer whitespace, which must be in ``kinds`` (key to type),
+    and ``parse_value``'s value, a string losing its outer whitespace only
+    if ``strip``.  A line without ``=`` or with an unknown key is a
+    ParseError; ``what`` names the kind of key."""
     key, sep, raw = line.partition("=")
     if not sep:
         raise ParseError("expected key=value", path=path, line=lineno)
     key = key.strip()
-    if key not in keys:
+    if key not in kinds:
         raise ParseError(f"unknown {what} {key!r}", path=path, line=lineno)
-    return key, raw
+    return key, parse_value(kinds[key], key, raw.strip() if strip else raw,
+                            path, lineno)
+
+
+def read_key_values(lines, kinds, what: str, path=None,
+                    strip: bool = True) -> dict:
+    """``read_key_value`` of each line neither blank nor a ``#`` comment,
+    as a dict (a later line of a key wins); with ``strip`` false the lines
+    must come without their line ends."""
+    return dict(read_key_value(line, kinds, what, path, lineno, strip)
+                for lineno, line, _ in _content_lines(lines))
+
+
+def format_key_values(header: str, items, strip: bool = True) -> str:
+    """The ``header`` line(s), then a ``key=value`` line per (key, value)
+    of ``items``: None as ``none``, a bool as ``true`` or ``false``, a
+    float by ``repr``, anything else by ``str``.  A value that
+    ``read_key_value`` with the same ``strip`` would not give back, one
+    holding a line break (anything ``str.splitlines`` splits at) or, if
+    ``strip``, outer whitespace, is a ValidationError naming it."""
+    lines = [header]
+    for key, value in items:
+        if value is None or isinstance(value, bool):
+            text = {None: "none", True: "true", False: "false"}[value]
+        elif isinstance(value, float):
+            text = repr(float(value))
+        else:
+            text = str(value)
+        line = f"{key}={text}"
+        if line.splitlines() != [line] or strip and text != text.strip():
+            raise ValidationError(f"cannot write {key} value {text!r}: "
+                                  "it would not read back")
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def parse_value(kind, key: str, raw: str, path=None, lineno=None):
@@ -342,16 +391,11 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     meta_kwargs: dict = {}
     values: list[float] = []
     lines = read_lines(path)
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text[0] == "#":
-            continue
+    for lineno, line, text in _content_lines(lines):
         if "=" in text:
-            key, value = split_key_value(text, _METADATA_KEYS, "metadata key",
-                                         path, lineno)
-            meta_kwargs[_METADATA_KEYS[key]] = parse_value(
-                str if key == "label" else float, key, value.strip(),
-                path, lineno)
+            key, value = read_key_value(text, _METADATA_KINDS, "metadata key",
+                                        path, lineno)
+            meta_kwargs[_METADATA_KEYS[key]] = value
             continue
         if not values:      # the first data row (each row read adds two)
             mark = lines.tell()
@@ -395,18 +439,12 @@ def save_profile(profile: VelocityProfile, path) -> None:
     reproduces the samples bit-exactly.  The write is atomic (temp file
     plus rename).
     """
-    path = Path(path)
-    lines = ["# wall-units velocity profile"]
-    meta = profile.metadata
-    if meta.label:
-        lines.append(f"label={meta.label}")
-    for field in ("re_theta", "turbulence_level", "free_stream_velocity",
-                  "nu", "u_star"):
-        value = getattr(meta, field)
-        if value is not None:
-            lines.append(f"{_FIELD_TO_KEY[field]}={float(value)!r}")
-    atomic_write_text(path, format_columns("\n".join(lines), profile.eta,
-                                           profile.phi))
+    meta = vars(profile.metadata)
+    # an empty label and an absent number are not written
+    header = format_key_values("# wall-units velocity profile", [
+        (key, meta[field]) for key, field in _METADATA_KEYS.items()
+        if meta[field] not in ("", None)])
+    atomic_write_text(path, format_columns(header, profile.eta, profile.phi))
 
 
 def format_columns(header: str, *columns) -> str:
@@ -445,17 +483,21 @@ def atomic_write_text(path, text: str) -> None:
                                f"{exc.strerror or exc}") from exc
 
 
-def make_output_dir(path) -> Path:
-    """Create the directory ``path`` and its missing parents, and return
-    it as a Path.  An existing directory is kept; a path that cannot be a
-    directory, such as a regular file, is an InputOutputError."""
-    path = Path(path)
+def write_texts(out_dir, texts: dict) -> list[Path]:
+    """Create the directory ``out_dir`` and its missing parents, write each
+    ``{name: text}`` of ``texts`` into it with ``atomic_write_text``, in
+    order, and return the paths written.  An existing directory is kept; a
+    path that cannot be a directory, such as a regular file, or a file that
+    cannot be written, is an InputOutputError."""
+    out_dir = Path(out_dir)
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InputOutputError(f"cannot create directory {path}: "
+        raise InputOutputError(f"cannot create directory {out_dir}: "
                                f"{exc.strerror or exc}") from exc
-    return path
+    for name, text in texts.items():
+        atomic_write_text(out_dir / name, text)
+    return [out_dir / name for name in texts]
 
 
 DEFAULT_LG_ETA_MIN = 1.5

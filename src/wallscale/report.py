@@ -14,7 +14,7 @@ key=value text that round-trips exactly.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import diagnostics, fitting, profiles, scaling
@@ -69,6 +69,7 @@ class AnalysisReport:
     shift_class: str
     split_index: int
     break_ln_eta: float
+    # the options used: AnalyzeOptions' fields, in its order
     lg_eta_min: float
     phi_plateau_tol: float
     min_seg: int
@@ -143,12 +144,7 @@ def analyze_profile(profile: profiles.VelocityProfile,
         shift_class=shift_class,
         split_index=fit.split_index,
         break_ln_eta=fit.break_ln_eta,
-        lg_eta_min=options.lg_eta_min,
-        phi_plateau_tol=options.phi_plateau_tol,
-        min_seg=options.min_seg,
-        consistency_tol=options.consistency_tol,
-        shift_tol=options.shift_tol,
-        alpha_source=options.alpha_source,
+        **vars(options),
     )
     return AnalysisBundle(report=report, profile=inter, fit=fit, series=series)
 
@@ -219,34 +215,18 @@ _REPORT_FIELD_TYPES = typing.get_type_hints(AnalysisReport)
 
 
 def report_to_text(report: AnalysisReport) -> str:
-    """Machine-readable key=value rendering; round-trips exactly."""
-    lines = ["# wallscale analysis report"]
-    for f in fields(AnalysisReport):
-        value = getattr(report, f.name)
-        if value is None:
-            rendered = "none"
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name}={rendered}")
-    return "\n".join(lines) + "\n"
+    """Machine-readable key=value rendering; round-trips exactly.  A text
+    field holding a line break is a ValidationError."""
+    return profiles.format_key_values("# wallscale analysis report",
+                                      vars(report).items(), strip=False) + "\n"
 
 
 def report_from_text(text: str) -> AnalysisReport:
     """Inverse of report_to_text."""
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        # A string keeps every character after the "=", so text with outer
-        # spaces round-trips.
-        key, raw = profiles.split_key_value(line, _REPORT_FIELD_TYPES,
-                                            "report field", lineno=lineno)
-        values[key] = profiles.parse_value(_REPORT_FIELD_TYPES[key], key, raw,
-                                           lineno=lineno)
+    # A string keeps every character after the "=", so text with outer
+    # spaces round-trips.
+    values = profiles.read_key_values(text.splitlines(), _REPORT_FIELD_TYPES,
+                                      "report field", strip=False)
     missing = [name for name in _REPORT_FIELD_TYPES if name not in values]
     if missing:
         raise ParseError(f"missing report fields {missing}")
@@ -328,10 +308,7 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str) -> list[Path]:
             "x phi", shift.ln_eta - shift.psi, profile.phi),
         f"{stem}_report.txt": report_to_text(bundle.report),
     }
-    out_dir = profiles.make_output_dir(out_dir)
-    for name, text in texts.items():
-        profiles.atomic_write_text(out_dir / name, text)
-    return [out_dir / name for name in texts]
+    return profiles.write_texts(out_dir, texts)
 
 
 def envelope_table(ln_eta_range=scaling.DEFAULT_ENVELOPE_RANGE,

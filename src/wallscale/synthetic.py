@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .profiles import (ProfileMetadata, VelocityProfile, check_count,
                        check_pair, check_real, check_values, libm_column,
-                       parse_value, read_lines, split_key_value)
+                       read_key_values, read_lines)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
 
 _LN_MAX = math.log(np.finfo(float).max)    # the largest x with a finite exp
@@ -160,15 +160,7 @@ _REQUIRED_SPEC_KEYS = ("ln_re", "break_ln_eta", "ln_eta_min", "ln_eta_max",
 def load_synth_spec(path) -> SynthSpec:
     """Parse a key=value spec file (``#`` comments and blank lines allowed)."""
     path = Path(path)
-    raw: dict = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        key, value = split_key_value(text, _SPEC_KEYS, "spec key", path,
-                                     lineno)
-        raw[key] = parse_value(_SPEC_KEYS[key], key, value.strip(), path,
-                               lineno)
+    raw = read_key_values(read_lines(path), _SPEC_KEYS, "spec key", path)
     missing = [k for k in _REQUIRED_SPEC_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"{path}: missing spec keys {missing}")

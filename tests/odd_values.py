@@ -5,7 +5,8 @@ and numpy objects), and columns built from them.
 
 The fuzzes in ``test_cli.py`` and ``test_diagnostics.py`` draw the text
 and the float values; the exported-name fuzz in ``test_contract.py``
-draws them all.
+draws them all.  The key=value round trips in ``test_properties.py`` and
+``test_profiles.py`` draw the labels.
 """
 
 import math
@@ -121,3 +122,15 @@ NUMBER_OR_COLUMN = st.one_of(NUMBER, COLUMN)
 PAIR = st.one_of(st.tuples(NUMBER, NUMBER), NUMBER,
                  st.lists(NUMBER, max_size=3), COLUMN)
 TEXT = st.one_of(st.text(max_size=12), st.sampled_from(["a\nb", "x\x85y"]))
+
+# Labels and other text values of a key=value line: "=", "#", outer
+# whitespace, every line break ``str.splitlines`` knows (and \x1f, which
+# ``str.strip`` strips but no reader splits at), non-ASCII text, and a lone
+# surrogate, as a file name's undecodable byte becomes.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LABEL = st.one_of(
+    st.text(max_size=12),
+    st.text(st.sampled_from(
+        f" \t=#,|\x1fa1\u00e9\u03b7\U0001f600{LINE_BREAKS}"), max_size=8),
+    st.sampled_from([" a b ", "a=b", "=", "#a", "a # b", "a\nb", "none",
+                     "true", "\u03b7 \u00e9\u2014", "x\udcff"]))

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -220,6 +221,25 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 2      # header, good
         assert captured.err.count("error:") == 1
+
+    def test_stem_label_must_be_utf8_text(self, tmp_path):
+        # a file name's undecodable byte becomes a lone surrogate, which no
+        # report file can hold: one failure, nothing written for it (the
+        # error line names the path, so it is read where a surrogate can be)
+        write_unlabeled_profile(tmp_path / os.fsdecode(b"c\xff.dat"))
+        write_profile(tmp_path / "good.dat")
+        out, stdout, stderr = tmp_path / "out", io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["batch", str(tmp_path), "--out-dir", str(out)])
+        assert code == EXIT_PARTIAL
+        assert len(stdout.getvalue().splitlines()) == 2     # header, good
+        assert stderr.getvalue().count("error:") == 1
+        assert ("label must be one line of text, got 'c\\udcff'"
+                in stderr.getvalue())
+        assert sorted(p.name for p in out.iterdir()) == [
+            "envelope.dat", "good_loglog.dat", "good_report.txt",
+            "good_shift.dat", "good_universal.dat"]
 
     def test_fit_error_exit_code(self, tmp_path, capsys):
         # too few intermediate points for the two-segment fit
@@ -848,7 +868,7 @@ class TestParser:
         monkeypatch.setattr(report, "AnalyzeOptions", Other)
         for verb in ("analyze", "batch"):
             args = build_parser().parse_args([verb, "x"])
-            assert (args.lg_eta_min, args.plateau_tol, args.min_seg,
+            assert (args.lg_eta_min, args.phi_plateau_tol, args.min_seg,
                     args.consistency_tol, args.shift_tol,
                     args.alpha_source) == (2.5, 0.01, 4, 0.05, 0.2, "lnRe1")
 

@@ -1,8 +1,10 @@
 import math
 import os
+import tempfile
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from wallscale.profiles import (above_sublayer, as_columns, atomic_write_text,
                                 check_real, check_values, format_columns,
                                 real_or_column)
 
+from odd_values import INVALID, LABEL
 from oracle import select_reference
 
 
@@ -148,13 +151,14 @@ class TestInvariants:
     ], ids=["text", "bool", "10**400"])
     def test_metadata_numbers_are_real(self, field, value, message):
         for good in (5, 5.0, np.float64(5.0)):
-            assert getattr(ProfileMetadata(**{field: good}), field) == 5
+            stored = getattr(ProfileMetadata(**{field: good}), field)
+            assert type(stored) is float and stored == 5
         with pytest.raises(ValidationError) as info:
             ProfileMetadata(**{field: value})
         assert str(info.value) == f"metadata field {field} {message}"
 
     @pytest.mark.parametrize("label", ["a\nb", "a\r", "\n", "a\x0bb",
-                                       "a\u2028b", None])
+                                       "a\u2028b", None, "x\udcff"])
     def test_label_is_one_line_of_text(self, label):
         with pytest.raises(ValidationError, match="one line"):
             ProfileMetadata(label=label)
@@ -364,12 +368,71 @@ class TestSaveProfile:
         assert np.array_equal(loaded.phi, profile.phi)
         assert loaded.metadata == profile.metadata
 
+    @pytest.mark.parametrize("label", [" a b ", "a ", "\ta", "a\x1f"])
+    def test_label_with_outer_whitespace_is_refused(self, tmp_path, label):
+        # load_profile strips a value, so the label would come back changed
+        path, plain = tmp_path / "out.dat", power_profile()
+        with pytest.raises(ValidationError) as err:
+            save_profile(make_profile(plain.eta, plain.phi, label=label),
+                         path)
+        assert str(err.value) == (f"cannot write label value {label!r}: "
+                                  "it would not read back")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numbers_are_written_as_floats(self, tmp_path):
+        path, plain = tmp_path / "out.dat", power_profile()
+        save_profile(make_profile(plain.eta, plain.phi, re_theta=5,
+                                  nu=np.float64(1.5e-5)), path)
+        assert path.read_text().splitlines()[1:3] == ["re_theta=5.0",
+                                                      "nu=1.5e-05"]
+        assert load_profile(path).metadata == ProfileMetadata(
+            re_theta=5.0, nu=1.5e-5)
+
     def test_repeated_save_identical(self, tmp_path):
         profile = power_profile()
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
         save_profile(profile, a)
         save_profile(profile, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# A metadata number: positive and finite, or one the metadata refuses.
+METADATA_NUMBER = st.one_of(
+    st.none(), st.floats(0.0, exclude_min=True, allow_infinity=False),
+    st.integers(1, 10**30), INVALID)
+
+
+@st.composite
+def profile_columns(draw):
+    """Strictly ascending positive eta and positive phi, n = 4..30."""
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    eta = sorted(draw(st.lists(positive, min_size=4, max_size=30,
+                               unique=True)))
+    return eta, draw(st.lists(positive, min_size=len(eta),
+                              max_size=len(eta)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=LABEL, numbers=st.lists(METADATA_NUMBER, min_size=5,
+                                     max_size=5),
+       columns=profile_columns())
+def test_save_load_round_trip(label, numbers, columns):
+    # a saved profile loads back equal, bit for bit, or is refused with a
+    # ValidationError before anything is written
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.dat"
+        try:
+            profile = VelocityProfile(*columns,
+                                      ProfileMetadata(label, *numbers))
+            save_profile(profile, path)
+        except ValidationError:
+            assert not path.exists()
+            return
+        loaded = load_profile(path)
+    assert loaded.metadata == profile.metadata
+    for column in ("eta", "phi"):
+        assert (getattr(loaded, column).view(np.uint64).tolist()
+                == getattr(profile, column).view(np.uint64).tolist())
 
 
 EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308,

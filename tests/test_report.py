@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wallscale import (AnalyzeOptions, COLLAPSED, ParseError, PipelineError,
-                       SHIFTED_BELOW, SynthSpec, ValidationError,
-                       alpha_of_ln_re, analyze, analyze_profile, batch, cli,
-                       emit_plotdata, generate, profiles, psi_transform,
-                       report, save_profile)
+                       ProfileMetadata, SHIFTED_BELOW, SynthSpec,
+                       ValidationError, VelocityProfile, alpha_of_ln_re,
+                       analyze, analyze_profile, batch, emit_plotdata,
+                       generate, profiles, psi_transform, report,
+                       save_profile)
 from wallscale.cli import main
 from wallscale.report import (envelope_table, format_table, report_from_text,
                               report_to_text)
@@ -84,7 +86,7 @@ class TestAnalyzeProfile:
 
 class TestAnalyzeFile:
     def test_label_falls_back_to_stem(self, tmp_path):
-        profile = generate(clean_spec(label=" "))
+        profile = generate(clean_spec())
         # blank out the label through the file itself
         path = tmp_path / "case7.dat"
         save_profile(profile, path)
@@ -141,6 +143,24 @@ class TestReportSerialization:
         spec = clean_spec(beta=clean_spec().alpha)
         r = analyze_profile(generate(spec), OPTIONS).report
         assert r.beta is None and r.re_theta is None
+        assert report_from_text(report_to_text(r)) == r
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\r", "a\u2028b"])
+    def test_line_break_in_a_text_field_is_refused(self, label):
+        # the reader would stop the field at the break
+        r = analyze_profile(generate(clean_spec()), OPTIONS).report
+        with pytest.raises(ValidationError) as err:
+            report_to_text(replace(r, label=label))
+        assert str(err.value) == (f"cannot write label value {label!r}: "
+                                  "it would not read back")
+
+    def test_numpy_metadata_number_round_trips(self):
+        # a numpy float is stored as a float, so its repr reads back
+        profile = generate(clean_spec())
+        profile = VelocityProfile(profile.eta, profile.phi, ProfileMetadata(
+            label="np", re_theta=np.float64(5000.0)))
+        r = analyze_profile(profile, OPTIONS).report
+        assert "\nre_theta=5000.0\n" in report_to_text(r)
         assert report_from_text(report_to_text(r)) == r
 
     @pytest.mark.parametrize("line", ["split_index=abc", "min_seg=none",
@@ -210,7 +230,6 @@ class TestPlotData:
             write(path, text)
 
         monkeypatch.setattr(profiles, "atomic_write_text", counted)
-        monkeypatch.setattr(cli, "atomic_write_text", counted)
         for verb, target, files in (("analyze", in_dir / "a.dat", 5),
                                     ("batch", in_dir, 13)):
             writes.clear()
