@@ -36,11 +36,14 @@ selected ``ln_eta`` and ``ln_phi`` columns, as ``analyze_profile`` calls
 it; the stage keeps its name ``fit_broken_line_s``), the universal series
 (``diagnostics.universal_series`` of the region-I samples at the alpha
 ``analyze_profile`` uses, as ``build_universal_series_s``),
-``analyze_profile``, ``emit_plotdata``, and ``cli.main`` of
-``analyze FILE`` and ``batch DIR --out-dir OUT``; then
-``scaling.envelope_at`` per call (a sweep over ln eta = 5..10 in 50 steps,
-divided by 50), ``report.envelope_table((5, 10), 50)``,
-``scaling.envelope_curve((2, 30), 2000)`` and ``cli.main(ENVELOPE_ARGV)``.
+``analyze_profile``, ``emit_plotdata``, ``profiles.format_columns`` of
+the four log-log columns that ``emit_plotdata`` writes (rendering only,
+as ``format_columns_s``), and ``cli.main`` of ``analyze FILE`` and
+``batch DIR --out-dir OUT``; then ``scaling.envelope_at`` per call (a sweep
+over ln eta = 5..10 in 50 steps, divided by 50),
+``report.envelope_table((5, 10), 50)``,
+``scaling.envelope_curve((2, 30), 2000)``, ``report.format_envelope`` of
+that curve (rendering only) and ``cli.main(ENVELOPE_ARGV)``.
 The commands' output goes to buffers: stdout is the protocol.  Each
 ``emit_plotdata`` and ``batch`` call creates a new directory, as the
 benchmark's ``lab_batch`` passes do, removed after the visit, untimed.
@@ -121,7 +124,7 @@ def child(corpus: Path, repeats: int) -> None:
     """Run in the child interpreter: check the fits, print the counts and
     the stage names, then time each stage named on stdin."""
     from wallscale import (analyze_profile, cli, diagnostics, emit_plotdata,
-                           fitting, load_profile, report, scaling,
+                           fitting, load_profile, profiles, report, scaling,
                            select_intermediate)
     sys.path.append(str(Path(fitting.__file__).parents[2] / "tests"))
     from oracle import exhaustive_broken_line
@@ -176,6 +179,10 @@ def child(corpus: Path, repeats: int) -> None:
         bundle = analyze_profile(profile)
         k = bundle.fit.split_index
         alpha = scaling.alpha_of_ln_re(bundle.report.ln_re)
+        ln_eta = bundle.profile.ln_eta
+        loglog = (ln_eta, bundle.profile.ln_phi,
+                  bundle.fit.region1.ln_phi_at(ln_eta),
+                  bundle.fit.region2.ln_phi_at(ln_eta))
         counts.update({f"n{n}.kept": len(inter),
                        f"n{n}.fit_power_law_calls": calls,
                        f"n{n}.single_law.fit_power_law_calls": single_calls})
@@ -192,6 +199,8 @@ def child(corpus: Path, repeats: int) -> None:
             "analyze_profile_s": lambda: analyze_profile(profile),
             "emit_plotdata_s": lambda: emit_plotdata(bundle, new_dir(),
                                                      stem=f"n{n}"),
+            "format_columns_s": lambda: profiles.format_columns(
+                "ln_eta ln_phi fit_region1 fit_region2", *loglog),
             "cli_analyze_s": lambda: run_cli("analyze", str(path)),
             "cli_batch_s": lambda: run_cli("batch", str(folder),
                                            "--out-dir", new_dir()),
@@ -201,6 +210,7 @@ def child(corpus: Path, repeats: int) -> None:
         add_size(n)
     _, counts["cli_envelope_2_30_2000.solves"] = counting_calls(
         scaling, "solve_envelope", lambda: run_cli(*ENVELOPE_ARGV))
+    curve = scaling.envelope_curve((2.0, 30.0), 2000)
     stages.update({
         "envelope_at_s": lambda: [scaling.envelope_at(x)
                                   for x in ENVELOPE_XS],
@@ -208,6 +218,7 @@ def child(corpus: Path, repeats: int) -> None:
             lambda: report.envelope_table((5.0, 10.0), 50),
         "envelope_curve_2_30_2000_s":
             lambda: scaling.envelope_curve((2.0, 30.0), 2000),
+        "format_envelope_2_30_2000_s": lambda: report.format_envelope(curve),
         "cli_envelope_2_30_2000_s": lambda: run_cli(*ENVELOPE_ARGV),
     })
     calls_per_stage = {"envelope_at_s": len(ENVELOPE_XS)}

@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import reference, report, scaling, synthetic
+from . import report, scaling, synthetic
 from .errors import (InputOutputError, ParseError, PipelineError,
                      ValidationError, WallscaleError)
 from .profiles import save_profile, write_texts
@@ -139,6 +139,7 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import reference     # imported here: only this verb needs it
     checks = reference.check_all()
     for c in checks:
         status = "ok" if c.strict_ok else ("flagged" if c.flagged else "FAIL")

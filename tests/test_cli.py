@@ -779,14 +779,25 @@ class TestEnvelope:
         assert code == EXIT_OK or out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
 
-    def test_cli_import_leaves_scipy_out(self):
+    @staticmethod
+    def loaded_by_cli_import(module):
+        """Whether a fresh interpreter holds ``module`` once it has
+        imported ``wallscale.cli``."""
         src = str(Path(wallscale.__file__).resolve().parents[1])
         code = ("import sys, wallscale.cli; "
-                "print('scipy' in sys.modules)")
+                f"print({module!r} in sys.modules)")
         result = subprocess.run(     # -B: leave no byte code in the tree
             [sys.executable, "-B", "-c", code], capture_output=True,
             text=True, env={"PYTHONPATH": src}, check=True)
-        assert result.stdout.strip() == "False"
+        return result.stdout.strip() == "True"
+
+    def test_cli_import_leaves_scipy_out(self):
+        assert not self.loaded_by_cli_import("scipy")
+
+    def test_cli_import_leaves_reference_out(self):
+        # only the oracle verb needs it, and each fresh process would
+        # compile it
+        assert not self.loaded_by_cli_import("wallscale.reference")
 
 
 class TestOracle:

@@ -5,6 +5,7 @@ import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from hypothesis.extra import numpy as hnp
 
 from wallscale import (DomainError, FitError, ParseError, ProfileMetadata,
                        ValidationError, VelocityProfile, load_profile,
-                       save_profile, select_intermediate)
+                       profiles, save_profile, select_intermediate)
 from wallscale.profiles import (above_sublayer, as_columns, atomic_write_text,
                                 check_real, check_values, format_columns,
                                 real_or_column)
 
 from odd_values import INVALID, LABEL
-from oracle import select_reference
+from oracle import _rows, select_reference
 
 
 def make_profile(eta, phi, **meta):
@@ -442,8 +443,7 @@ EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
 @st.composite
 def float_columns(draw):
     n, width = draw(st.integers(0, 40)), draw(st.integers(1, 4))
-    values = st.one_of(st.sampled_from(EDGE_FLOATS),
-                       st.floats(allow_nan=False, width=64))
+    values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
     return [draw(hnp.arrays(np.float64, n, elements=values))
             for _ in range(width)]
 
@@ -457,18 +457,77 @@ TWICE = np.array([-0.0, 5e-324, 1.5, -1.7976931348623157e308])
                        max_size=3).map("\n".join),
        columns=float_columns())
 def test_format_columns_contract(header, columns):
-    text = format_columns(header, *columns)
-    assert text.startswith(header + "\n")
-    assert text.endswith("\n") and not text.endswith("\n\n")
-    rows = text[len(header) + 1:].splitlines()
-    assert len(rows) == len(columns[0])
-    for i, row in enumerate(rows):
-        tokens = row.split(" ")
-        assert len(tokens) == len(columns)
-        back = np.array([float(token) for token in tokens])
-        expected = np.array([column[i] for column in columns])
-        assert back.view(np.uint64).tolist() == \
-            expected.view(np.uint64).tolist()
+    # each table through both paths: repr's and the renderer's
+    for minimum in (math.inf, 0):
+        with mock.patch.object(profiles, "_RENDER_MIN_VALUES", minimum):
+            text = format_columns(header, *columns)
+        assert text.startswith(header + "\n")
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        rows = text[len(header) + 1:].splitlines()
+        assert len(rows) == len(columns[0])
+        for i, row in enumerate(rows):
+            assert row.split(" ") == [repr(float(column[i]))
+                                      for column in columns]
+
+
+def rendered(values):
+    """``profiles._render``'s text of each value of a float64 array."""
+    return [row.tobytes().translate(None, b"\0").decode("ascii")
+            for row in profiles._render(values)]
+
+
+def edge_values():
+    """±0, subnormals, inf, nan and every power of two and of ten that a
+    float64 holds, each with its two neighbours, of both signs."""
+    powers = ([2.0 ** e for e in range(-1074, 1024)]
+              + [float(f"1e{e}") for e in range(-323, 309)])
+    values = np.array([0.0, 2.2250738585072014e-308 / 3, math.inf, math.nan]
+                      + powers)
+    values = np.concatenate([values, np.nextafter(values, 0.0),
+                             np.nextafter(values, math.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_renderer_is_repr_at_edges():
+    values = edge_values()
+    assert rendered(values) == list(map(repr, values.tolist()))
+
+
+def test_renderer_is_repr_on_random_bits():
+    bits = np.random.default_rng(26).integers(
+        0, 2 ** 64 - 1, 200_000, dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    assert rendered(values) == list(map(repr, values.tolist()))
+
+
+EDGE_BITS = edge_values().view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.uint64, st.integers(1, 64), elements=st.one_of(
+    st.integers(0, 2 ** 64 - 1), st.sampled_from(EDGE_BITS))))
+def test_renderer_is_repr(bits):
+    values = bits.view(np.float64)
+    assert rendered(values) == list(map(repr, values.tolist()))
+
+
+MINIMUM = profiles._RENDER_MIN_VALUES
+
+
+# one value below the renderer's threshold and at it (1023 = 341 * 3 and
+# 1024 = 256 * 4 at a threshold of 1024)
+@pytest.mark.parametrize("rows, width", [(MINIMUM - 1, 1), (MINIMUM, 1),
+                                         ((MINIMUM - 1) // 3, 3),
+                                         (MINIMUM // 4, 4)])
+def test_format_columns_either_side_of_the_threshold(rows, width):
+    bits = np.random.default_rng(rows).integers(
+        0, 2 ** 64 - 1, (width, rows), dtype=np.uint64, endpoint=True)
+    columns = list(bits.view(np.float64))
+    with mock.patch.object(profiles, "_render",
+                           wraps=profiles._render) as render:
+        text = format_columns("a b c", *columns)
+    assert text == _rows("a b c", *columns)
+    assert render.called == (rows * width >= MINIMUM)
 
 
 class TestAtomicWrite:
