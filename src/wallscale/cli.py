@@ -83,8 +83,7 @@ def _cmd_analyze(args) -> int:
     bundle = report.analyze(args.file, options, args.format)
     # The row is printed once the profile's files are written.
     if args.out_dir is not None:
-        report.emit_plotdata(bundle, args.out_dir,
-                             stem=bundle.source.stem)
+        report.emit_plotdata(bundle, args.out_dir, stem=args.file.stem)
         write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
     print(report.format_table([bundle.report]), end="")
     return EXIT_OK
@@ -93,25 +92,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_batch(args) -> int:
     options = report.AnalyzeOptions(**{
         f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
-    bundles, failures = report.batch(args.dir, options, args.format)
-    if args.out_dir is not None:
-        written = []
-        for bundle in bundles:
-            try:
-                report.emit_plotdata(bundle, args.out_dir,
-                                     stem=bundle.source.stem)
-            except PipelineError as exc:
-                # its plot data has no value: no row, no files
-                failures.append((bundle.source, exc))
-            else:
-                written.append(bundle)
-        bundles = written
-        # A batch in which no profile was written creates no directory.
-        if bundles:
-            write_texts(args.out_dir,
-                        {"envelope.dat": report.envelope_table()})
-    print(report.format_table([b.report for b in bundles]), end="")
-    for path, exc in sorted(failures, key=lambda failure: failure[0]):
+    reports, failures = report.batch(args.dir, options, args.format,
+                                     args.out_dir)
+    # Only a batch that wrote a profile writes the envelope.
+    if args.out_dir is not None and reports:
+        write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
+    print(report.format_table(reports), end="")
+    for path, exc in failures:
         print(f"error: {path}: {exc}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -127,8 +114,9 @@ def _cmd_envelope(args) -> int:
     # One solve feeds both the table and the line fit.
     curve = scaling.envelope_curve((args.ln_eta_min, args.ln_eta_max),
                                    args.n_points)
-    table = report.format_envelope(curve)
+    # Fit first: a fit that fails leaves no table to render.
     line = scaling.fit_log_law(curve.ln_eta, curve.phi_env)
+    table = report.format_envelope(curve)
     if args.out_dir is not None:
         write_texts(args.out_dir, {"envelope.dat": table})
     else:

@@ -86,7 +86,6 @@ class AnalysisBundle:
     profile: profiles.VelocityProfile   # after select_intermediate
     fit: fitting.BrokenLineFit
     series: diagnostics.UniversalSeries
-    source: Path | None = None          # input file, when loaded by analyze
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -168,20 +167,24 @@ def analyze(profile_path, options: AnalyzeOptions = AnalyzeOptions(),
         except ValidationError as exc:
             raise ValidationError(f"{profile_path}: {exc}") from exc
         report = replace(report, label=profile_path.stem)
-    return replace(bundle, report=report, source=profile_path)
+    return replace(bundle, report=report)
 
 
 def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
-          format: str = "wall_units"):
-    """Analyze every regular file in a directory.
+          format: str = "wall_units", out_dir=None):
+    """Analyze every regular file in a directory in name order, writing
+    each profile's plot data into ``out_dir`` when it is given.
 
-    Returns (bundles sorted by label, failures) where failures is a list
-    of (path, exception).  Individual failures do not abort the batch.
-    Output files are named by each input's stem, so a file whose stem an
-    earlier file (in name order) already has is a ValidationError failure
-    and is not analyzed.  A file that cannot be read is an InputOutputError
-    failure.  Raises InputOutputError if the directory cannot be listed and
-    ValidationError if it holds no files at all.
+    Returns (reports sorted by label, failures) where failures is a list
+    of (path, exception) in name order.  Only a profile's report outlives
+    its turn of the loop.  A file that cannot be read (InputOutputError),
+    analyzed or written is one failure, and the batch goes on; a profile
+    whose write fails keeps the files it already wrote, and its report,
+    written last, is not among them.  Output files are named by each
+    input's stem, so a file whose stem an earlier file already has is a
+    ValidationError failure and is not analyzed.  Raises InputOutputError
+    if the directory cannot be listed and ValidationError if it holds no
+    files at all.
     """
     dir_path = Path(dir_path)
     try:
@@ -192,7 +195,7 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
                                f"{exc.strerror or exc}") from exc
     if not paths:
         raise ValidationError(f"{dir_path}: no profile files found")
-    bundles = []
+    reports = []
     failures = []
     first_with_stem = {}
     for path in paths:
@@ -202,11 +205,15 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
                 f"output stem {path.stem!r} is already used by {first.name}")))
             continue
         try:
-            bundles.append(analyze(path, options, format))
+            bundle = analyze(path, options, format)
+            if out_dir is not None:
+                emit_plotdata(bundle, out_dir, stem=path.stem)
         except WallscaleError as exc:
             failures.append((path, exc))
-    bundles.sort(key=lambda bundle: bundle.report.label)
-    return bundles, failures
+        else:
+            reports.append(bundle.report)
+    reports.sort(key=lambda report: report.label)
+    return reports, failures
 
 
 # --- serialization ---------------------------------------------------------

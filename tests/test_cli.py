@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -300,15 +301,74 @@ class TestBatch:
         assert "locked.dat: Permission denied" in captured.err
 
     def test_out_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        # each profile's write is one failure of the batch
         in_dir, taken = tmp_path / "in", tmp_path / "taken"
         in_dir.mkdir()
         write_profile(in_dir / "a.dat")
+        write_profile(in_dir / "b.dat")
         taken.write_text("a file\n")
         code = main(["batch", str(in_dir), "--out-dir", str(taken)])
-        err = capsys.readouterr().err
-        assert code == EXIT_IO
-        assert f"cannot create directory {taken}: File exists" in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert code == EXIT_PARTIAL
+        assert captured.out.splitlines()[1:] == []
+        assert captured.err == "".join(
+            f"error: {in_dir / name}: cannot create directory {taken}: "
+            "File exists\n" for name in ("a.dat", "b.dat"))
+        assert taken.read_text() == "a file\n"
+
+    def test_write_failure_is_one_failure(self, tmp_path, capsys):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        for i in range(3):
+            write_profile(in_dir / f"p{i}.dat", seed=i, noise_sigma=0.01)
+        (out_dir / "p1_shift.dat").mkdir(parents=True)
+        code = main(["batch", str(in_dir), "--lg-eta-min", "0.5",
+                     "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARTIAL
+        assert [row.split()[0] for row in captured.out.splitlines()] == [
+            "label", "p0", "p2"]
+        assert captured.err == (
+            f"error: {in_dir / 'p1.dat'}: cannot write "
+            f"{out_dir / 'p1_shift.dat'}: Is a directory\n")
+        # p1 keeps the files written before the failure, and no report
+        suffixes = ("_loglog.dat", "_universal.dat", "_shift.dat",
+                    "_report.txt")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["envelope.dat", "p1_loglog.dat", "p1_universal.dat",
+             "p1_shift.dat"] + [s + f for s in ("p0", "p2") for f in suffixes])
+        assert (out_dir / "p1_shift.dat").is_dir()
+        assert (out_dir / "envelope.dat").read_text() == envelope_table()
+
+    def test_peak_memory_is_flat_in_the_number_of_files(self, tmp_path):
+        # Only a profile's report, about 1.4 KB, outlives its turn of the
+        # batch loop.  Keeping every bundle made the traced peak over 40
+        # files of n = 1000 2.3 times (with --out-dir) and 3.5 times
+        # (without) that over 4.
+        def batch_peak(in_dir, *flags):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["batch", str(in_dir), *flags]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        in_dirs = []
+        for count in (4, 40):
+            in_dirs.append(tmp_path / f"in{count}")
+            in_dirs[-1].mkdir()
+            for i in range(count):
+                write_profile(in_dirs[-1] / f"p{i:02d}.dat", n_points=1000,
+                              seed=i, noise_sigma=0.01)
+        # fills the caches of the number renderer
+        batch_peak(in_dirs[0], "--out-dir", str(tmp_path / "warm"))
+        for out_dir in (False, True):
+            small, large = (
+                batch_peak(in_dir, *(["--out-dir", f"{in_dir}_out"]
+                                     if out_dir else []))
+                for in_dir in in_dirs)
+            assert large <= 1.25 * small, (out_dir, small, large)
 
     def test_plot_data_failure_is_one_failure(self, tmp_path, capsys):
         in_dir, out_dir = tmp_path / "in", tmp_path / "out"
@@ -672,6 +732,21 @@ class TestEnvelope:
                      "--n-points", "2000"]) == EXIT_OK
         assert solves == [2000]
         assert points == []
+
+    def test_failed_fit_renders_no_table(self, monkeypatch, capsys):
+        rendered = []
+        render = report.format_envelope
+        monkeypatch.setattr(report, "format_envelope",
+                            lambda curve: rendered.append(curve) or
+                            render(curve))
+        assert main(["envelope", "--ln-eta-min", "1e100", "--ln-eta-max",
+                     "1e150", "--n-points", "2000"]) == EXIT_FIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the line fit's offset C cancels: its rounding error may "
+            "reach 2.09e+135, above 5e-05\n")
+        assert rendered == []
 
     @pytest.mark.parametrize("lo, hi, n", [(5.0, 10.0, 12), (0.5, 2.0, 10),
                                            (2.0, 30.0, 2000)])

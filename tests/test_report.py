@@ -106,28 +106,45 @@ class TestAnalyzeFile:
 
 class TestBatch:
     def test_sorted_and_partial(self, tmp_path):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
         save_profile(generate(clean_spec(label="b-case", seed=1,
                                          noise_sigma=0.01)),
-                     tmp_path / "x.dat")
+                     in_dir / "x.dat")
         save_profile(generate(clean_spec(label="a-case", seed=2,
                                          noise_sigma=0.01)),
-                     tmp_path / "y.dat")
-        (tmp_path / "broken.dat").write_text("1 2 3\n")
-        bundles, failures = batch(tmp_path, OPTIONS)
-        assert [b.report.label for b in bundles] == ["a-case", "b-case"]
-        assert len(failures) == 1
-        assert failures[0][0].name == "broken.dat"
+                     in_dir / "y.dat")
+        (in_dir / "broken.dat").write_text("1 2 3\n")
+        (in_dir / "z.dat").write_text("nope\n")
+        for kwargs in ({}, {"out_dir": out_dir}):
+            reports, failures = batch(in_dir, OPTIONS, **kwargs)
+            assert [r.label for r in reports] == ["a-case", "b-case"]
+            assert reports == [analyze(in_dir / name, OPTIONS).report
+                               for name in ("y.dat", "x.dat")]
+            # failures come in name order
+            assert [path.name for path, _ in failures] == [
+                "broken.dat", "z.dat"]
+            assert all(isinstance(exc, PipelineError)
+                       and isinstance(exc.cause, ParseError)
+                       for _, exc in failures)
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            s + f for s in "xy" for f in ("_loglog.dat", "_universal.dat",
+                                           "_shift.dat", "_report.txt"))
+        assert report_from_text((out_dir / "x_report.txt").read_text()) == (
+            reports[1])
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(ValidationError):
             batch(tmp_path)
 
     def test_shared_stem_second_fails(self, tmp_path):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
         for name, label in (("p.dat", "first"), ("p.txt", "second")):
-            save_profile(generate(clean_spec(label=label)), tmp_path / name)
-        bundles, failures = batch(tmp_path, OPTIONS)
-        assert [b.report.label for b in bundles] == ["first"]
-        assert bundles[0].source == tmp_path / "p.dat"
+            save_profile(generate(clean_spec(label=label)), in_dir / name)
+        reports, failures = batch(in_dir, OPTIONS, out_dir=out_dir)
+        assert [r.label for r in reports] == ["first"]
+        assert "label=first\n" in (out_dir / "p_report.txt").read_text()
         [(path, exc)] = failures
         assert path.name == "p.txt"
         assert isinstance(exc, ValidationError)
