@@ -33,6 +33,18 @@ EXIT_PARTIAL = 13
 EXIT_IO = 14
 
 
+# Each character str.splitlines breaks at, to its repr escape.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1]
+                for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _print_error(input, failure) -> None:
+    """Print ``error: <input>: <failure>`` (``error: <failure>`` without an
+    input) to stderr as one line, each line break escaped as repr does."""
+    text = failure if input is None else f"{input}: {failure}"
+    print(f"error: {text}".translate(_LINE_BREAKS), file=sys.stderr)
+
+
 def _exit_code_for(exc: WallscaleError) -> int:
     if isinstance(exc, PipelineError):
         exc = exc.cause
@@ -80,10 +92,10 @@ def _add_analyze_options(parser: argparse.ArgumentParser) -> None:
 def _cmd_analyze(args) -> int:
     options = report.AnalyzeOptions(**{
         f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
-    bundle = report.analyze(args.file, options, args.format)
+    bundle = report.analyze(args.input, options, args.format)
     # The row is printed once the profile's files are written.
     if args.out_dir is not None:
-        report.emit_plotdata(bundle, args.out_dir, stem=args.file.stem)
+        report.emit_plotdata(bundle, args.out_dir, stem=args.input.stem)
         write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
     print(report.format_table([bundle.report]), end="")
     return EXIT_OK
@@ -92,19 +104,19 @@ def _cmd_analyze(args) -> int:
 def _cmd_batch(args) -> int:
     options = report.AnalyzeOptions(**{
         f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
-    reports, failures = report.batch(args.dir, options, args.format,
+    reports, failures = report.batch(args.input, options, args.format,
                                      args.out_dir)
     # Only a batch that wrote a profile writes the envelope.
     if args.out_dir is not None and reports:
         write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
     print(report.format_table(reports), end="")
     for path, exc in failures:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+        _print_error(path, exc)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    profile = synthetic.generate(synthetic.load_synth_spec(args.specfile))
+    profile = synthetic.generate(synthetic.load_synth_spec(args.input))
     save_profile(profile, args.output)
     print(f"wrote {len(profile)} samples to {args.output}")
     return EXIT_OK
@@ -158,17 +170,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze one profile file")
-    p.add_argument("file", type=Path)
+    p.add_argument("input", metavar="file", type=Path)
     _add_analyze_options(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("batch", help="analyze every profile in a directory")
-    p.add_argument("dir", type=Path)
+    p.add_argument("input", metavar="dir", type=Path)
     _add_analyze_options(p)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("synth", help="generate a synthetic profile")
-    p.add_argument("specfile", type=Path)
+    p.add_argument("input", metavar="specfile", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True,
                    help="output profile path (wall_units format)")
     p.set_defaults(func=_cmd_synth)
@@ -199,7 +211,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except WallscaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(getattr(args, "input", None), exc)
         return _exit_code_for(exc)
 
 

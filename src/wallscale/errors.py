@@ -10,19 +10,13 @@ class DomainError(WallscaleError, ValueError):
 
 
 class ParseError(WallscaleError):
-    """A data file could not be parsed; carries the offending line number."""
+    """A text could not be parsed; carries the offending line number, named
+    as ``line N: ...``, but not the file, which the caller names."""
 
-    def __init__(self, message, path=None, line=None):
-        self.path = path
+    def __init__(self, message, line=None):
         self.line = line
-        where = ""
-        if path is not None:
-            where = f"{path}:"
-        if line is not None:
-            where += f"{line}: "
-        elif path is not None:
-            where += " "
-        super().__init__(where + message)
+        super().__init__(message if line is None
+                         else f"line {line}: {message}")
 
 
 class InputOutputError(WallscaleError, OSError):

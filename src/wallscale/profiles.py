@@ -235,17 +235,16 @@ def read_lines(path):
     """The lines of a UTF-8 text file, read as ``open`` in text mode would
     (universal newlines).  A file that is not UTF-8 is a ParseError that
     names the line holding the first undecodable byte; a file that cannot
-    be read is an InputOutputError."""
+    be read is an InputOutputError.  Neither names the file."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: "
-                               f"{exc.strerror or exc}") from exc
+        raise InputOutputError(f"cannot read: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x}: "
-                         f"{exc.reason})", path=path,
+                         f"{exc.reason})",
                          line=data.count(b"\n", 0, exc.start) + 1) from None
     return io.StringIO(text, newline=None)
 
@@ -259,7 +258,7 @@ def _content_lines(lines):
             yield lineno, line, text
 
 
-def read_key_value(line: str, kinds, what: str, path=None, lineno=None,
+def read_key_value(line: str, kinds, what: str, lineno=None,
                    strip: bool = True):
     """(key, value) of a ``key=value`` line split at its first ``=``: the
     key without outer whitespace, which must be in ``kinds`` (key to type),
@@ -268,20 +267,19 @@ def read_key_value(line: str, kinds, what: str, path=None, lineno=None,
     ParseError; ``what`` names the kind of key."""
     key, sep, raw = line.partition("=")
     if not sep:
-        raise ParseError("expected key=value", path=path, line=lineno)
+        raise ParseError("expected key=value", lineno)
     key = key.strip()
     if key not in kinds:
-        raise ParseError(f"unknown {what} {key!r}", path=path, line=lineno)
+        raise ParseError(f"unknown {what} {key!r}", lineno)
     return key, parse_value(kinds[key], key, raw.strip() if strip else raw,
-                            path, lineno)
+                            lineno)
 
 
-def read_key_values(lines, kinds, what: str, path=None,
-                    strip: bool = True) -> dict:
+def read_key_values(lines, kinds, what: str, strip: bool = True) -> dict:
     """``read_key_value`` of each line neither blank nor a ``#`` comment,
     as a dict (a later line of a key wins); with ``strip`` false the lines
     must come without their line ends."""
-    return dict(read_key_value(line, kinds, what, path, lineno, strip)
+    return dict(read_key_value(line, kinds, what, lineno, strip)
                 for lineno, line, _ in _content_lines(lines))
 
 
@@ -308,7 +306,7 @@ def format_key_values(header: str, items, strip: bool = True) -> str:
     return "\n".join(lines)
 
 
-def parse_value(kind, key: str, raw: str, path=None, lineno=None):
+def parse_value(kind, key: str, raw: str, lineno=None):
     """Parse one value as ``kind``: str (``raw`` itself), or, once outer
     whitespace is stripped, bool (``true`` or ``false``), int or float (read
     by ``int`` or ``float``), or ``none`` where ``kind`` admits None.  A
@@ -329,8 +327,7 @@ def parse_value(kind, key: str, raw: str, path=None, lineno=None):
             return kind(raw)
         except ValueError:
             pass
-    raise ParseError(f"cannot parse {key} value {raw!r}",
-                     path=path, line=lineno)
+    raise ParseError(f"cannot parse {key} value {raw!r}", lineno)
 
 
 def block_values(block: str) -> list[float] | None:
@@ -388,14 +385,13 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     """
     if format not in ("wall_units", "raw"):
         raise ValidationError(f"unknown format {format!r}")
-    path = Path(path)
     meta_kwargs: dict = {}
     values: list[float] = []
     lines = read_lines(path)
     for lineno, line, text in _content_lines(lines):
         if "=" in text:
             key, value = read_key_value(text, _METADATA_KINDS, "metadata key",
-                                        path, lineno)
+                                        lineno)
             meta_kwargs[_METADATA_KEYS[key]] = value
             continue
         if not values:      # the first data row (each row read adds two)
@@ -414,23 +410,18 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
             # \x1c-\x1f, which parse_value strips first
             if len(parts) != 2:
                 raise ParseError(f"expected 2 columns, got {len(parts)}",
-                                 path=path, line=lineno) from None
-            values += (parse_value(float, "column 1", parts[0], path, lineno),
-                       parse_value(float, "column 2", parts[1], path, lineno))
-    try:
-        metadata = ProfileMetadata(**meta_kwargs)
-        first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
-        if format == "raw":
-            if metadata.u_star is None or metadata.nu is None:
-                raise ValidationError(
-                    "raw format requires u_star and nu metadata")
-            check_values(ValidationError, "positive and finite",
-                         y=first, u=second)
-            first = metadata.u_star * first / metadata.nu
-            second = second / metadata.u_star
-        return VelocityProfile(first, second, metadata)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+                                 lineno) from None
+            values += (parse_value(float, "column 1", parts[0], lineno),
+                       parse_value(float, "column 2", parts[1], lineno))
+    metadata = ProfileMetadata(**meta_kwargs)
+    first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
+    if format == "raw":
+        if metadata.u_star is None or metadata.nu is None:
+            raise ValidationError("raw format requires u_star and nu metadata")
+        check_values(ValidationError, "positive and finite", y=first, u=second)
+        first = metadata.u_star * first / metadata.nu
+        second = second / metadata.u_star
+    return VelocityProfile(first, second, metadata)
 
 
 def save_profile(profile: VelocityProfile, path) -> None:

@@ -162,10 +162,7 @@ def analyze(profile_path, options: AnalyzeOptions = AnalyzeOptions(),
     if not report.label:
         # Fall back to the file name so batch summaries stay identifiable;
         # it must be one line, as a label in the file must.
-        try:
-            profiles.ProfileMetadata(label=profile_path.stem)
-        except ValidationError as exc:
-            raise ValidationError(f"{profile_path}: {exc}") from exc
+        profiles.ProfileMetadata(label=profile_path.stem)
         report = replace(report, label=profile_path.stem)
     return replace(bundle, report=report)
 
@@ -176,25 +173,25 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
     each profile's plot data into ``out_dir`` when it is given.
 
     Returns (reports sorted by label, failures) where failures is a list
-    of (path, exception) in name order.  Only a profile's report outlives
-    its turn of the loop.  A file that cannot be read (InputOutputError),
-    analyzed or written is one failure, and the batch goes on; a profile
-    whose write fails keeps the files it already wrote, and its report,
-    written last, is not among them.  Output files are named by each
-    input's stem, so a file whose stem an earlier file already has is a
-    ValidationError failure and is not analyzed.  Raises InputOutputError
-    if the directory cannot be listed and ValidationError if it holds no
-    files at all.
+    of (path, exception) in name order; no error names its input.  Only a
+    profile's report outlives its turn of the loop: an exception keeps no
+    traceback in its chain, whose frames held the profile, fit and series.
+    A file that cannot be read (InputOutputError), analyzed or written is
+    one failure, and the batch goes on; a profile whose write fails keeps
+    the files it already wrote, and its report, written last, is not
+    among them.  Output files are named by each input's stem, so a file
+    whose stem an earlier file already has is a ValidationError failure
+    and is not analyzed.  Raises InputOutputError if the directory cannot
+    be listed and ValidationError if it holds no files at all.
     """
     dir_path = Path(dir_path)
     try:
         paths = sorted(p for p in dir_path.iterdir()
                        if p.is_file() and not p.name.startswith("."))
     except OSError as exc:
-        raise InputOutputError(f"cannot list {dir_path}: "
-                               f"{exc.strerror or exc}") from exc
+        raise InputOutputError(f"cannot list: {exc.strerror or exc}") from exc
     if not paths:
-        raise ValidationError(f"{dir_path}: no profile files found")
+        raise ValidationError("no profile files found")
     reports = []
     failures = []
     first_with_stem = {}
@@ -209,6 +206,10 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
             if out_dir is not None:
                 emit_plotdata(bundle, out_dir, stem=path.stem)
         except WallscaleError as exc:
+            link = exc
+            while link is not None:
+                link.__traceback__ = None
+                link = link.__cause__ or link.__context__
             failures.append((path, exc))
         else:
             reports.append(bundle.report)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -159,11 +158,10 @@ _REQUIRED_SPEC_KEYS = ("ln_re", "break_ln_eta", "ln_eta_min", "ln_eta_max",
 
 def load_synth_spec(path) -> SynthSpec:
     """Parse a key=value spec file (``#`` comments and blank lines allowed)."""
-    path = Path(path)
-    raw = read_key_values(read_lines(path), _SPEC_KEYS, "spec key", path)
+    raw = read_key_values(read_lines(path), _SPEC_KEYS, "spec key")
     missing = [k for k in _REQUIRED_SPEC_KEYS if k not in raw]
     if missing:
-        raise ValidationError(f"{path}: missing spec keys {missing}")
+        raise ValidationError(f"missing spec keys {missing}")
     lo = raw.pop("ln_eta_min")
     hi = raw.pop("ln_eta_max")
     return SynthSpec(ln_eta_range=(lo, hi), **raw)

@@ -150,12 +150,12 @@ def select_reference(eta, phi, lg_eta_min, tol):
     return kept
 
 
-def _parse_number(text, key, path, lineno):
+def _parse_number(text, key, lineno):
     try:
         return float(text)
     except ValueError:
         raise ParseError(f"cannot parse {key} value {text!r}",
-                         path=path, line=lineno) from None
+                         lineno) from None
 
 
 def reference_load(path, format):
@@ -172,39 +172,33 @@ def reference_load(path, format):
             key = key.strip()
             value = value.strip()
             if key not in _METADATA_KEYS:
-                raise ParseError(f"unknown metadata key {key!r}",
-                                 path=path, line=lineno)
+                raise ParseError(f"unknown metadata key {key!r}", lineno)
             field = _METADATA_KEYS[key]
             if field == "label":
                 meta_kwargs[field] = value
             else:
-                meta_kwargs[field] = _parse_number(value, key, path, lineno)
+                meta_kwargs[field] = _parse_number(value, key, lineno)
             continue
         parts = text.split(",") if "," in text else text.split()
         if len(parts) != 2:
-            raise ParseError(f"expected 2 columns, got {len(parts)}",
-                             path=path, line=lineno)
-        a = _parse_number(parts[0].strip(), "column 1", path, lineno)
-        b = _parse_number(parts[1].strip(), "column 2", path, lineno)
+            raise ParseError(f"expected 2 columns, got {len(parts)}", lineno)
+        a = _parse_number(parts[0].strip(), "column 1", lineno)
+        b = _parse_number(parts[1].strip(), "column 2", lineno)
         rows.append((a, b))
 
-    try:
-        metadata = ProfileMetadata(**meta_kwargs)
-        first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
-        if format == "raw":
-            if metadata.u_star is None or metadata.nu is None:
-                raise ValidationError(
-                    "raw format requires u_star and nu metadata")
-            for row in rows:
-                for name, value in zip(("y", "u"), row):
-                    if not 0 < value < math.inf:
-                        raise ValidationError(f"{name} must be positive and "
-                                              f"finite, got {value!r}")
-            first = metadata.u_star * first / metadata.nu
-            second = second / metadata.u_star
-        return VelocityProfile(first, second, metadata)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    metadata = ProfileMetadata(**meta_kwargs)
+    first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+    if format == "raw":
+        if metadata.u_star is None or metadata.nu is None:
+            raise ValidationError("raw format requires u_star and nu metadata")
+        for row in rows:
+            for name, value in zip(("y", "u"), row):
+                if not 0 < value < math.inf:
+                    raise ValidationError(f"{name} must be positive and "
+                                          f"finite, got {value!r}")
+        first = metadata.u_star * first / metadata.nu
+        second = second / metadata.u_star
+    return VelocityProfile(first, second, metadata)
 
 
 # --- diagnostics -----------------------------------------------------------

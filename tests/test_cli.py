@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 import wallscale
 from wallscale import (AnalyzeOptions, SynthSpec, generate, report,
                        save_profile, scaling)
-from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                           EXIT_PARTIAL, EXIT_VALIDATION, PARSER,
+from wallscale.cli import (EXIT_FIT, EXIT_IO, EXIT_OK, EXIT_ORACLE_FAIL,
+                           EXIT_PARSE, EXIT_PARTIAL, EXIT_VALIDATION, PARSER,
                            build_parser, main)
 from wallscale.report import envelope_table
 
@@ -48,12 +49,12 @@ def write_unlabeled_profile(path):
         if not line.startswith("label=")))
 
 
-def write_tiny_tail_profile(path):
+def write_tiny_tail_profile(path, **overrides):
     """A valid profile whose three trailing samples have phi = 5e-324: the
     analysis succeeds, but in the shift column's series
     2 alpha phi / (sqrt(3) + 5 alpha) underflows to 0, whose log has no
     value."""
-    write_profile(path)
+    write_profile(path, **overrides)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-3] + [
         f"{line.split()[0]} 5e-324\n" for line in lines[-3:]]))
@@ -159,9 +160,9 @@ class TestAnalyze:
         path = tmp_path / "bad.dat"
         path.write_bytes(b"40 9.8\n80 10.9\xff\n")
         assert main(["analyze", str(path)]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert f"{path}:2: not UTF-8" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {path}: load_profile: line 2: not UTF-8 text "
+            "(byte 0xff: invalid start byte)\n")
 
     def test_reynolds_overflow_is_domain_error(self, tmp_path, capsys):
         # A = 420 gives ln Re of about 740, and exp(ln Re) overflows
@@ -179,7 +180,7 @@ class TestAnalyze:
         assert code == EXIT_FIT
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: shift_series: psi has no value at phi=5e-324")
+            f"error: {path}: shift_series: psi has no value at phi=5e-324")
         assert "its log argument is 0.0" in captured.err
         assert "Traceback" not in captured.err
         assert not plots.exists()
@@ -187,9 +188,29 @@ class TestAnalyze:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "nonexistent.dat"
         assert main(["analyze", str(path)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert f"cannot read {path}: No such file or directory" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {path}: load_profile: cannot read: "
+            "No such file or directory\n")
+
+    @pytest.mark.parametrize("text, failure", [
+        ("40 9.8\n80 10.9\n60 10.2\n160 12.1\n",
+         "eta not ascending (80.0 before 60.0)"),
+        ("40 9.8\n80 10.9\n160 12.1\n",
+         "profile needs at least 4 samples, got 3"),
+        ("re_theta=-1\n40 9.8\n80 10.9\n160 12.1\n320 13.4\n",
+         "metadata field re_theta must be positive and finite, got -1.0"),
+    ], ids=["decreasing_eta", "too_few_samples", "negative_re_theta"])
+    def test_error_line_names_the_input_once(self, tmp_path, capsys, text,
+                                             failure):
+        # the error line, not the error, names the file: once, in analyze
+        # and in batch alike
+        path = tmp_path / "bad.dat"
+        path.write_text(text)
+        want = f"error: {path}: load_profile: {failure}\n"
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == want
+        assert main(["batch", str(tmp_path)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == want
 
     def test_infinite_metadata_is_validation(self, tmp_path, capsys):
         path = tmp_path / "case.dat"
@@ -278,9 +299,10 @@ class TestBatch:
     def test_unlistable_dir_is_io_error(self, tmp_path, capsys, name):
         (tmp_path / "file.dat").write_text("40 9.8\n")
         assert main(["batch", str(tmp_path / name)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert f"cannot list {tmp_path / name}" in err
-        assert "Traceback" not in err
+        reason = {"nonexistent_dir": "No such file or directory",
+                  "file.dat": "Not a directory"}[name]
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / name}: cannot list: {reason}\n")
 
     def test_unreadable_file_is_one_failure(self, tmp_path, capsys,
                                             monkeypatch):
@@ -298,7 +320,9 @@ class TestBatch:
         captured = capsys.readouterr()
         assert code == EXIT_PARTIAL
         assert "good" in captured.out
-        assert "locked.dat: Permission denied" in captured.err
+        assert captured.err == (
+            f"error: {tmp_path / 'locked.dat'}: load_profile: cannot read: "
+            "Permission denied\n")
 
     def test_out_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
         # each profile's write is one failure of the batch
@@ -340,35 +364,58 @@ class TestBatch:
         assert (out_dir / "p1_shift.dat").is_dir()
         assert (out_dir / "envelope.dat").read_text() == envelope_table()
 
+    @staticmethod
+    def batch_peak(in_dir, code, *flags):
+        """The traced peak of ``main``'s batch over ``in_dir``, which must
+        exit with ``code``."""
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["batch", str(in_dir), *flags]) == code
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def corpora(root, write):
+        """Directories of 4 and 40 profiles of n = 1000 made by ``write``."""
+        in_dirs = []
+        for count in (4, 40):
+            in_dirs.append(root / f"in{count}")
+            in_dirs[-1].mkdir()
+            for i in range(count):
+                write(in_dirs[-1] / f"p{i:02d}.dat", n_points=1000, seed=i,
+                      noise_sigma=0.01)
+        return in_dirs
+
     def test_peak_memory_is_flat_in_the_number_of_files(self, tmp_path):
         # Only a profile's report, about 1.4 KB, outlives its turn of the
         # batch loop.  Keeping every bundle made the traced peak over 40
         # files of n = 1000 2.3 times (with --out-dir) and 3.5 times
         # (without) that over 4.
-        def batch_peak(in_dir, *flags):
-            tracemalloc.start()
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert main(["batch", str(in_dir), *flags]) == EXIT_OK
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        in_dirs = []
-        for count in (4, 40):
-            in_dirs.append(tmp_path / f"in{count}")
-            in_dirs[-1].mkdir()
-            for i in range(count):
-                write_profile(in_dirs[-1] / f"p{i:02d}.dat", n_points=1000,
-                              seed=i, noise_sigma=0.01)
+        in_dirs = self.corpora(tmp_path, write_profile)
         # fills the caches of the number renderer
-        batch_peak(in_dirs[0], "--out-dir", str(tmp_path / "warm"))
+        self.batch_peak(in_dirs[0], EXIT_OK, "--out-dir", str(tmp_path / "w"))
         for out_dir in (False, True):
             small, large = (
-                batch_peak(in_dir, *(["--out-dir", f"{in_dir}_out"]
-                                     if out_dir else []))
+                self.batch_peak(in_dir, EXIT_OK,
+                                *(["--out-dir", f"{in_dir}_out"]
+                                  if out_dir else []))
                 for in_dir in in_dirs)
             assert large <= 1.25 * small, (out_dir, small, large)
+
+    def test_peak_memory_is_flat_in_the_number_of_failures(self, tmp_path):
+        # A failure keeps its exception but no traceback in its chain: the
+        # frames of analyze and emit_plotdata hold the profile, its fit and
+        # its series.  Keeping them made the traced peak over 40 files
+        # that fail in shift_series 4.3 times that over 4.
+        in_dirs = self.corpora(tmp_path, write_tiny_tail_profile)
+        small, large = (
+            self.batch_peak(in_dir, EXIT_PARTIAL, "--out-dir",
+                            str(tmp_path / "out"))
+            for in_dir in in_dirs)
+        assert large <= 1.25 * small, (small, large)
 
     def test_plot_data_failure_is_one_failure(self, tmp_path, capsys):
         in_dir, out_dir = tmp_path / "in", tmp_path / "out"
@@ -965,3 +1012,116 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert (exc.value.code, *capsys.readouterr()) == want
+
+
+def rendered(text):
+    """``text`` as an error line shows it: each character at which
+    ``str.splitlines`` breaks as its ``repr`` escape."""
+    return "".join(c if ("a" + c).splitlines() == ["a" + c] else repr(c)[1:-1]
+                   for c in str(text))
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, with warnings as
+    errors; argparse's exits give their code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")    # a warning escapes
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each kind of bad file: how it is written, and the exit code of analyze.
+# An "unreadable" file is refused by Path.read_bytes, as a file without
+# read permission would be (a test run as root could read it).
+BAD_FILES = {
+    "parse": (lambda path: path.write_text("40 9.8\n80 x\n"), EXIT_PARSE),
+    "validation": (lambda path: path.write_text(
+        "40 9.8\n80 10.9\n60 10.2\n160 12.1\n"), EXIT_VALIDATION),
+    "fit": (write_overflowing_profile, EXIT_FIT),
+    "unreadable": (lambda path: path.write_text("40 9.8\n"), EXIT_IO),
+}
+
+# What a file name may hold: every character str.splitlines breaks at, an
+# undecodable byte (a lone surrogate once decoded), non-ASCII text, spaces
+NAME_CHARS = st.sampled_from([*"\n\r\x0b\x0c\x1c\x1d\x1e\x85  ",
+                              os.fsdecode(b"\xff"), "é", "σ", " ", "a", "1"])
+
+
+class TestErrorLineFuzz:
+    """Bad files under drawn names: each failure is one ``error:`` line that
+    names its input once, in ``batch`` and in ``analyze``."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(files=[("a\nb", "validation"), ("c\udcff", "unreadable")])
+    @given(files=st.lists(
+        st.tuples(st.text(NAME_CHARS, min_size=1, max_size=6),
+                  st.sampled_from(sorted(BAD_FILES))),
+        min_size=1, max_size=4, unique_by=lambda file: file[0]))
+    def test_each_failure_is_one_line_naming_its_input_once(self, files):
+        with tempfile.TemporaryDirectory() as root:
+            in_dir = Path(root)
+            kinds = {}
+            for stem, kind in files:
+                path = in_dir / f"{stem}.dat"
+                BAD_FILES[kind][0](path)
+                kinds[path] = kind
+            read_bytes = Path.read_bytes
+
+            def refuse_unreadable(path):
+                if kinds.get(path) == "unreadable":
+                    raise PermissionError(13, "Permission denied", str(path))
+                return read_bytes(path)
+
+            with mock.patch.object(Path, "read_bytes", refuse_unreadable):
+                code, out, err = run_main(["batch", str(in_dir)])
+                assert code == EXIT_PARTIAL
+                assert out.splitlines()[1:] == []
+                # one line per failure, in name order
+                lines = err.split("\n")
+                assert lines.pop() == ""
+                assert len(lines) == len(kinds)
+                for line, path in zip(lines, sorted(kinds)):
+                    assert line.startswith(f"error: {rendered(path)}: ")
+                    assert line.count(rendered(path)) == 1
+                for path, kind in kinds.items():
+                    code, out, err = run_main(["analyze", str(path)])
+                    assert code == BAD_FILES[kind][1]
+                    assert out == ""
+                    assert err.count("\n") == 1 and err.endswith("\n")
+                    assert err.startswith(f"error: {rendered(path)}: ")
+                    assert err.count(rendered(path)) == 1
+
+
+class TestCliFuzz:
+    """``main`` on a drawn verb with drawn flags and words (the argvs of
+    ``TestParser``), run in a directory that holds a profile ``f.dat`` and a
+    directory ``x`` of a good profile and a bad one whose name holds a line
+    break: it exits with a documented code, lets no traceback or warning
+    escape, and each failure is one ``error:`` line."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(argv=["batch", "x"])
+    @example(argv=["batch", "x", "--format", "raw"])
+    @example(argv=["synth", "f.dat", "-o", "x"])
+    @given(argv=DRAWN_ARGV)
+    def test_drawn_argv(self, argv):
+        with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+            Path("f.dat").write_bytes(valid_profile_bytes())
+            Path("x").mkdir()
+            Path("x", "good.dat").write_bytes(valid_profile_bytes())
+            Path("x", "b\nad.dat").write_text("40 9.8\n80 x\n")
+            code, out, err = run_main(argv)
+        assert code in (EXIT_ORACLE_FAIL, EXIT_OK, 2, EXIT_PARSE,
+                        EXIT_VALIDATION, EXIT_FIT, EXIT_PARTIAL, EXIT_IO)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if code in (EXIT_OK, EXIT_ORACLE_FAIL):
+            assert not any(line.startswith("error:") for line in lines)
+        elif code != 2:     # argparse's usage error has its own format
+            assert lines and all(line.startswith("error: ")
+                                 for line in lines)
