@@ -22,7 +22,7 @@ from pathlib import Path
 from . import report, scaling, synthetic
 from .errors import (InputOutputError, ParseError, PipelineError,
                      ValidationError, WallscaleError)
-from .profiles import save_profile, write_texts
+from .profiles import check_not_input, save_profile, write_texts
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -95,6 +95,9 @@ def _cmd_analyze(args) -> int:
     bundle = report.analyze(args.input, options, args.format)
     # The row is printed once the profile's files are written.
     if args.out_dir is not None:
+        check_not_input(args.input, *(
+            args.out_dir / name for name in
+            [*report.plotdata_names(args.input.stem), "envelope.dat"]))
         report.emit_plotdata(bundle, args.out_dir, stem=args.input.stem)
         write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
     print(report.format_table([bundle.report]), end="")
@@ -116,7 +119,9 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    profile = synthetic.generate(synthetic.load_synth_spec(args.input))
+    spec = synthetic.load_synth_spec(args.input)
+    check_not_input(args.input, args.output)
+    profile = synthetic.generate(spec)
     save_profile(profile, args.output)
     print(f"wrote {len(profile)} samples to {args.output}")
     return EXIT_OK

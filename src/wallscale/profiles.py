@@ -376,8 +376,8 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     A blank line or one starting with ``#`` is skipped, a line holding
     ``=`` is metadata, and any other line is a data row of two numbers
     split at commas if it holds one and at whitespace otherwise, each read
-    by ``float``.  The first bad line, in line order, is a ParseError that
-    names it; a row's checks are spelled out only once it fails to read.
+    by ``parse_value`` (``float`` once its outer whitespace is stripped).
+    The first bad line, in line order, is a ParseError that names it.
 
     From the first data row on, the rest of the file is read as one block
     when ``block_values`` takes it, which gives the numbers the lines would;
@@ -402,17 +402,10 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
                 break
             lines.seek(mark)
         parts = text.split(",") if "," in text else text.split()
-        try:
-            a, b = parts
-            values += float(a), float(b)
-        except ValueError:
-            # float strips the outer whitespace that str.strip does but for
-            # \x1c-\x1f, which parse_value strips first
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 columns, got {len(parts)}",
-                                 lineno) from None
-            values += (parse_value(float, "column 1", parts[0], lineno),
-                       parse_value(float, "column 2", parts[1], lineno))
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 columns, got {len(parts)}", lineno)
+        values += (parse_value(float, "column 1", parts[0], lineno),
+                   parse_value(float, "column 2", parts[1], lineno))
     metadata = ProfileMetadata(**meta_kwargs)
     first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
     if format == "raw":
@@ -464,10 +457,8 @@ def format_columns(header: str, *columns) -> str:
             out[:len(block), :, :_WIDTH] = text[:, where]
             body.append(out[:len(block)].tobytes().translate(None, b"\0"))
         return header + "\n" + b"".join(body).decode("ascii")
-    strings = {key: map(repr, column.tolist())
+    strings = {key: list(map(repr, column.tolist()))
                for key, column in distinct.items()}
-    if len(distinct) < len(columns):    # a column passed twice
-        strings = {key: list(texts) for key, texts in strings.items()}
     rows = zip(*(strings[id(column)] for column in columns), strict=True)
     return "\n".join([header, *map(" ".join, rows)]) + "\n"
 
@@ -684,6 +675,20 @@ def write_texts(out_dir, texts: dict) -> list[Path]:
     for name, text in texts.items():
         atomic_write_text(out_dir / name, text)
     return [out_dir / name for name in texts]
+
+
+def check_not_input(input, *outputs) -> None:
+    """Raise ValidationError if one of the ``outputs`` paths is the file
+    or directory ``input`` (``os.path.samefile``); a run calls it before
+    it writes anything, so that no run writes over its own input.  A path
+    that does not exist is not the input.  The error names neither path."""
+    for output in outputs:
+        try:
+            same = os.path.samefile(input, output)
+        except OSError:
+            continue
+        if same:
+            raise ValidationError("an output path is the input")
 
 
 DEFAULT_LG_ETA_MIN = 1.5

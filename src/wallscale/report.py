@@ -182,7 +182,9 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
     among them.  Output files are named by each input's stem, so a file
     whose stem an earlier file already has is a ValidationError failure
     and is not analyzed.  Raises InputOutputError if the directory cannot
-    be listed and ValidationError if it holds no files at all.
+    be listed, and ValidationError if it holds no files at all or if
+    ``out_dir`` is the directory itself, whose files the outputs would
+    replace.
     """
     dir_path = Path(dir_path)
     try:
@@ -192,6 +194,8 @@ def batch(dir_path, options: AnalyzeOptions = AnalyzeOptions(),
         raise InputOutputError(f"cannot list: {exc.strerror or exc}") from exc
     if not paths:
         raise ValidationError("no profile files found")
+    if out_dir is not None:
+        profiles.check_not_input(dir_path, out_dir)
     reports = []
     failures = []
     first_with_stem = {}
@@ -241,42 +245,33 @@ def report_from_text(text: str) -> AnalysisReport:
     return AnalysisReport(**values)
 
 
-def _fmt(value, kind: str) -> str:
-    if value is None:
-        return "--"
-    if kind == "exp":
-        return f"{value:.3f}"
-    if kind == "lnre":
-        return f"{value:.2f}"
-    if kind == "sig4":
-        return f"{value:.4g}"
-    return str(value)
-
-
-_TABLE_COLUMNS = (
-    ("label", "label", "str", 12),
-    ("re_theta", "Re_th", "sig4", 8),
-    ("alpha", "alpha", "exp", 7),
-    ("a", "A", "lnre", 6),
-    ("ln_re1", "lnRe1", "lnre", 6),
-    ("ln_re2", "lnRe2", "lnre", 6),
-    ("ln_re", "lnRe", "lnre", 6),
-    ("rel_discrepancy", "disc", "sig4", 8),
-    ("re_theta_over_re", "Rth/Re", "sig4", 8),
-    ("beta", "beta", "exp", 7),
-    ("mean_shift", "shift", "sig4", 9),
-    ("shift_class", "class", "str", 13),
+_TABLE_COLUMNS = (      # field, heading, format spec, width
+    ("label", "label", "", 12),
+    ("re_theta", "Re_th", ".4g", 8),
+    ("alpha", "alpha", ".3f", 7),
+    ("a", "A", ".2f", 6),
+    ("ln_re1", "lnRe1", ".2f", 6),
+    ("ln_re2", "lnRe2", ".2f", 6),
+    ("ln_re", "lnRe", ".2f", 6),
+    ("rel_discrepancy", "disc", ".4g", 8),
+    ("re_theta_over_re", "Rth/Re", ".4g", 8),
+    ("beta", "beta", ".3f", 7),
+    ("mean_shift", "shift", ".4g", 9),
+    ("shift_class", "class", "", 13),
 )
 
 
 def format_table(reports) -> str:
-    """Human-readable summary table, one row per report."""
+    """Human-readable summary table, one row per report; an absent value
+    is ``--``."""
     header = "  ".join(name.ljust(width) for _, name, _, width in _TABLE_COLUMNS)
     lines = [header]
     for report in reports:
         cells = []
-        for field, _, kind, width in _TABLE_COLUMNS:
-            cells.append(_fmt(getattr(report, field), kind).ljust(width))
+        for field, _, spec, width in _TABLE_COLUMNS:
+            value = getattr(report, field)
+            text = "--" if value is None else format(value, spec)
+            cells.append(text.ljust(width))
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -304,19 +299,27 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str) -> list[Path]:
     shift = _stage("shift_series", diagnostics.universal_series,
                    ln_eta, profile.phi,
                    scaling.alpha_of_ln_re(bundle.report.ln_re))
-    texts = {
-        f"{stem}_loglog.dat": profiles.format_columns(
+    texts = (
+        profiles.format_columns(
             "ln_eta ln_phi fit_region1 fit_region2", ln_eta, profile.ln_phi,
             bundle.fit.region1.ln_phi_at(ln_eta),
             bundle.fit.region2.ln_phi_at(ln_eta)),
-        f"{stem}_universal.dat": profiles.format_columns(
+        profiles.format_columns(
             "ln_eta psi bisectrix", bundle.series.ln_eta, bundle.series.psi,
             bundle.series.ln_eta),
-        f"{stem}_shift.dat": profiles.format_columns(
+        profiles.format_columns(
             "x phi", shift.ln_eta - shift.psi, profile.phi),
-        f"{stem}_report.txt": report_to_text(bundle.report),
-    }
-    return profiles.write_texts(out_dir, texts)
+        report_to_text(bundle.report),
+    )
+    return profiles.write_texts(out_dir, dict(zip(plotdata_names(stem), texts,
+                                                  strict=True)))
+
+
+def plotdata_names(stem: str) -> list[str]:
+    """The names of the files ``emit_plotdata`` writes for ``stem``, in
+    the order it writes them."""
+    return [stem + suffix for suffix in
+            ("_loglog.dat", "_universal.dat", "_shift.dat", "_report.txt")]
 
 
 def envelope_table(ln_eta_range=scaling.DEFAULT_ENVELOPE_RANGE,

@@ -88,6 +88,19 @@ class TestAnalyze:
                      "case_shift.dat", "envelope.dat", "case_report.txt"):
             assert (out_dir / name).is_file()
 
+    def test_output_that_is_the_input_is_refused(self, tmp_path, capsys):
+        # the envelope table would replace an input named envelope.dat
+        path = tmp_path / "envelope.dat"
+        write_profile(path)
+        before = path.read_bytes()
+        code = main(["analyze", str(path), "--lg-eta-min", "0.5",
+                     "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION and captured.out == ""
+        assert captured.err == f"error: {path}: an output path is the input\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["envelope.dat"]
+        assert path.read_bytes() == before
+
     def test_out_dir_takes_each_logarithm_once(self, tmp_path, capsys,
                                                monkeypatch):
         # Every log and exp goes through profiles.libm_column.  The
@@ -471,6 +484,24 @@ class TestBatch:
         assert len(reports) == 2
         assert all("label=same\n" in r for r in reports)
 
+    @pytest.mark.parametrize("out", ["in", "link"])
+    def test_out_dir_that_is_the_input_dir_is_refused(self, tmp_path, capsys,
+                                                      out):
+        # a.dat's report would replace a_report.txt, itself a profile
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        (tmp_path / "link").symlink_to(in_dir)
+        write_profile(in_dir / "a.dat")
+        write_profile(in_dir / "a_report.txt")
+        before = {p.name: p.read_bytes() for p in in_dir.iterdir()}
+        code = main(["batch", str(in_dir), "--lg-eta-min", "0.5",
+                     "--out-dir", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION and captured.out == ""
+        assert captured.err == (f"error: {in_dir}: an output path is the "
+                                "input\n")
+        assert {p.name: p.read_bytes() for p in in_dir.iterdir()} == before
+
     def test_shared_stem_is_a_failure(self, tmp_path, capsys):
         in_dir, out_dir = tmp_path / "in", tmp_path / "out"
         in_dir.mkdir()
@@ -633,6 +664,17 @@ class TestSynth:
         assert code == EXIT_IO
         assert f"cannot write {out}: No such file or directory" in err
         assert "Traceback" not in err
+
+    def test_output_that_is_the_spec_is_refused(self, tmp_path, capsys):
+        specfile = tmp_path / "s.spec"
+        write_specfile(specfile)
+        before = specfile.read_bytes()
+        code = main(["synth", str(specfile), "-o", str(specfile)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION and captured.out == ""
+        assert captured.err == (f"error: {specfile}: an output path is the "
+                                "input\n")
+        assert specfile.read_bytes() == before
 
     def test_missing_spec_is_io_error(self, tmp_path, capsys):
         code = main(["synth", str(tmp_path / "none.spec"), "-o",
