@@ -89,29 +89,32 @@ def _add_analyze_options(parser: argparse.ArgumentParser) -> None:
                            for f in fields(report.AnalyzeOptions)})
 
 
-def _cmd_analyze(args) -> int:
-    options = report.AnalyzeOptions(**{
+def _options(args) -> report.AnalyzeOptions:
+    """The options of ``args``' analysis flags, one per field."""
+    return report.AnalyzeOptions(**{
         f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
-    bundle = report.analyze(args.input, options, args.format)
+
+
+def _cmd_analyze(args) -> int:
+    bundle = report.analyze(args.input, _options(args), args.format)
     # The row is printed once the profile's files are written.
     if args.out_dir is not None:
-        check_not_input(args.input, *(
-            args.out_dir / name for name in
-            [*report.plotdata_names(args.input.stem), "envelope.dat"]))
+        names = [*report.plotdata_names(args.input.stem), report.ENVELOPE_FILE]
+        check_not_input(args.input, *(args.out_dir / n for n in names))
         report.emit_plotdata(bundle, args.out_dir, stem=args.input.stem)
-        write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
+        write_texts(args.out_dir,
+                    {report.ENVELOPE_FILE: report.envelope_table()})
     print(report.format_table([bundle.report]), end="")
     return EXIT_OK
 
 
 def _cmd_batch(args) -> int:
-    options = report.AnalyzeOptions(**{
-        f.name: getattr(args, f.name) for f in fields(report.AnalyzeOptions)})
-    reports, failures = report.batch(args.input, options, args.format,
+    reports, failures = report.batch(args.input, _options(args), args.format,
                                      args.out_dir)
     # Only a batch that wrote a profile writes the envelope.
     if args.out_dir is not None and reports:
-        write_texts(args.out_dir, {"envelope.dat": report.envelope_table()})
+        write_texts(args.out_dir,
+                    {report.ENVELOPE_FILE: report.envelope_table()})
     print(report.format_table(reports), end="")
     for path, exc in failures:
         _print_error(path, exc)
@@ -135,7 +138,7 @@ def _cmd_envelope(args) -> int:
     line = scaling.fit_log_law(curve.ln_eta, curve.phi_env)
     table = report.format_envelope(curve)
     if args.out_dir is not None:
-        write_texts(args.out_dir, {"envelope.dat": table})
+        write_texts(args.out_dir, {report.ENVELOPE_FILE: table})
     else:
         print(table, end="")
     print(f"effective log law: kappa={line.kappa:.4f} "

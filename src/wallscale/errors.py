@@ -2,7 +2,12 @@
 
 
 class WallscaleError(Exception):
-    """Base class for all errors raised by wallscale."""
+    """Base class for all errors raised by wallscale.  ``row`` is the
+    index, from 0, of the first row of a column that broke a value or
+    order rule, where a check found one (``profiles.check_values``,
+    ``VelocityProfile``), and None otherwise."""
+
+    row = None
 
 
 class DomainError(WallscaleError, ValueError):

@@ -18,7 +18,6 @@ import functools
 import io
 import math
 import os
-import sys
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -100,9 +99,10 @@ class VelocityProfile:
         if steps.any():
             i = int(steps.argmax())
             a, b = eta[i].item(), eta[i + 1].item()
-            if a == b:
-                raise ValidationError(f"duplicate eta value {a!r}")
-            raise ValidationError(f"eta not ascending ({a!r} before {b!r})")
+            exc = ValidationError(f"duplicate eta value {a!r}" if a == b else
+                                  f"eta not ascending ({a!r} before {b!r})")
+            exc.row = i + 1
+            raise exc
         if len(eta) < 4:
             raise ValidationError(
                 f"profile needs at least 4 samples, got {len(eta)}")
@@ -195,7 +195,8 @@ def check_values(error, rule: str, **values) -> None:
     every rule).  A value is a number, as ``check_real`` returns it, which
     stands in every row and takes no numpy call, or a float64 column, as
     ``as_columns`` returns it.  The first bad row wins, then the first
-    argument in it.  Every sign and finiteness rule is checked so."""
+    argument in it; the error's ``row`` is that row (0 for a number).
+    Every sign and finiteness rule is checked so."""
     ok, bad = _RULES[rule], []
     for name, value in values.items():
         good = ok(value)
@@ -206,8 +207,10 @@ def check_values(error, rule: str, **values) -> None:
         elif not good:
             bad.append((0, name, value))
     if bad:
-        _, name, value = min(bad, key=lambda item: item[0])
-        raise error(f"{name} must be {rule}, got {value!r}")
+        row, name, value = min(bad, key=lambda item: item[0])
+        exc = error(f"{name} must be {rule}, got {value!r}")
+        exc.row = row
+        raise exc
 
 
 def check_pair(name: str, value, error=ValidationError) -> tuple:
@@ -222,10 +225,11 @@ def check_pair(name: str, value, error=ValidationError) -> tuple:
 
 
 def libm_column(fn, column) -> np.ndarray:
-    """``fn`` (libm's ``math.log``, ``math.log10`` or ``math.exp``) applied
-    to each value of a float64 array.  Every log and exp on the value path
-    goes through here: numpy's own pick a SIMD loop by CPU, and some differ
-    from libm in the last bit, so output bytes would depend on the host."""
+    """``fn`` (libm's ``math.log`` or ``math.exp``) applied to each value
+    of a float64 array.  Every log and exp on the value path goes through
+    here, the sublayer cut's included (``select_intermediate``): numpy's
+    own pick a SIMD loop by CPU, and some differ from libm in the last
+    bit, so output bytes would depend on the host."""
     values = np.asarray(column, dtype=np.float64)
     return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
                        values.size).reshape(values.shape)
@@ -377,7 +381,10 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     ``=`` is metadata, and any other line is a data row of two numbers
     split at commas if it holds one and at whitespace otherwise, each read
     by ``parse_value`` (``float`` once its outer whitespace is stripped).
-    The first bad line, in line order, is a ParseError that names it.
+    The first bad line, in line order, is a ParseError that names it; a
+    row that the profile rejects (see ``VelocityProfile``), or in ``raw``
+    a y or u that is not positive and finite, is a ValidationError that
+    names its line as ``line N: ...``.
 
     From the first data row on, the rest of the file is read as one block
     when ``block_values`` takes it, which gives the numbers the lines would;
@@ -387,6 +394,7 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
         raise ValidationError(f"unknown format {format!r}")
     meta_kwargs: dict = {}
     values: list[float] = []
+    row_lines = []      # the line of each data row
     lines = read_lines(path)
     for lineno, line, text in _content_lines(lines):
         if "=" in text:
@@ -397,8 +405,9 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
         if not values:      # the first data row (each row read adds two)
             mark = lines.tell()
             block = block_values(line + lines.read())
-            if block is not None:
+            if block is not None:    # its rows are consecutive lines
                 values = block
+                row_lines = range(lineno, lineno + len(block) // 2)
                 break
             lines.seek(mark)
         parts = text.split(",") if "," in text else text.split()
@@ -406,15 +415,24 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
             raise ParseError(f"expected 2 columns, got {len(parts)}", lineno)
         values += (parse_value(float, "column 1", parts[0], lineno),
                    parse_value(float, "column 2", parts[1], lineno))
+        row_lines.append(lineno)
     metadata = ProfileMetadata(**meta_kwargs)
     first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
-    if format == "raw":
-        if metadata.u_star is None or metadata.nu is None:
-            raise ValidationError("raw format requires u_star and nu metadata")
-        check_values(ValidationError, "positive and finite", y=first, u=second)
-        first = metadata.u_star * first / metadata.nu
-        second = second / metadata.u_star
-    return VelocityProfile(first, second, metadata)
+    try:
+        if format == "raw":
+            if metadata.u_star is None or metadata.nu is None:
+                raise ValidationError(
+                    "raw format requires u_star and nu metadata")
+            check_values(ValidationError, "positive and finite",
+                         y=first, u=second)
+            with np.errstate(over="ignore"):    # the profile rejects inf
+                first = metadata.u_star * first / metadata.nu
+                second = second / metadata.u_star
+        return VelocityProfile(first, second, metadata)
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        raise ValidationError(f"line {row_lines[exc.row]}: {exc}") from None
 
 
 def save_profile(profile: VelocityProfile, path) -> None:
@@ -693,33 +711,7 @@ def check_not_input(input, *outputs) -> None:
 
 DEFAULT_LG_ETA_MIN = 1.5
 DEFAULT_PLATEAU_TOL = 0.002
-
-
-def above_sublayer(eta: np.ndarray, lg_eta_min: float) -> np.ndarray:
-    """The mask of the samples of ``eta`` (positive and finite) whose libm
-    ``math.log10`` exceeds ``lg_eta_min``, taking that logarithm only near
-    the edge ``10.0 ** lg_eta_min``.
-
-    Away from the edge the mask is ``eta > edge``: libm ``log10`` errs by
-    at most 2 ulp and ``pow`` by at most 1 ulp, far below log10(1 + 1e-9)
-    ~ 4.3e-10, so a sample more than a relative 1e-9 from the edge falls
-    on the same side of ``lg_eta_min`` either way.  The samples within it
-    take ``math.log10`` (ln eta / ln 10 can move a boundary sample), and so
-    does the whole column when the edge is not a normal float: 0 or
-    subnormal, where it keeps too few bits, or beyond the float range.
-    The mask thus equals the libm one sample for sample.
-    """
-    try:
-        edge = 10.0 ** lg_eta_min
-    except OverflowError:
-        edge = math.inf
-    above = eta > edge
-    if sys.float_info.min <= edge < math.inf:
-        near = np.abs(eta - edge) <= 1e-9 * edge
-    else:
-        near = np.ones_like(above)
-    above[near] = libm_column(math.log10, eta[near]) > lg_eta_min
-    return above
+_LN10 = math.log(10.0)
 
 
 def select_intermediate(profile: VelocityProfile,
@@ -728,15 +720,15 @@ def select_intermediate(profile: VelocityProfile,
                         ) -> VelocityProfile:
     """Excise the viscous sublayer and the trailing free-stream plateau.
 
-    Samples with log10(eta) <= lg_eta_min are dropped.  The trailing
-    plateau is the maximal suffix whose phi lies within
-    phi_plateau_tol * max(phi) of the running maximum with nonpositive
-    forward slope in (ln eta, ln phi); those samples corrupt region-II
-    fits and are dropped as well.
-
-    The sublayer cut is ``above_sublayer``'s.  ln eta and ln phi are
-    taken once, after it, and handed on as the result's ``ln_eta`` and
-    ``ln_phi`` columns.
+    Samples whose libm ln eta is at most ``lg_eta_min * ln 10`` are
+    dropped (a product that overflows to +-inf drops every sample or
+    none); within a few ulp of the edge that can differ from comparing
+    log10(eta) with lg_eta_min.  The trailing plateau is the maximal
+    suffix whose phi lies within phi_plateau_tol * max(phi) of the
+    running maximum with nonpositive forward slope in (ln eta, ln phi);
+    those samples corrupt region-II fits and are dropped as well.  ln eta
+    is taken once for every sample and ln phi once for those past the
+    cut; both are handed on as the result's ``ln_eta`` and ``ln_phi``.
 
     Raises ValidationError if fewer than 4 samples survive, or if
     ``lg_eta_min`` is not finite or ``phi_plateau_tol`` is not >= 0 (an
@@ -746,10 +738,10 @@ def select_intermediate(profile: VelocityProfile,
                  lg_eta_min=check_real("lg_eta_min", lg_eta_min))
     check_values(ValidationError, ">= 0", phi_plateau_tol=check_real(
         "phi_plateau_tol", phi_plateau_tol))
-    eta, phi = profile.eta, profile.phi
-    above = above_sublayer(eta, lg_eta_min)
-    eta, phi = eta[above], phi[above]
-    ln_eta, ln_phi = libm_column(math.log, eta), libm_column(math.log, phi)
+    ln_eta = libm_column(math.log, profile.eta)
+    above = ln_eta > lg_eta_min * _LN10
+    eta, phi, ln_eta = profile.eta[above], profile.phi[above], ln_eta[above]
+    ln_phi = libm_column(math.log, phi)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.diff(ln_phi) / np.diff(ln_eta)
     with np.errstate(over="ignore"):    # a huge tolerance is an inf band

@@ -315,6 +315,10 @@ def emit_plotdata(bundle: AnalysisBundle, out_dir, stem: str) -> list[Path]:
                                                   strict=True)))
 
 
+# The name of the envelope table in an output directory.
+ENVELOPE_FILE = "envelope.dat"
+
+
 def plotdata_names(stem: str) -> list[str]:
     """The names of the files ``emit_plotdata`` writes for ``stem``, in
     the order it writes them."""

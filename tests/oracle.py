@@ -131,8 +131,12 @@ def exhaustive_broken_line(eta, phi, min_seg=3):
 
 def select_reference(eta, phi, lg_eta_min, tol):
     """select_intermediate written sample by sample: the kept (eta, phi)
-    pairs."""
-    kept = [(e, p) for e, p in zip(eta, phi) if math.log10(e) > lg_eta_min]
+    pairs.  The sublayer cut keeps a sample when its libm ln eta exceeds
+    ``lg_eta_min * ln 10`` (+-inf when the product overflows), which
+    within a few ulp of the edge can differ from comparing libm log10(eta)
+    with lg_eta_min."""
+    edge = lg_eta_min * math.log(10.0)
+    kept = [(e, p) for e, p in zip(eta, phi) if math.log(e) > edge]
     n = len(kept)
     if n >= 2:
         kp = np.array([p for _, p in kept])
@@ -160,9 +164,11 @@ def _parse_number(text, key, lineno):
 
 def reference_load(path, format):
     """The per-line loader ``load_profile`` must match: one line at a
-    time, every check spelled out in order."""
+    time, every check spelled out in order; a row that breaks a value or
+    order rule names its line."""
     meta_kwargs: dict = {}
     rows: list[tuple[float, float]] = []
+    row_lines: list[int] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -185,20 +191,36 @@ def reference_load(path, format):
         a = _parse_number(parts[0].strip(), "column 1", lineno)
         b = _parse_number(parts[1].strip(), "column 2", lineno)
         rows.append((a, b))
+        row_lines.append(lineno)
 
     metadata = ProfileMetadata(**meta_kwargs)
     first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
     if format == "raw":
         if metadata.u_star is None or metadata.nu is None:
             raise ValidationError("raw format requires u_star and nu metadata")
-        for row in rows:
-            for name, value in zip(("y", "u"), row):
-                if not 0 < value < math.inf:
-                    raise ValidationError(f"{name} must be positive and "
-                                          f"finite, got {value!r}")
-        first = metadata.u_star * first / metadata.nu
-        second = second / metadata.u_star
+        _check_rows(row_lines, ("y", "u"), rows)
+        with np.errstate(over="ignore"):
+            first = metadata.u_star * first / metadata.nu
+            second = second / metadata.u_star
+    eta = first.tolist()
+    _check_rows(row_lines, ("eta", "phi"), zip(eta, second.tolist()))
+    for lineno, a, b in zip(row_lines[1:], eta, eta[1:]):
+        if a == b:
+            raise ValidationError(f"line {lineno}: duplicate eta value {a!r}")
+        if a > b:
+            raise ValidationError(
+                f"line {lineno}: eta not ascending ({a!r} before {b!r})")
     return VelocityProfile(first, second, metadata)
+
+
+def _check_rows(row_lines, names, rows):
+    """A ValidationError naming the line of the first row that holds a
+    value that is not positive and finite, the first such value in it."""
+    for lineno, row in zip(row_lines, rows):
+        for name, value in zip(names, row):
+            if not 0 < value < math.inf:
+                raise ValidationError(f"line {lineno}: {name} must be "
+                                      f"positive and finite, got {value!r}")
 
 
 # --- diagnostics -----------------------------------------------------------

@@ -104,11 +104,11 @@ class TestAnalyze:
     def test_out_dir_takes_each_logarithm_once(self, tmp_path, capsys,
                                                monkeypatch):
         # Every log and exp goes through profiles.libm_column.  The
-        # sublayer cut takes log10 of the samples near its edge only: here
-        # the fourth sample, whose log10 is lg_eta_min.  The selected eta
-        # and phi are logged once each, the psi argument once per
-        # universal series (region I, then the shift column), and the
-        # envelope table takes one exp pass; the fit takes no logarithm.
+        # sublayer cut reads the ln eta of all 36 samples, which the
+        # selected ones keep; the phi past the cut are logged once, the
+        # psi argument once per universal series (region I, then the
+        # shift column), and the envelope table takes one exp pass; the
+        # fit takes no logarithm.
         path = tmp_path / "case.dat"
         write_profile(path)     # noiseless: no plateau to cut
         lg_eta_min = math.log10(wallscale.load_profile(path).eta[3])
@@ -129,8 +129,8 @@ class TestAnalyze:
                      "--out-dir", str(tmp_path / "plots")])
         assert code == EXIT_OK
         assert n in (32, 33)    # the fourth sample is on either side
-        assert calls == [("log10", 1), ("log", n), ("log", n),
-                         ("log", k), ("log", n), ("exp", 50)]
+        assert calls == [("log", 36), ("log", n), ("log", k), ("log", n),
+                         ("exp", 50)]
         calls.clear()
         selected = bundle.profile
         wallscale.fitting.fit_log_broken_line(selected.ln_eta, selected.ln_phi)
@@ -207,7 +207,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("text, failure", [
         ("40 9.8\n80 10.9\n60 10.2\n160 12.1\n",
-         "eta not ascending (80.0 before 60.0)"),
+         "line 3: eta not ascending (80.0 before 60.0)"),
         ("40 9.8\n80 10.9\n160 12.1\n",
          "profile needs at least 4 samples, got 3"),
         ("re_theta=-1\n40 9.8\n80 10.9\n160 12.1\n320 13.4\n",

@@ -17,6 +17,7 @@ and message; and they require the grammar to draw files that each path
 reads.
 """
 
+import math
 import re
 import tempfile
 import warnings
@@ -29,7 +30,8 @@ from hypothesis import (HealthCheck, Phase, example, find, given,
                         settings)
 from hypothesis import strategies as st
 
-from wallscale import WallscaleError, load_profile, profiles
+from wallscale import (ValidationError, WallscaleError, load_profile,
+                       profiles)
 
 from oracle import reference_load
 
@@ -251,3 +253,60 @@ def test_grammar_draws_both_paths(edit, ending, path):
     find(profile_files(), drawn,    # no shrinking: one such file will do
          settings=settings(max_examples=2000, database=None, deadline=None,
                            phases=[Phase.generate]))
+
+
+@st.composite
+def one_bad_row(draw):
+    """A profile file of good rows but one, which the profile rejects
+    (eta not ascending, a duplicate eta, or in ``raw`` an eta that
+    overflows to inf) or which holds a value that is not positive and
+    finite; the path that reads its rows, the format, the bad row's line
+    and the start of its message.  The rows are read as one block unless
+    a comment line is drawn among or after them."""
+    fmt = draw(st.sampled_from(["wall_units", "raw"]))
+    n = draw(st.integers(4, 12))
+    rows = [[10.0 * (i + 1), 1.0 + i] for i in range(n)]
+    fault = draw(st.sampled_from(["not ascending", "duplicate", "value"]
+                                 + ["overflow"] * (fmt == "raw")))
+    i = draw(st.integers(fault in ("not ascending", "duplicate"), n - 1))
+    if fault == "not ascending":
+        rows[i][0] = rows[i - 1][0] - draw(st.sampled_from([0.5, 5.0, 9.5]))
+        want = "eta not ascending"
+    elif fault == "duplicate":
+        rows[i][0] = rows[i - 1][0]
+        want = "duplicate eta value"
+    elif fault == "overflow":
+        rows[i][0] = 1e308                  # u_star * y / nu is inf
+        want = "eta must be positive and finite, got inf"
+    else:
+        column = draw(st.integers(0, 1))
+        rows[i][column] = draw(st.sampled_from(
+            [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]))
+        name = (("y", "u") if fmt == "raw" else ("eta", "phi"))[column]
+        want = f"{name} must be positive and finite"
+    sep = draw(st.sampled_from([" ", "\t", ",", ", "]))
+    body = [f"{a!r}{sep}{b!r}" for a, b in rows]
+    head = draw(st.lists(st.sampled_from(["# comment", "", "label=x"]),
+                         max_size=4))
+    if fmt == "raw":
+        head += ["u_star=0.05", "nu=1.5e-5"]
+    path = draw(st.sampled_from(["block", "lines"]))
+    if path == "lines":
+        body.insert(draw(st.integers(1, n)), "# among the rows")
+    lines = head + body
+    bad_line = len(head) + body.index(f"{rows[i][0]!r}{sep}{rows[i][1]!r}")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline, path, fmt, bad_line + 1, want
+
+
+@SETTINGS
+@given(case=one_bad_row())
+def test_rejected_row_names_its_line(tmp_path, case):
+    text, path, fmt, line, want = case
+    assert _path_taken(text) == path
+    file = tmp_path / "p.dat"
+    file.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings(), pytest.raises(ValidationError) as info:
+        warnings.simplefilter("error")
+        load_profile(file, fmt)
+    assert str(info.value).startswith(f"line {line}: {want}")

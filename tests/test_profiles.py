@@ -16,9 +16,8 @@ from hypothesis.extra import numpy as hnp
 from wallscale import (DomainError, FitError, ParseError, ProfileMetadata,
                        ValidationError, VelocityProfile, load_profile,
                        profiles, save_profile, select_intermediate)
-from wallscale.profiles import (above_sublayer, as_columns, atomic_write_text,
-                                check_real, check_values, format_columns,
-                                real_or_column)
+from wallscale.profiles import (as_columns, atomic_write_text, check_real,
+                                check_values, format_columns, real_or_column)
 
 from odd_values import INVALID, LABEL
 from oracle import _rows, select_reference
@@ -326,9 +325,10 @@ class TestLoadProfile:
         path = tmp_path / "bad.dat"
         path.write_text("40 9.8\n80 10.9\n60 10.2\n160 12.1\n")
         # the CLI's error line names the file (test_cli's
-        # test_error_line_names_the_input_once), the error does not
+        # test_error_line_names_the_input_once), the error names the line
+        # of the row that holds the second value
         with pytest.raises(ValidationError, match=(
-                r"^eta not ascending \(80\.0 before 60\.0\)$")):
+                r"^line 3: eta not ascending \(80\.0 before 60\.0\)$")):
             load_profile(path)
 
     def test_too_few_samples_rejected(self, tmp_path):
@@ -679,8 +679,7 @@ def edge_samples(draw):
     """``lg_eta_min`` in [-400, 400], so that the edge ``10.0 **
     lg_eta_min`` is 0, subnormal, normal or beyond the float range, and
     positive finite eta at the edge's float neighbours, at the neighbours
-    of the band's ends edge * (1 +- 1e-9), among the subnormals and
-    anywhere."""
+    of edge * (1 +- 1e-9), among the subnormals and anywhere."""
     lg_eta_min = draw(st.floats(-400.0, 400.0) | st.floats(-330.0, -300.0)
                       | st.floats(300.0, 310.0)
                       | st.integers(-400, 400).map(float))
@@ -700,12 +699,28 @@ def edge_samples(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=edge_samples())
 @example(case=(0.5, np.array([_steps(_edge(0.5), k) for k in range(-3, 4)])))
+# log10(eta) > 0.5 here, but ln eta is not above 0.5 * ln 10: dropped
+@example(case=(0.5, np.array([3.16227766016838])))
 @example(case=(-323.5, np.array([5e-324, 1e-323, 1e-310])))     # subnormal
 @example(case=(-400.0, np.array([5e-324, 1.0])))                # edge 0
 @example(case=(308.3, np.array([1e308, 1.7976931348623157e308])))   # inf
-def test_sublayer_mask_is_the_libm_mask(case):
+@example(case=(1e308, np.array([1.0])))         # lg_eta_min * ln 10 is inf
+@example(case=(-1e308, np.array([5e-324])))     # and -inf
+def test_sublayer_cut_compares_ln_eta_with_lg_eta_min_ln10(case):
+    # The four largest floats join the drawn eta, so that most cases keep
+    # the 4 samples a selection needs; phi rises, so no plateau is cut.
     lg_eta_min, eta = case
+    top = [_steps(1.7976931348623157e308, -k) for k in range(4)]
+    eta = np.unique(np.concatenate([eta, top]))
+    profile = make_profile(eta, np.arange(1.0, len(eta) + 1))
+    edge = lg_eta_min * math.log(10.0)      # +-inf when it overflows
+    expected = [e for e in eta.tolist() if math.log(e) > edge]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = above_sublayer(eta, lg_eta_min)
-    assert got.tolist() == [math.log10(e) > lg_eta_min for e in eta]
+        if len(expected) < 4:
+            with pytest.raises(ValidationError, match="^empty result"):
+                select_intermediate(profile, lg_eta_min)
+            return
+        kept = select_intermediate(profile, lg_eta_min)
+    assert kept.eta.tolist() == expected
+    assert kept.ln_eta.tolist() == [math.log(e) for e in expected]
