@@ -50,11 +50,26 @@ benchmark's ``lab_batch`` passes do, removed after the visit, untimed.
 
 The parent visits every stage ``VISITS`` times on every tree, one tree
 right after the other, swapping the trees' order on every visit, so drift
-of the host's speed over seconds cancels within each pair.  Import time
-and memory are the benchmark's to measure.  The record keeps each metric's
-value per visit (a count has one), each tree's median, and, for each tree
-after the first, the median over visits of the first tree's value divided
-by its own (above 1 where that tree is faster).
+of the host's speed over seconds cancels within each pair.
+
+Start-up is measured first, in fresh interpreters, ``STARTS`` rounds
+that alternate the trees in the same way; each tree's package is copied
+without byte code, and no child writes any, so each import compiles the
+source, as a fresh checkout run with ``PYTHONDONTWRITEBYTECODE=1`` does.  In each round every tree gets an
+untraced child, for ``import.wallscale_s`` (the wall time of ``import
+wallscale.cli`` after numpy and the standard library modules this script
+imports), ``import.maxrss_mb`` (the child's peak RSS after it), the
+seconds and minor page faults (``ru_minflt``) of a first
+``cli.main(ENVELOPE_ARGV)`` right after the import, and
+``compile.<module>_s``, one ``compile()`` of each module's source; and a
+traced child, with ``tracemalloc`` on from before the import, for
+``import.wallscale_peak_mb`` and ``compile.<module>_peak_mb``, the
+import's and each compile's peak of traced memory.
+
+The record keeps each metric's value per visit or start (a count has
+one), each tree's median, and, for each tree after the first, the median
+over visits of the first tree's value divided by its own (above 1 where
+that tree is faster or smaller).
 """
 
 from __future__ import annotations
@@ -66,12 +81,14 @@ import itertools
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +96,7 @@ import numpy as np
 SIZES = (40, 200, 1000, 4000)
 PROFILES = 4
 VISITS = 10
+STARTS = 20
 ENVELOPE_XS = np.linspace(5.0, 10.0, 50).tolist()
 ENVELOPE_ARGV = ("envelope", "--ln-eta-min", "2", "--ln-eta-max", "30",
                  "--n-points", "2000")
@@ -120,6 +138,100 @@ def best_of(fn, repeats):
     return min(times)
 
 
+def run_main(cli, argv) -> None:
+    """``cli.main(argv)`` with its output in buffers; a failure ends the
+    run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"wallscale {' '.join(argv)} failed: "
+                         f"{err.getvalue()}")
+
+
+def startup(traced: bool) -> None:
+    """Run in a fresh interpreter whose ``PYTHONPATH`` holds a copy of the
+    package without byte code: import ``wallscale.cli``, then print one
+    JSON object of start-up metrics.
+
+    Untraced: the import's seconds, the process's peak RSS after it, the
+    seconds and minor page faults of a first ``cli.main(ENVELOPE_ARGV)``,
+    then the seconds of ``compile()`` of each module's source.  Traced
+    (``tracemalloc`` on from before the import): the import's peak of
+    traced memory, then each module's compile peak above the memory
+    traced before it."""
+    if traced:
+        tracemalloc.start()
+    start = time.perf_counter()
+    import wallscale.cli
+    seconds = time.perf_counter() - start
+    package = Path(wallscale.cli.__file__).parent
+    if package.parent != Path(os.environ["PYTHONPATH"]):
+        raise SystemExit(f"imported wallscale from {package}")
+    if traced:
+        record = {"import.wallscale_peak_mb":
+                  tracemalloc.get_traced_memory()[1] / 2**20}
+    else:
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        start = time.perf_counter()
+        run_main(wallscale.cli, ENVELOPE_ARGV)
+        first_s = time.perf_counter() - start
+        record = {"import.wallscale_s": seconds,
+                  "import.maxrss_mb": usage.ru_maxrss / 1024,
+                  "first_envelope_2_30_2000_s": first_s,
+                  "first_envelope_2_30_2000.minflt":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - usage.ru_minflt}
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if traced:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            compile(source, str(path), "exec")
+            record[f"compile.{path.stem}_peak_mb"] = (
+                tracemalloc.get_traced_memory()[1] - before) / 2**20
+        else:
+            start = time.perf_counter()
+            compile(source, str(path), "exec")
+            record[f"compile.{path.stem}_s"] = time.perf_counter() - start
+    print(json.dumps(record))
+
+
+def start_records(trees: dict, starts: int) -> dict:
+    """metric -> tree -> one value per fresh interpreter: ``starts``
+    rounds, each of which starts an untraced and a traced ``startup``
+    child per tree, swapping the trees' order on every round.  Each tree's
+    package is copied without byte code, and the children write none
+    (``PYTHONDONTWRITEBYTECODE``), so every import compiles its source, as
+    in a fresh checkout."""
+    values: dict = {}
+    names = list(trees)
+    with tempfile.TemporaryDirectory() as root:
+        envs = {}
+        for i, (name, src) in enumerate(trees.items()):
+            copy = Path(root, str(i), "wallscale")
+            copy.mkdir(parents=True)
+            for path in Path(src, "wallscale").glob("*.py"):
+                shutil.copy(path, copy)
+            envs[name] = dict(os.environ, PYTHONPATH=str(copy.parent),
+                              PYTHONDONTWRITEBYTECODE="1")
+        for start in range(starts):
+            for name in names if start % 2 == 0 else names[::-1]:
+                for mode in ("untraced", "traced"):
+                    proc = subprocess.run(
+                        [sys.executable, __file__, "--startup", mode],
+                        env=envs[name], capture_output=True, text=True)
+                    if proc.returncode != 0:
+                        raise SystemExit(f"tree {name}: the start-up child "
+                                         f"failed: {proc.stderr}")
+                    for metric, value in json.loads(proc.stdout).items():
+                        values.setdefault(metric, {}).setdefault(
+                            name, []).append(value)
+            print(f"start {start + 1}/{starts} done", file=sys.stderr)
+    return values
+
+
 def child(corpus: Path, repeats: int) -> None:
     """Run in the child interpreter: check the fits, print the counts and
     the stage names, then time each stage named on stdin."""
@@ -130,13 +242,7 @@ def child(corpus: Path, repeats: int) -> None:
     from oracle import exhaustive_broken_line
 
     def run_cli(*argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        if code != cli.EXIT_OK:
-            raise SystemExit(f"wallscale {' '.join(argv)} failed: "
-                             f"{err.getvalue()}")
+        run_main(cli, argv)
 
     def counting_calls(module, name, fn):
         """``fn()`` and the number of calls it made to ``module.name``."""
@@ -248,11 +354,16 @@ def main(argv=None):
                         metavar="NAME=SRC")
     parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--startup", choices=["untraced", "traced"],
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.child is not None:
         child(args.child, args.repeats)
+        return
+    if args.startup is not None:
+        startup(args.startup == "traced")
         return
 
     trees = {}
@@ -265,7 +376,8 @@ def main(argv=None):
         parser.error("--out and at least one --tree are required")
 
     names = list(trees)
-    values = {}     # metric -> tree -> one value per visit (a count: one)
+    # metric -> tree -> one value per start or visit (a count: one)
+    values = start_records(trees, STARTS)
     with contextlib.ExitStack() as stack:
         corpus = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         write_corpus(corpus)
@@ -291,9 +403,10 @@ def main(argv=None):
     for metric, rounds in values.items():
         medians = {name: statistics.median(v) for name, v in rounds.items()}
         metrics[metric] = {"rounds": rounds, "median": medians}
+        # a module of one tree only has no ratio
         ratios = {name: statistics.median(
             b / v for b, v in zip(rounds[names[0]], rounds[name]))
-            for name in names[1:]}
+            for name in names[1:] if names[0] in rounds and name in rounds}
         if ratios:
             metrics[metric]["ratio_median"] = ratios
         print(f"{metric:38s}", *(f"{name} {m:.6g}" for name, m in
@@ -303,7 +416,9 @@ def main(argv=None):
     record = {
         "what": "wallscale pipeline stages and commands, best-of-N "
                 "perf_counter seconds per call, one value per visit of "
-                "one long-lived child per tree, and counts",
+                "one long-lived child per tree, and counts; start-up "
+                "metrics (import., compile., first_envelope), one value "
+                "per fresh interpreter",
         "command": " ".join(["python3 benchmarks/run.py",
                              f"--repeats {args.repeats}",
                              *(f"--tree {name}=SRC" for name in names)]),
@@ -311,6 +426,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "repeats": args.repeats,
+        "starts": STARTS,
         "rounds": VISITS,
         "trees": names,
         "metrics": metrics,

@@ -9,12 +9,14 @@ Verbs:
 
 Exit codes: 0 success; 10 parse failure; 11 validation failure; 12 fit or
 numeric failure; 13 partial batch failure; 14 an input or output file or
-directory could not be read or written; 1 oracle-suite failure.
+directory, or standard output, could not be read or written; 1
+oracle-suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -217,14 +219,36 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a buffered write fails here, not at exit (None: stdout is closed)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except WallscaleError as exc:
         _print_error(getattr(args, "input", None), exc)
+        return _exit_code_for(exc)
+    except OSError as exc:
+        # Every file operation raises InputOutputError, so this is a write
+        # to stdout (a broken pipe too); it names no input.
+        exc = InputOutputError("cannot write standard output: "
+                               f"{exc.strerror or exc}")
+        _print_error(None, exc)
         return _exit_code_for(exc)
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # main reported the failed write; point stdout at /dev/null, so
+        # that the interpreter's flush at exit drops what is still buffered
+        # instead of failing again (and exiting 120)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

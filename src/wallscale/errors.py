@@ -5,9 +5,12 @@ class WallscaleError(Exception):
     """Base class for all errors raised by wallscale.  ``row`` is the
     index, from 0, of the first row of a column that broke a value or
     order rule, where a check found one (``profiles.check_values``,
-    ``VelocityProfile``), and None otherwise."""
+    ``VelocityProfile``), and None otherwise; ``field`` is the name of the
+    ``ProfileMetadata`` field whose value broke its rule, and None
+    otherwise."""
 
     row = None
+    field = None
 
 
 class DomainError(WallscaleError, ValueError):

@@ -164,9 +164,10 @@ def _parse_number(text, key, lineno):
 
 def reference_load(path, format):
     """The per-line loader ``load_profile`` must match: one line at a
-    time, every check spelled out in order; a row that breaks a value or
-    order rule names its line."""
+    time, every check spelled out in order; a metadata value or a row
+    that breaks a value or order rule names its line (a key's last)."""
     meta_kwargs: dict = {}
+    meta_lines: dict = {}
     rows: list[tuple[float, float]] = []
     row_lines: list[int] = []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -184,6 +185,7 @@ def reference_load(path, format):
                 meta_kwargs[field] = value
             else:
                 meta_kwargs[field] = _parse_number(value, key, lineno)
+            meta_lines[field] = lineno
             continue
         parts = text.split(",") if "," in text else text.split()
         if len(parts) != 2:
@@ -193,6 +195,17 @@ def reference_load(path, format):
         rows.append((a, b))
         row_lines.append(lineno)
 
+    for field in _METADATA_KEYS.values():   # ProfileMetadata's field order
+        if field not in meta_kwargs:
+            continue
+        value = meta_kwargs[field]
+        if field == "label" and len(value.splitlines()) > 1:
+            raise ValidationError(f"line {meta_lines[field]}: label must be "
+                                  f"one line of text, got {value!r}")
+        if field != "label" and not 0 < value < math.inf:
+            raise ValidationError(
+                f"line {meta_lines[field]}: metadata field {field} must be "
+                f"positive and finite, got {value!r}")
     metadata = ProfileMetadata(**meta_kwargs)
     first, second = np.array(rows, dtype=np.float64).reshape(-1, 2).T
     if format == "raw":

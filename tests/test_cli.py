@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import functools
 import io
 import math
@@ -211,7 +212,8 @@ class TestAnalyze:
         ("40 9.8\n80 10.9\n160 12.1\n",
          "profile needs at least 4 samples, got 3"),
         ("re_theta=-1\n40 9.8\n80 10.9\n160 12.1\n320 13.4\n",
-         "metadata field re_theta must be positive and finite, got -1.0"),
+         "line 1: metadata field re_theta must be positive and finite, "
+         "got -1.0"),
     ], ids=["decreasing_eta", "too_few_samples", "negative_re_theta"])
     def test_error_line_names_the_input_once(self, tmp_path, capsys, text,
                                              failure):
@@ -971,6 +973,94 @@ class TestOracle:
         assert "oracle suite: PASS" in out
         assert "50 rows checked" in out
         assert "Fig.13(e)" in out
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` (``method``) raises
+    ``error``."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+# Each verb's argv, run in a directory that write_verb_inputs fills.
+VERB_ARGVS = {
+    "analyze": ["analyze", "f.dat"],
+    "batch": ["batch", "x", "--out-dir", "out"],
+    "synth": ["synth", "spec.txt", "-o", "made.dat"],
+    "envelope": ["envelope", "--n-points", "20"],
+    "oracle": ["oracle"],
+}
+STDOUT_ERRORS = {"ENOSPC": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                 "EPIPE": BrokenPipeError(errno.EPIPE,
+                                          os.strerror(errno.EPIPE))}
+
+
+def write_verb_inputs(root):
+    write_profile(root / "f.dat")
+    (root / "x").mkdir()
+    write_profile(root / "x" / "good.dat")
+    write_specfile(root / "spec.txt")
+
+
+def assert_one_stdout_error(err, strerror):
+    """``err`` holds no traceback and one ``error:`` line, its last, which
+    names standard output and ``strerror``."""
+    want = f"error: cannot write standard output: {strerror}"
+    lines = err.splitlines()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert [line for line in lines if line.startswith("error:")] == [want]
+    assert lines[-1] == want
+
+
+class TestStdoutFailure:
+    """A write to stdout that fails, in ``print`` or in the flush after
+    the verb, is exit 14 with one ``error:`` line that names no input; a
+    broken pipe is no exception.  What was written before stays."""
+
+    @pytest.mark.parametrize("error", sorted(STDOUT_ERRORS))
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGVS))
+    def test_in_process(self, tmp_path, verb, method, error):
+        write_verb_inputs(tmp_path)
+        err = io.StringIO()
+        with contextlib.chdir(tmp_path), contextlib.redirect_stdout(
+                FailingStdout(method, STDOUT_ERRORS[error])), \
+                contextlib.redirect_stderr(err):
+            code = main(VERB_ARGVS[verb])
+        assert code == EXIT_IO
+        assert_one_stdout_error(err.getvalue(),
+                                STDOUT_ERRORS[error].strerror)
+        if verb == "batch":     # the profile's files were written first
+            assert (tmp_path / "out" / "good_report.txt").is_file()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGVS))
+    def test_dev_full(self, tmp_path, verb, unbuffered):
+        # Unbuffered, print fails; buffered, a small output fails only when
+        # flushed, which the interpreter would do at exit (exit 120).
+        write_verb_inputs(tmp_path)
+        src = str(Path(wallscale.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(    # -B: leave no byte code in the tree
+                [sys.executable, "-B", "-m", "wallscale", *VERB_ARGVS[verb]],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                cwd=tmp_path)
+        assert result.returncode == EXIT_IO
+        assert_one_stdout_error(result.stderr, os.strerror(errno.ENOSPC))
 
 
 def _parse(parser, argv):

@@ -12,10 +12,33 @@ from wallscale import load_profile, profiles, select_intermediate
 RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
 
 
-def test_corpus(tmp_path):
+def load_run():
     spec = importlib.util.spec_from_file_location("benchmarks_run", RUN_PY)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_start_records():
+    # one round of fresh interpreters: every metric once per tree, a
+    # compile time and peak for each module of the package
+    src = Path(profiles.__file__).resolve().parents[1]
+    values = load_run().start_records({"a": src, "b": src}, 1)
+    modules = sorted(p.stem for p in (src / "wallscale").glob("*.py"))
+    assert sorted(values) == sorted([
+        "import.wallscale_s", "import.maxrss_mb", "import.wallscale_peak_mb",
+        "first_envelope_2_30_2000_s", "first_envelope_2_30_2000.minflt",
+        *(f"compile.{m}_{q}" for m in modules for q in ("s", "peak_mb"))])
+    for metric, trees in values.items():
+        assert sorted(trees) == ["a", "b"]
+        assert all(len(v) == 1 and v[0] >= 0 for v in trees.values())
+    # the compile peaks repeat exactly
+    assert values["compile.profiles_peak_mb"]["a"] == \
+        values["compile.profiles_peak_mb"]["b"]
+
+
+def test_corpus(tmp_path):
+    run = load_run()
     first, second = tmp_path / "first", tmp_path / "second"
     for root in (first, second):
         root.mkdir()

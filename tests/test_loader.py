@@ -96,6 +96,9 @@ EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
          "underscore", "comment", "width", "odd whitespace", "some commas",
          "after the rows", "bad number", "joined rows",
          "compensating widths", "pipe", "blank between commas")
+# What makes a row one that the profile rejects; one file in four draws one.
+REJECTED = ("swapped", "duplicated", "non-positive", "overflowing")
+NON_POSITIVE = st.sampled_from(["0", "-0.0", "-1.5", "-1e-300"])
 ENDINGS = {"newline": "\n", "no final newline": "",
            "trailing blank line": "\n\n", "trailing spaces": "\n \x85 \n"}
 
@@ -117,8 +120,27 @@ def profile_files(draw):
     (the total stays two a row), by a ``|`` as one row's separator or
     anywhere in it, or by a blank or whitespace-only line between the rows
     of a comma file.  The file ends in one newline, none, or a blank
-    line."""
+    line.
+
+    One file in four gets, before its edit, a row that the profile
+    rejects (``REJECTED``): two rows swapped, a row written twice, a
+    number that is not positive, or a first number of 1e308, which
+    overflows to an infinite eta in ``raw``; such a file's metadata gives
+    ``u_star`` and ``nu``, so that ``raw`` reads its rows too."""
     rows = draw(CLEAN)
+    rejected = None
+    if draw(st.sampled_from([False, False, False, True])):
+        rejected = draw(st.sampled_from(REJECTED))
+        i = draw(st.integers(0, len(rows) - 2))
+        if rejected == "swapped":
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        elif rejected == "duplicated":
+            rows.insert(i + 1, rows[i])
+        elif rejected == "non-positive":
+            field = draw(st.sampled_from([r"^[^ \t,]+", r"[^ \t,]+$"]))
+            rows[i + 1] = re.sub(field, draw(NON_POSITIVE), rows[i + 1])
+        else:
+            rows[i + 1] = re.sub(r"^[^ \t,]+", "1e308", rows[i + 1])
     edit = draw(st.sampled_from(EDITS))
     index = st.integers(0, len(rows) - 1)
     if edit == "mixed separators":
@@ -161,6 +183,8 @@ def profile_files(draw):
         i = draw(st.integers(len(rows) // 2, len(rows) - 1))
         rows[i] = re.sub(r"[^ \t,]+$", draw(BAD_NUMBER), rows[i])
     lines = draw(st.lists(METADATA, max_size=3))
+    if rejected:
+        lines += ["u_star=0.05", "nu=1.5e-5"]
     if edit == "after the rows":
         rows.insert(draw(st.integers(1, len(rows))),
                     draw(METADATA | st.sampled_from(["# comment", "#"])))
@@ -193,6 +217,11 @@ def _outcome(fn):
          fmt="wall_units")
 @example(case=("1 2 3\n4\n5 6\n7 8\n", "compensating widths", "newline"),
          fmt="wall_units")
+# a row the profile rejects, on line 5, read as a block and line by line
+@example(case=("u_star=0.05\nnu=1.5e-5\n1 2\n3 4\n2 5\n6 7\n", "none",
+               "newline"), fmt="wall_units")
+@example(case=("u_star=0.05\nnu=1.5e-5\n1 2\n3 4\n2 5\n# c\n6 7\n",
+               "after the rows", "newline"), fmt="raw")
 def test_load_profile_matches_per_line_parser(tmp_path, case, fmt):
     text = case[0]
     path = tmp_path / "p.dat"
@@ -310,3 +339,29 @@ def test_rejected_row_names_its_line(tmp_path, case):
         warnings.simplefilter("error")
         load_profile(file, fmt)
     assert str(info.value).startswith(f"line {line}: {want}")
+
+
+@SETTINGS
+@given(values=st.lists(st.sampled_from(["12.5", "-1", "inf", "0"]),
+                       min_size=1, max_size=4),
+       key=st.sampled_from(["re_theta", "U", "nu"]),
+       before=st.lists(st.sampled_from(["# c", "", "label=x"]), max_size=3))
+def test_rejected_metadata_names_its_last_line(tmp_path, values, key,
+                                               before):
+    # a later line of a key wins: only its last value is checked
+    lines = []
+    for value in values:
+        lines += [*before, f"{key}={value}"]
+    last = len(lines)
+    file = tmp_path / "p.dat"
+    file.write_text("\n".join([*lines, "40 9.8", "80 10.9", "160 12.1",
+                               "320 13.4"]) + "\n", encoding="utf-8")
+    if values[-1] == "12.5":
+        load_profile(file)
+        return
+    field = profiles._METADATA_KEYS[key]
+    with pytest.raises(ValidationError) as info:
+        load_profile(file)
+    assert str(info.value) == (
+        f"line {last}: metadata field {field} must be positive and finite, "
+        f"got {float(values[-1])!r}")
