@@ -3,9 +3,10 @@
     python3 benchmarks/run.py --out BENCH_<PR>.json \
         --tree parent=/path/to/parent/src --tree change=src [--repeats 10]
 
-Needs only numpy and the standard library.  At defaults two trees take
-a few minutes on 2 vCPUs; a tree whose fit refits every split of a
-noiseless single law (about 0.3 s a call at n = 4000) takes most of it.
+Needs the standard library and the package's dependencies, numpy and
+orjson.  At defaults two trees take a few minutes on 2 vCPUs; a tree
+whose fit refits every split of a noiseless single law (about 0.3 s a
+call at n = 4000) takes most of it.
 
 The corpus is written once, with numpy and ``repr`` only, so every tree
 reads the same bytes.  For each n = 40, 200, 1000 and 4000 it holds a
@@ -375,6 +376,7 @@ def main(argv=None):
     if args.out is None or not trees:
         parser.error("--out and at least one --tree are required")
 
+    import orjson   # here, not at the top: a start-up child pays its import
     names = list(trees)
     # metric -> tree -> one value per start or visit (a count: one)
     values = start_records(trees, STARTS)
@@ -424,6 +426,7 @@ def main(argv=None):
                              *(f"--tree {name}=SRC" for name in names)]),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "orjson": orjson.__version__,
         "nproc": os.cpu_count(),
         "repeats": args.repeats,
         "starts": STARTS,

@@ -16,6 +16,7 @@ oracle-suite failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields
@@ -45,6 +46,14 @@ def _print_error(input, failure) -> None:
     input) to stderr as one line, each line break escaped as repr does."""
     text = failure if input is None else f"{input}: {failure}"
     print(f"error: {text}".translate(_LINE_BREAKS), file=sys.stderr)
+
+
+def _print(*values, end="\n") -> None:
+    """``print`` to stdout.  A closed stdout (None: the process started
+    with fd 1 closed) fails as a write to it does, with an OSError."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    print(*values, end=end)
 
 
 def _exit_code_for(exc: WallscaleError) -> int:
@@ -106,7 +115,7 @@ def _cmd_analyze(args) -> int:
         report.emit_plotdata(bundle, args.out_dir, stem=args.input.stem)
         write_texts(args.out_dir,
                     {report.ENVELOPE_FILE: report.envelope_table()})
-    print(report.format_table([bundle.report]), end="")
+    _print(report.format_table([bundle.report]), end="")
     return EXIT_OK
 
 
@@ -117,7 +126,7 @@ def _cmd_batch(args) -> int:
     if args.out_dir is not None and reports:
         write_texts(args.out_dir,
                     {report.ENVELOPE_FILE: report.envelope_table()})
-    print(report.format_table(reports), end="")
+    _print(report.format_table(reports), end="")
     for path, exc in failures:
         _print_error(path, exc)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -128,7 +137,7 @@ def _cmd_synth(args) -> int:
     check_not_input(args.input, args.output)
     profile = synthetic.generate(spec)
     save_profile(profile, args.output)
-    print(f"wrote {len(profile)} samples to {args.output}")
+    _print(f"wrote {len(profile)} samples to {args.output}")
     return EXIT_OK
 
 
@@ -142,7 +151,7 @@ def _cmd_envelope(args) -> int:
     if args.out_dir is not None:
         write_texts(args.out_dir, {report.ENVELOPE_FILE: table})
     else:
-        print(table, end="")
+        _print(table, end="")
     print(f"effective log law: kappa={line.kappa:.4f} "
           f"C={line.c_offset:.4f}", file=sys.stderr)
     return EXIT_OK
@@ -153,21 +162,21 @@ def _cmd_oracle(args) -> int:
     checks = reference.check_all()
     for c in checks:
         status = "ok" if c.strict_ok else ("flagged" if c.flagged else "FAIL")
-        print(f"{c.row.label:10s} lnRe1 {c.ln_re1:7.4f} ({c.d_ln_re1:+.4f})  "
-              f"lnRe2 {c.ln_re2:7.4f} ({c.d_ln_re2:+.4f})  "
-              f"lnRe {c.ln_re_mean:7.4f} ({c.d_ln_re_mean:+.4f})  "
-              f"Rth/Re {c.re_theta_over_re:.4f} ({c.d_ratio:+.4f})  "
-              f"[{status}]")
+        _print(f"{c.row.label:10s} lnRe1 {c.ln_re1:7.4f} ({c.d_ln_re1:+.4f})  "
+               f"lnRe2 {c.ln_re2:7.4f} ({c.d_ln_re2:+.4f})  "
+               f"lnRe {c.ln_re_mean:7.4f} ({c.d_ln_re_mean:+.4f})  "
+               f"Rth/Re {c.re_theta_over_re:.4f} ({c.d_ratio:+.4f})  "
+               f"[{status}]")
     flagged = [c for c in checks if c.flagged]
-    print(f"{len(checks)} rows checked, {len(flagged)} flagged print "
-          "discrepancies:")
+    _print(f"{len(checks)} rows checked, {len(flagged)} flagged print "
+           "discrepancies:")
     for c in flagged:
-        print(f"  {c.row.label}: "
-              f"{reference.KNOWN_PRINT_DISCREPANCIES[c.row.label]}")
+        _print(f"  {c.row.label}: "
+               f"{reference.KNOWN_PRINT_DISCREPANCIES[c.row.label]}")
     if reference.all_checks_pass(checks):
-        print("oracle suite: PASS")
+        _print("oracle suite: PASS")
         return EXIT_OK
-    print("oracle suite: FAIL")
+    _print("oracle suite: FAIL")
     return EXIT_ORACLE_FAIL
 
 

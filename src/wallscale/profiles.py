@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 
-from ._render import _RENDER_BLOCK, _WIDTH, _render
 from .errors import InputOutputError, ParseError, ValidationError
 
 _METADATA_KEYS = {
@@ -467,35 +467,31 @@ def format_columns(header: str, *columns) -> str:
     1-D float64 ``columns``, of their values' ``repr`` joined by single
     spaces, then one newline: every float-column file wallscale writes.
 
-    A column passed more than once is rendered once.  A table of at
-    least ``_RENDER_MIN_VALUES`` values to render (rows times distinct
-    columns) is rendered by ``_render``, which gives each value
-    ``repr``'s text without a call per value, in blocks of at most
-    ``_RENDER_BLOCK`` values; a smaller one by ``repr`` itself."""
+    A table of at least one row whose every value is ±0 or has
+    1e-4 <= |v| < 1e16, where ``repr`` writes it positionally, is rendered
+    by orjson, whose shortest round-trip digits and layout are ``repr``'s
+    there.  It writes the values row after row as one flat list, faster
+    than the rows of a 2-D array; the list's brackets go, the comma after
+    each row's last value becomes a newline and every other comma a
+    space.  Any other table (no rows, nan, ±inf, or a value ``repr``
+    writes as d.ddde±XX) goes through ``repr``, once per distinct
+    column."""
+    table = np.stack(columns, axis=1, dtype=np.float64)
+    magnitude = np.abs(table)
+    positional = (magnitude >= 1e-4) & (magnitude < 1e16) | (table == 0)
+    if len(table) and positional.all():
+        text = np.frombuffer(orjson.dumps(
+            table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
+        text = text[1:-1].copy()
+        commas = np.flatnonzero(text == ord(","))
+        text[commas] = ord(" ")
+        text[commas[len(columns) - 1::len(columns)]] = ord("\n")
+        return f"{header}\n{text.tobytes().decode()}\n"
     distinct = {id(column): column for column in columns}
-    if len(columns[0]) * len(distinct) >= _RENDER_MIN_VALUES:
-        table = np.stack(list(distinct.values()), axis=1, dtype=np.float64)
-        where = [list(distinct).index(id(column)) for column in columns]
-        rows = max(1, _RENDER_BLOCK // len(distinct))
-        out = np.empty((rows, len(columns), _WIDTH + 1), np.uint8)
-        out[:, :, _WIDTH] = ord(" ")
-        out[:, -1, _WIDTH] = ord("\n")
-        body = []
-        for i in range(0, len(table), rows):
-            block = table[i:i + rows]
-            text = _render(block.ravel()).reshape(len(block), -1, _WIDTH)
-            out[:len(block), :, :_WIDTH] = text[:, where]
-            body.append(out[:len(block)].tobytes().translate(None, b"\0"))
-        return header + "\n" + b"".join(body).decode("ascii")
     strings = {key: list(map(repr, column.tolist()))
                for key, column in distinct.items()}
     rows = zip(*(strings[id(column)] for column in columns), strict=True)
     return "\n".join([header, *map(" ".join, rows)]) + "\n"
-
-
-# Below this many values a table is rendered faster by repr (CHANGES.md
-# gives the crossover measured).
-_RENDER_MIN_VALUES = 1024
 
 
 def atomic_write_text(path, text: str) -> None:

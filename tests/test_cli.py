@@ -1062,6 +1062,33 @@ class TestStdoutFailure:
         assert result.returncode == EXIT_IO
         assert_one_stdout_error(result.stderr, os.strerror(errno.ENOSPC))
 
+    @staticmethod
+    def run_with_stdout_closed(cwd, argv):
+        """``python -m wallscale argv`` in ``cwd``, started with fd 1
+        closed (``>&-``), which leaves its ``sys.stdout`` None."""
+        src = str(Path(wallscale.__file__).resolve().parents[1])
+        return subprocess.run(      # -B: leave no byte code in the tree
+            ["sh", "-c", 'exec "$@" >&-', "sh",
+             sys.executable, "-B", "-m", "wallscale", *argv],
+            stderr=subprocess.PIPE, text=True, cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=src))
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGVS))
+    def test_closed_stdout(self, tmp_path, verb):
+        # print to a None stdout writes nothing and raises nothing
+        write_verb_inputs(tmp_path)
+        result = self.run_with_stdout_closed(tmp_path, VERB_ARGVS[verb])
+        assert result.returncode == EXIT_IO
+        assert_one_stdout_error(result.stderr, os.strerror(errno.EBADF))
+
+    def test_closed_stdout_unused(self, tmp_path):
+        # envelope --out-dir writes its table to a file, its line to stderr
+        result = self.run_with_stdout_closed(
+            tmp_path, ["envelope", "--n-points", "20", "--out-dir", "out"])
+        assert result.returncode == EXIT_OK
+        assert result.stderr.startswith("effective log law: ")
+        assert (tmp_path / "out" / "envelope.dat").is_file()
+
 
 def _parse(parser, argv):
     """What ``parser`` makes of ``argv``: the namespace, or the exit code

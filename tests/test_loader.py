@@ -30,8 +30,9 @@ from hypothesis import (HealthCheck, Phase, example, find, given,
                         settings)
 from hypothesis import strategies as st
 
-from wallscale import (ValidationError, WallscaleError, load_profile,
-                       profiles)
+from wallscale import (ProfileMetadata, ValidationError, VelocityProfile,
+                       WallscaleError, load_profile, profiles, report,
+                       synthetic)
 
 from oracle import reference_load
 
@@ -365,3 +366,62 @@ def test_rejected_metadata_names_its_last_line(tmp_path, values, key,
     assert str(info.value) == (
         f"line {last}: metadata field {field} must be positive and finite, "
         f"got {float(values[-1])!r}")
+
+
+@st.composite
+def synthetic_profiles(draw):
+    """A synthetic two-law profile of 30 to 200 samples, noiseless or
+    with lognormal noise of 1e-3 or 1e-2, sometimes with a plateau."""
+    return synthetic.generate(synthetic.SynthSpec(
+        ln_re=draw(st.floats(8.0, 14.0)),
+        break_ln_eta=draw(st.floats(5.0, 7.0)),
+        ln_eta_range=(1.0, draw(st.floats(8.5, 10.0))),
+        n_points=draw(st.integers(30, 200)),
+        noise_sigma=draw(st.sampled_from([0.0, 1e-3, 1e-2])),
+        plateau_points=draw(st.integers(0, 5)),
+        seed=draw(st.integers(0, 2**16))))
+
+
+def _report_text(path, fmt):
+    """The report of ``analyze`` on a file, as text, or its error."""
+    outcome = _outcome(lambda: report.analyze(path, format=fmt).report)
+    if outcome[0] == "ok":
+        return report.report_to_text(outcome[1])
+    return outcome
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=synthetic_profiles(),
+       newline=st.sampled_from(["\n", "\r\n"]),
+       sep=st.sampled_from([" ", ",", "\t", ", ", " \t "]),
+       comments=st.booleans(),
+       scale=st.none() | st.tuples(st.integers(-20, 20),
+                                   st.integers(-20, 20)))
+def test_report_is_invariant_under_the_file_layout(profile, newline, sep,
+                                                   comments, scale):
+    # Written without a label, every file takes its stem, p, as its label.
+    # A comment after each row sends the file to the per-line loop.  In
+    # raw, u_star = 2**a and nu = 2**b: y = eta * 2**(b - a) and
+    # u = phi * 2**a, and every product and quotient of the loader's
+    # conversion is exact, so eta and phi come back bit for bit.
+    eta, phi = profile.eta.tolist(), profile.phi.tolist()
+    header, fmt = [], "wall_units"
+    if scale is not None:
+        (a, b), fmt = scale, "raw"
+        header = [f"u_star={2.0 ** a!r}", f"nu={2.0 ** b!r}"]
+        eta = [e * 2.0 ** (b - a) for e in eta]
+        phi = [p * 2.0 ** a for p in phi]
+    after = ["# c", ""] if comments else []
+    lines = header + [line for e, p in zip(eta, phi)
+                      for line in [f"{e!r}{sep}{p!r}", *after]]
+    with tempfile.TemporaryDirectory() as root:
+        plain, changed = Path(root, "plain"), Path(root, "changed")
+        plain.mkdir(), changed.mkdir()
+        profiles.save_profile(VelocityProfile(profile.eta, profile.phi,
+                                              ProfileMetadata()),
+                              plain / "p.dat")
+        (changed / "p.dat").write_text(newline.join(lines) + newline,
+                                       encoding="utf-8", newline="")
+        want = _report_text(plain / "p.dat", "wall_units")
+        assert isinstance(want, str)
+        assert _report_text(changed / "p.dat", fmt) == want

@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -444,12 +445,41 @@ def test_save_load_round_trip(label, numbers, columns):
 
 EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                1.7976931348623157e308, -1.7976931348623157e308]
+# The bits of 1e-4 and of 1e16, the ends of the magnitudes repr writes
+# positionally (1e16 itself is not), and the sign bit.
+POSITIONAL_BITS = (int(np.float64(1e-4).view(np.uint64)),
+                   int(np.float64(1e16).view(np.uint64)))
+SIGN_BIT = 1 << 63
+
+
+def positional(value: float) -> bool:
+    """Whether ``repr`` writes ``value`` positionally, not as
+    d.ddde±XX, nan or inf."""
+    return math.isfinite(value) and "e" not in repr(value)
+
+
+def rendered(header, *columns):
+    """``format_columns``'s text, and whether it went through orjson."""
+    with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as dumps:
+        text = format_columns(header, *columns)
+    return text, dumps.called
+
+
+POSITIONAL_FLOAT = st.builds(
+    lambda bits, sign: float(np.uint64(bits | sign).view(np.float64)),
+    st.integers(*POSITIONAL_BITS).filter(
+        lambda bits: bits < POSITIONAL_BITS[1]),
+    st.sampled_from([0, SIGN_BIT])) | st.sampled_from([0.0, -0.0])
 
 
 @st.composite
 def float_columns(draw):
+    """1 to 4 columns of 0 to 40 rows of any floats, or only of floats
+    that repr writes positionally."""
     n, width = draw(st.integers(0, 40)), draw(st.integers(1, 4))
-    values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+    values = draw(st.sampled_from([
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64)),
+        POSITIONAL_FLOAT]))
     return [draw(hnp.arrays(np.float64, n, elements=values))
             for _ in range(width)]
 
@@ -457,29 +487,28 @@ def float_columns(draw):
 TWICE = np.array([-0.0, 5e-324, 1.5, -1.7976931348623157e308])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @example(header="x x", columns=[TWICE, TWICE])   # one column passed twice
+@example(header="x x", columns=[TWICE[2:], TWICE[2:]])
+@example(header="h", columns=[np.empty(0)])      # a table of no rows
+@example(header="h", columns=[np.empty(0), np.empty(0)])
 @given(header=st.lists(st.text("abc #=_", min_size=1), min_size=1,
                        max_size=3).map("\n".join),
        columns=float_columns())
 def test_format_columns_contract(header, columns):
-    # each table through both paths: repr's and the renderer's
-    for minimum in (math.inf, 0):
-        with mock.patch.object(profiles, "_RENDER_MIN_VALUES", minimum):
-            text = format_columns(header, *columns)
-        assert text.startswith(header + "\n")
-        assert text.endswith("\n") and not text.endswith("\n\n")
-        rows = text[len(header) + 1:].splitlines()
-        assert len(rows) == len(columns[0])
-        for i, row in enumerate(rows):
-            assert row.split(" ") == [repr(float(column[i]))
-                                      for column in columns]
-
-
-def rendered(values):
-    """``profiles._render``'s text of each value of a float64 array."""
-    return [row.tobytes().translate(None, b"\0").decode("ascii")
-            for row in profiles._render(values)]
+    # orjson renders a table of rows that repr writes positionally, and
+    # repr any other; either gives repr's text of each value
+    text, through_orjson = rendered(header, *columns)
+    assert text.startswith(header + "\n")
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    rows = text[len(header) + 1:].splitlines()
+    assert len(rows) == len(columns[0])
+    for i, row in enumerate(rows):
+        assert row.split(" ") == [repr(float(column[i]))
+                                  for column in columns]
+    values = np.concatenate(columns).tolist()
+    assert through_orjson == (len(values) > 0
+                              and all(map(positional, values)))
 
 
 def edge_values():
@@ -494,46 +523,54 @@ def edge_values():
     return np.concatenate([values, -values])
 
 
-def test_renderer_is_repr_at_edges():
+def test_format_columns_through_orjson_at_edges():
+    # every power of two and of ten in [1e-4, 1e16) with both neighbours
+    # and both signs, and the lower neighbour of 1e16, but not of 1e-4
     values = edge_values()
-    assert rendered(values) == list(map(repr, values.tolist()))
+    values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+    assert len(values) == 522 and all(map(positional, values.tolist()))
+    assert rendered("v", values) == (_rows("v", values), True)
 
 
-def test_renderer_is_repr_on_random_bits():
+def test_format_columns_through_orjson_on_random_bits():
+    # 200,000 values drawn uniformly over the bit patterns that repr
+    # writes positionally, as one column and as a table of 4
+    rng = np.random.default_rng(35)
+    bits = rng.integers(*POSITIONAL_BITS, 200_000, dtype=np.uint64)
+    bits |= rng.integers(0, 2, 200_000, dtype=np.uint64) << np.uint64(63)
+    values = bits.view(np.float64)
+    assert rendered("v", values) == (_rows("v", values), True)
+    columns = list(values.reshape(4, -1))
+    assert rendered("a b c d", *columns) == (_rows("a b c d", *columns),
+                                             True)
+
+
+def test_format_columns_through_repr_at_edges():
+    values = edge_values()
+    assert rendered("v", values) == (_rows("v", values), False)
+
+
+def test_format_columns_through_repr_on_random_bits():
     bits = np.random.default_rng(26).integers(
         0, 2 ** 64 - 1, 200_000, dtype=np.uint64, endpoint=True)
     values = bits.view(np.float64)
-    assert rendered(values) == list(map(repr, values.tolist()))
+    assert rendered("v", values) == (_rows("v", values), False)
 
 
-EDGE_BITS = edge_values().view(np.uint64).tolist()
-
-
-@settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.uint64, st.integers(1, 64), elements=st.one_of(
-    st.integers(0, 2 ** 64 - 1), st.sampled_from(EDGE_BITS))))
-def test_renderer_is_repr(bits):
-    values = bits.view(np.float64)
-    assert rendered(values) == list(map(repr, values.tolist()))
-
-
-MINIMUM = profiles._RENDER_MIN_VALUES
-
-
-# one value below the renderer's threshold and at it (1023 = 341 * 3 and
-# 1024 = 256 * 4 at a threshold of 1024)
-@pytest.mark.parametrize("rows, width", [(MINIMUM - 1, 1), (MINIMUM, 1),
-                                         ((MINIMUM - 1) // 3, 3),
-                                         (MINIMUM // 4, 4)])
-def test_format_columns_either_side_of_the_threshold(rows, width):
-    bits = np.random.default_rng(rows).integers(
-        0, 2 ** 64 - 1, (width, rows), dtype=np.uint64, endpoint=True)
-    columns = list(bits.view(np.float64))
-    with mock.patch.object(profiles, "_render",
-                           wraps=profiles._render) as render:
-        text = format_columns("a b c", *columns)
-    assert text == _rows("a b c", *columns)
-    assert render.called == (rows * width >= MINIMUM)
+# A value at or just past each end of the positional range, and the
+# special values, each in one row of an otherwise positional table.
+@pytest.mark.parametrize("value, through_orjson", [
+    (1e-4, True), (np.nextafter(1e-4, 0.0), False),
+    (np.nextafter(1e16, 0.0), True), (1e16, False),
+    (-1e-4, True), (-1e16, False), (0.0, True), (-0.0, True),
+    (5e-324, False), (math.inf, False), (-math.inf, False),
+    (math.nan, False)])
+def test_format_columns_takes_orjson_where_repr_is_positional(
+        value, through_orjson):
+    column = np.array([1.5, 2.0, value, 3.25])
+    columns = (np.arange(1.0, 5.0), column, column)
+    assert rendered("a b c", *columns) == (_rows("a b c", *columns),
+                                           through_orjson)
 
 
 class TestAtomicWrite:
