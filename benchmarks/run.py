@@ -14,9 +14,10 @@ directory ``nN`` of ``PROFILES`` profiles of n samples over ln eta = 1..10,
 each a noisy (sigma = 0.01) power law phi = 8.67 eta**0.14 breaking to
 eta**0.2 at ln eta = 6.5, whose last 5 samples are set to its maximum, so
 the sublayer cut, the plateau cut and the break are all exercised;
-``comma-nN.dat``, ``nN/p0.dat`` with commas for separators; and
-``single-nN.dat``, the noiseless phi = 8.67 eta**0.14 over the same ln eta,
-on which every split's total RSS is rounding noise.
+``comma-nN.dat`` and ``tab-nN.dat``, ``nN/p0.dat`` with commas and with
+tabs for separators; and ``single-nN.dat``, the noiseless
+phi = 8.67 eta**0.14 over the same ln eta, on which every split's total
+RSS is rounding noise.
 
 Each ``NAME=SRC`` tree gets one child interpreter, with ``PYTHONPATH=SRC``,
 for the whole run.  At start-up the child checks, at every n, that
@@ -31,7 +32,8 @@ and ``scaling.solve_envelope`` calls of ``cli.main(ENVELOPE_ARGV)``, the
 names of its stages.  Then it reads stage names from stdin, one a line, and
 answers each with the best of ``--repeats`` ``time.perf_counter`` timings
 of one call.  The stages, at every n: ``load_profile`` (of ``p0.dat``,
-and of ``comma-nN.dat`` as ``load_profile_comma_s``),
+of ``comma-nN.dat`` as ``load_profile_comma_s`` and of ``tab-nN.dat`` as
+``load_profile_tab_s``),
 ``select_intermediate``, both fits (``fitting.fit_log_broken_line`` of the
 selected ``ln_eta`` and ``ln_phi`` columns, as ``analyze_profile`` calls
 it; the stage keeps its name ``fit_broken_line_s``), the universal series
@@ -123,8 +125,9 @@ def write_corpus(root: Path) -> None:
             phi[-5:] = phi.max()
             write_profile(folder / f"p{i}.dat", f"n{n}-{i}", eta, phi)
             if i == 0:
-                write_profile(root / f"comma-n{n}.dat", f"n{n}-{i}", eta,
-                              phi, sep=",")
+                for name, sep in (("comma", ","), ("tab", "\t")):
+                    write_profile(root / f"{name}-n{n}.dat", f"n{n}-{i}",
+                                  eta, phi, sep=sep)
         write_profile(root / f"single-n{n}.dat", f"single-n{n}", eta,
                       8.67 * eta ** 0.14)
 
@@ -297,6 +300,8 @@ def child(corpus: Path, repeats: int) -> None:
             "load_profile_s": lambda: load_profile(path),
             "load_profile_comma_s":
                 lambda: load_profile(corpus / f"comma-n{n}.dat"),
+            "load_profile_tab_s":
+                lambda: load_profile(corpus / f"tab-n{n}.dat"),
             "select_intermediate_s": lambda: select_intermediate(profile),
             "fit_broken_line_s": fit,
             "single_law.fit_broken_line_s": single_fit,

@@ -359,13 +359,45 @@ def block_values(block: str) -> list[float] | None:
     fields give 3n - 1 fields with a sentinel at every third place, and
     no other widths do (a total alone would pass a row of three fields
     and a row of one).  A block holding ``|`` is rejected first; a ``|``
-    left among the fields would fail ``float`` anyway."""
+    left among the fields would fail ``float`` anyway.
+
+    Before that split, orjson's compiled parser tries the block as one
+    JSON array: each ``"\n"`` becomes ``",null,"`` (JSON null is the
+    sentinel) and, in a block without a comma, each space and tab a
+    comma.  Its values count only if there are 3n - 1 of them, with a None
+    at every third place, and none of the others is zero: orjson reads
+    ``-0`` as the int 0 and ``1e-400`` as 0.0 (the profile rejects a zero
+    anyway).  A block holding any of ``t f n " [ {`` (JSON ``true``,
+    ``false``, ``null``, strings and containers; ``inf`` and ``nan`` go
+    with them) skips the try, and a text that is not JSON (``1e400``,
+    ``1.``, ``.5``, ``+1``, ``01``, runs of separators, other
+    whitespace) fails it; each such block, and each whose values do not
+    count, is left to the split, so the split alone decides which blocks
+    are taken.  orjson rounds each number correctly, as ``float`` does.
+    An integer token below 2**64 comes back as an int, so each value is
+    made a float in place, in the list that ``orjson.loads`` returned;
+    that list is the one returned."""
     if "=" in block or "#" in block or "|" in block:
         return None
-    sep, sentinel = (",", ",|,") if "," in block else (None, " | ")
-    block = block.rstrip()
-    n = block.count("\n") + 1
-    fields = block.replace("\n", sentinel).split(sep)
+    rows = block.rstrip()
+    n = rows.count("\n") + 1
+    # one "in" scan a character: a set's isdisjoint(rows) hashes each one
+    if not ("t" in rows or "f" in rows or "n" in rows or '"' in rows
+            or "[" in rows or "{" in rows):
+        text = rows.replace("\n", ",null,")
+        if "," not in rows:
+            text = text.replace(" ", ",").replace("\t", ",")
+        try:
+            values = orjson.loads(f"[{text}]")
+        except orjson.JSONDecodeError:
+            values = []
+        if len(values) == 3 * n - 1 and values[2::3] == [None] * (n - 1):
+            del values[2::3]
+            values[:] = map(float, values)
+            if all(values):     # no zero: a falsy float is +-0.0
+                return values
+    sep, sentinel = (",", ",|,") if "," in rows else (None, " | ")
+    fields = rows.replace("\n", sentinel).split(sep)
     if len(fields) != 3 * n - 1 or fields[2::3] != ["|"] * (n - 1):
         return None
     del fields[2::3]

@@ -226,6 +226,26 @@ def reference_load(path, format):
     return VelocityProfile(first, second, metadata)
 
 
+def split_block_values(block):
+    """``profiles.block_values`` as it was before its orjson try: the
+    rows' fields split once, with a ``|`` sentinel for each ``"\\n"``, and
+    each read by ``float``; None for a block of any other shape or
+    holding ``=``, ``#`` or ``|``, or a field ``float`` does not read."""
+    if "=" in block or "#" in block or "|" in block:
+        return None
+    sep, sentinel = (",", ",|,") if "," in block else (None, " | ")
+    block = block.rstrip()
+    n = block.count("\n") + 1
+    fields = block.replace("\n", sentinel).split(sep)
+    if len(fields) != 3 * n - 1 or fields[2::3] != ["|"] * (n - 1):
+        return None
+    del fields[2::3]
+    try:
+        return list(map(float, fields))
+    except ValueError:
+        return None
+
+
 def _check_rows(row_lines, names, rows):
     """A ValidationError naming the line of the first row that holds a
     value that is not positive and finite, the first such value in it."""

@@ -152,6 +152,22 @@ class TestAnalyze:
         path.write_text("40 9.8\n30 9.0\n160 12.1\n320 13.4\n")
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("rows, code, message", [
+        # 3 samples past the cut: select_intermediate refuses them
+        (5, EXIT_VALIDATION, "select_intermediate: empty result: fewer than "
+         "4 samples survive the sublayer cutoff (lg_eta_min=1.5) and "
+         "plateau removal"),
+        # 4: selection keeps them, and the fit refuses them
+        (6, EXIT_FIT, "fit_broken_line: broken-line fit needs at least 6 "
+         "points, got 4"),
+    ], ids=["three_survivors", "four_survivors"])
+    def test_survivor_floor(self, tmp_path, capsys, rows, code, message):
+        path = tmp_path / "few.dat"
+        lines = ["10 5", "20 6", "40 8", "80 9", "160 10", "320 11"]
+        path.write_text("".join(f"{line}\n" for line in lines[:rows]))
+        assert main(["analyze", str(path)]) == code
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("row", ["-0.001 0.5", "0.001 nan", "0 0.5"])
     def test_raw_domain_error_is_validation(self, tmp_path, capsys, row):
         path = tmp_path / "raw.dat"

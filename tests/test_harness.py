@@ -1,11 +1,13 @@
 """``benchmarks/run.py``'s corpus, loaded by path: the same bytes on every
 write, the selected sample counts ROADMAP quotes, and every file loads,
-each through ``profiles.block_values``; the comma copy of ``p0.dat`` to
-the same columns."""
+each through ``profiles.block_values`` and there through orjson, never
+its split; the comma and tab copies of ``p0.dat`` to the same columns."""
 
 import importlib.util
 from pathlib import Path
 from unittest import mock
+
+import orjson
 
 from wallscale import load_profile, profiles, select_intermediate
 
@@ -46,27 +48,37 @@ def test_corpus(tmp_path):
     files = sorted(p.relative_to(first) for p in first.rglob("*"))
     assert files == sorted(p.relative_to(second) for p in second.rglob("*"))
     dats = [f for f in files if f.suffix == ".dat"]
-    assert len(dats) == len(run.SIZES) * (run.PROFILES + 2)
+    assert len(dats) == len(run.SIZES) * (run.PROFILES + 3)
     for f in dats:
         assert (first / f).read_bytes() == (second / f).read_bytes()
-    # the per-line loop reads none of the corpus: each file is one block
-    taken, real = [], profiles.block_values
+    # the per-line loop reads none of the corpus: each file is one block,
+    # whose values are the list orjson.loads returned, not the split's
+    taken, parsed = [], []
+    real, real_loads = profiles.block_values, orjson.loads
+
+    def loads(text):
+        parsed.append(real_loads(text))
+        return parsed[-1]
 
     def spy(block):
+        parsed.clear()
         values = real(block)
-        taken.append("lines" if values is None else "block")
+        taken.append("lines" if values is None else
+                     "orjson" if parsed and values is parsed[0] else "split")
         return values
 
-    with mock.patch.object(profiles, "block_values", spy):
+    with mock.patch.object(profiles, "block_values", spy), \
+            mock.patch.object(orjson, "loads", loads):
         for f in dats:
             load_profile(first / f)
-    assert taken == ["block"] * len(dats)
+    assert taken == ["orjson"] * len(dats)
     assert [len(select_intermediate(load_profile(first / f"n{n}/p0.dat")))
             for n in run.SIZES] == [25, 141, 722, 2905]
     for n in run.SIZES:
         assert len(load_profile(first / f"single-n{n}.dat")) == n
-        comma = load_profile(first / f"comma-n{n}.dat")
         plain = load_profile(first / f"n{n}/p0.dat")
-        assert b"," in (first / f"comma-n{n}.dat").read_bytes()
-        assert comma.eta.tolist() == plain.eta.tolist()
-        assert comma.phi.tolist() == plain.phi.tolist()
+        for name, sep in (("comma", b","), ("tab", b"\t")):
+            copy = load_profile(first / f"{name}-n{n}.dat")
+            assert sep in (first / f"{name}-n{n}.dat").read_bytes()
+            assert copy.eta.tolist() == plain.eta.tolist()
+            assert copy.phi.tolist() == plain.phi.tolist()

@@ -15,16 +15,27 @@ the rows, line endings, trailing blank lines, no final newline) and
 require bit-equal columns and equal metadata, or the same exception type
 and message; and they require the grammar to draw files that each path
 reads.
+
+``block_values`` itself first tries orjson's parser and falls back to
+its split.  Blocks of numbers in every form that the two might read
+apart (random bit patterns, long decimals, exact midpoints, integers,
+``-0``, tokens that overflow or underflow, JSON literals, separators
+that JSON refuses) must give ``oracle.split_block_values``'s values bit
+for bit, or its None, and a spy on ``orjson.loads`` shows that each
+branch is drawn.
 """
 
 import math
 import re
+import struct
 import tempfile
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import (HealthCheck, Phase, example, find, given,
                         settings)
@@ -34,7 +45,7 @@ from wallscale import (ProfileMetadata, ValidationError, VelocityProfile,
                        WallscaleError, load_profile, profiles, report,
                        synthetic)
 
-from oracle import reference_load
+from oracle import reference_load, split_block_values
 
 
 SETTINGS = settings(max_examples=200, deadline=None,
@@ -425,3 +436,124 @@ def test_report_is_invariant_under_the_file_layout(profile, newline, sep,
         want = _report_text(plain / "p.dat", "wall_units")
         assert isinstance(want, str)
         assert _report_text(changed / "p.dat", fmt) == want
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _midpoint(bits):
+    """The exact decimal halfway between the positive double of ``bits``
+    and the next one up."""
+    with localcontext() as context:
+        context.prec = 1200     # the halves of subnormals have 767 digits
+        return str((Decimal(_double(bits)) + Decimal(_double(bits + 1))) / 2)
+
+
+SIGN = st.sampled_from(["", "-"])
+# the repr of a finite double drawn over its bits, subnormals included
+BITS_REPR = st.builds(
+    lambda sign, bits: repr(_double(bits | sign << 63)), st.integers(0, 1),
+    st.integers(0, 0x7FEFFFFFFFFFFFFF) | st.integers(0, 2**52 - 1))
+# 18 to 31 significant digits, with or without a point, as e-320 to e300
+LONG_DECIMAL = st.builds(
+    lambda sign, digits, point, exp: (
+        f"{sign}{str(digits)[0]}.{str(digits)[1:]}e{exp}" if point else
+        f"{sign}{digits}e{exp}"),
+    SIGN, st.integers(10**17, 10**31 - 1), st.booleans(),
+    st.integers(-320, 300))
+MIDPOINT = st.builds(lambda sign, bits: sign + _midpoint(bits), SIGN,
+                     st.integers(0, 0x7FEFFFFFFFFFFFFE))
+INTEGER = (st.sampled_from(["0", "-0", "1", "-1"])
+           | st.integers(-2**70, 2**70).map(str)
+           | st.integers(2**64 - 2**12, 2**64 + 2**12).map(str)
+           # up to just past the halfway point to 2**1024, which is inf
+           | st.integers(10**300, 2**1024 - 2**970 + 1).map(str))
+NUMBER = BITS_REPR | LONG_DECIMAL | MIDPOINT | INTEGER
+# tokens on which JSON and float disagree or that overflow or underflow
+ODD_TOKEN = st.sampled_from([
+    "1e400", "-1e400", "1e-400", "-1e-400", "inf", "-inf", "nan", "1.",
+    ".5", "+1", "01", "1E5", "true", "false", "null", '"1"', "[1]", "{}"])
+BLOCK_SEP = st.sampled_from([" ", "\t", ",", ", ", "  ", "   "])
+
+
+@st.composite
+def number_blocks(draw):
+    """1 to 12 rows of two numbers, but in one block in four a row of
+    three and, in half of those, a row of one (another row keeps the
+    total); one separator for the block, or in one block in four one per
+    field; in one block in four one ``ODD_TOKEN`` replaces a number (with
+    one separator that JSON takes), and in another one in four every
+    field may be one; the block ends in nothing, a newline or trailing
+    whitespace."""
+    one_in_four = st.sampled_from([False, False, False, True])
+    odd = draw(st.sampled_from(["none", "none", "one", "any"]))
+    tokens = NUMBER | ODD_TOKEN if odd == "any" else NUMBER
+    sep = None if draw(one_in_four) else draw(BLOCK_SEP)
+    if odd == "one":    # a separator JSON takes, so the token decides
+        sep = draw(st.sampled_from([" ", "\t", ",", ", "]))
+    widths = [2] * draw(st.integers(1, 12))
+    row = st.integers(0, len(widths) - 1)
+    if draw(one_in_four):
+        widths[draw(row)] = 3
+        if draw(st.booleans()):
+            widths[draw(row)] = 1
+    cells = [[draw(tokens) for _ in range(width)] for width in widths]
+    if odd == "one":
+        fields = cells[draw(row)]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(ODD_TOKEN)
+    rows = []
+    for fields in cells:
+        rows.append(fields[0] + "".join((sep or draw(BLOCK_SEP)) + field
+                                        for field in fields[1:]))
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n", " \n\t"]))
+
+
+def _branch(block):
+    """``block_values(block)`` and what gave it: "orjson" when it is the
+    list that ``orjson.loads`` returned, "refused" when the split gave it
+    after orjson had read the block, "split" when orjson had not, and
+    None for None."""
+    parsed, real = [], orjson.loads
+
+    def loads(text):
+        parsed.append(real(text))
+        return parsed[-1]
+
+    with mock.patch.object(orjson, "loads", loads):
+        values = profiles.block_values(block)
+    if values is None:
+        return None, None
+    if parsed and values is parsed[0]:
+        return values, "orjson"
+    return values, "refused" if parsed else "split"
+
+
+@settings(max_examples=500, deadline=None)
+@given(block=number_blocks())
+@example(block="-0 1\n2 3\n")         # orjson's int 0 has no sign
+@example(block="1 1e-400\n2 3")        # orjson and float both give 0.0
+@example(block="1\ttrue\n2\t3")        # JSON literals parse
+@example(block="1, null\n2, 3")
+@example(block='1 "2"\n3 4')
+@example(block="[1] 2\n3 4")           # so do JSON containers
+@example(block="1 2\n3 {}")
+@example(block="1e400 2\n3 4")         # orjson refuses what float makes inf
+@example(block="18446744073709551617 1\n2 3")
+@example(block="1 2 3\n4")             # 3n - 1 values, a sentinel misplaced
+def test_block_values_matches_the_split(block):
+    values, _ = _branch(block)
+    want = split_block_values(block)
+    if want is None:
+        assert values is None
+    else:
+        assert [type(v) for v in values] == [float] * len(want)
+        assert (np.array(values).view(np.uint64).tolist()
+                == np.array(want).view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("branch", ["orjson", "refused", "split"])
+def test_number_blocks_draw_every_branch(branch):
+    find(number_blocks(), lambda block: _branch(block)[1] == branch,
+         settings=settings(max_examples=2000, database=None, deadline=None,
+                           phases=[Phase.generate]))

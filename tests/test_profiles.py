@@ -646,6 +646,23 @@ class TestSelectIntermediate:
         with pytest.raises(ValidationError, match="empty result"):
             select_intermediate(make_profile(eta, phi))
 
+    # lg eta = 1 and 1.3 are cut; 40, 80 and 160 survive, and 320 a fourth
+    FLOOR_ETA = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+    FLOOR_PHI = [5.0, 6.0, 8.0, 9.0, 10.0, 11.0]
+
+    def test_three_survivors_are_refused(self):
+        profile = make_profile(self.FLOOR_ETA[:5], self.FLOOR_PHI[:5])
+        with pytest.raises(ValidationError) as info:
+            select_intermediate(profile)
+        assert str(info.value) == (
+            "empty result: fewer than 4 samples survive the sublayer "
+            "cutoff (lg_eta_min=1.5) and plateau removal")
+
+    def test_four_survivors_are_kept(self):
+        profile = make_profile(self.FLOOR_ETA, self.FLOOR_PHI)
+        assert (select_intermediate(profile).eta.tolist()
+                == self.FLOOR_ETA[2:])
+
     def test_custom_cutoff(self):
         profile = power_profile(ln_eta_lo=1.0, ln_eta_hi=8.0, n=20)
         loose = select_intermediate(profile, lg_eta_min=0.3)
