@@ -6,12 +6,16 @@
 Needs only numpy and the standard library.  For each seed it writes the
 wsbench ``lab_batch`` and ``dns_analyze`` corpora with
 ``wsbench/workloads.py`` (``make_lab`` and ``make_dns``, imported as they
-are) into a temporary directory.  Each ``NAME=SRC`` tree then runs, in a
-child interpreter with ``PYTHONPATH=SRC``, ``python -m wallscale batch
-DIR`` on each corpus without and with ``--out-dir OUT``, then
-``envelope`` and ``envelope --ln-eta-min 2 --ln-eta-max 30 --n-points
-2000 --out-dir OUT``.  The trees write to the same ``OUT`` in turn, and
-it is emptied before each command, so paths in messages agree.
+are) into a temporary directory, and an aligned copy of the lab corpus:
+each data row re-separated by two spaces, which JSON refuses, so that
+every file is read by the loader's per-line loop, and one row of the
+first file given an ``inf`` phi, which that loop rejects.  Each
+``NAME=SRC`` tree then runs, in a child interpreter with
+``PYTHONPATH=SRC``, ``python -m wallscale batch DIR`` on each corpus
+without and with ``--out-dir OUT``, then ``envelope`` and ``envelope
+--ln-eta-min 2 --ln-eta-max 30 --n-points 2000 --out-dir OUT``.  The
+trees write to the same ``OUT`` in turn, and it is emptied before each
+command, so paths in messages agree.
 
 Every tree after the first is compared with the first: each command's
 exit code, stdout and stderr, and every file it wrote.  The script prints
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +38,25 @@ ENVELOPE_GRID = ("--ln-eta-min", "2", "--ln-eta-max", "30",
                  "--n-points", "2000")
 
 
+def aligned_copy(corpus: Path, copy: Path) -> None:
+    """Write each file of ``corpus`` to ``copy`` with the two fields of
+    each data row (a line that is neither blank, a comment nor metadata)
+    joined by two spaces; in the first file, by name, the phi of the
+    middle row becomes ``inf``."""
+    copy.mkdir()
+    for number, path in enumerate(sorted(corpus.glob("*.dat"))):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [i for i, line in enumerate(lines)
+                if line.strip() and line[0] != "#" and "=" not in line]
+        for i in rows:
+            lines[i] = "  ".join(re.split(r"[ \t,]+", lines[i].strip()))
+        if number == 0:
+            middle = rows[len(rows) // 2]
+            lines[middle] = lines[middle].split("  ")[0] + "  inf"
+        (copy / path.name).write_text("\n".join(lines) + "\n",
+                                      encoding="utf-8")
+
+
 def commands(root: Path, seeds) -> list[tuple[str, list[str]]]:
     """(label, wallscale argv) of each command, writing each seed's
     corpora under ``root``; ``OUT`` stands for the output directory."""
@@ -40,10 +64,11 @@ def commands(root: Path, seeds) -> list[tuple[str, list[str]]]:
     import workloads
     out = []
     for seed in seeds:
-        for name, make in (("lab", workloads.make_lab),
-                           ("dns", workloads.make_dns)):
+        workloads.make_lab(seed, root / f"lab-{seed}")
+        workloads.make_dns(seed, root / f"dns-{seed}")
+        aligned_copy(root / f"lab-{seed}", root / f"lab-aligned-{seed}")
+        for name in ("lab", "dns", "lab-aligned"):
             corpus = root / f"{name}-{seed}"
-            make(seed, corpus)
             label = f"seed {seed} {name}: batch"
             out.append((label, ["batch", str(corpus)]))
             out.append((f"{label} --out-dir",

@@ -341,70 +341,51 @@ def parse_value(kind, key: str, raw: str, lineno=None):
 
 
 def block_values(block: str) -> list[float] | None:
-    r"""The numbers of ``block``'s data rows, in row order, or None unless
-    every row is a plain one.  The rows are the pieces between the
+    r"""The numbers of ``block``'s data rows, in row order, as orjson's
+    compiled parser reads them, or None, which leaves the block to
+    ``load_profile``'s per-line loop.  The rows are the pieces between the
     ``"\n"``s of the block (universal-newline text, so no ``"\r"``) once
     its trailing whitespace is dropped; never ``str.splitlines``, which
     also splits at ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``,
-    ``\u2028`` and ``\u2029``.  The block must hold no ``=`` and no
-    ``#``, and each row must split into exactly two fields, at commas if
-    the block holds one and at whitespace otherwise, that ``float`` reads.
-    ``load_profile``'s per-line loop then reads each row as a data row of
-    the same fields, up to outer whitespace (which ``float`` strips, or
-    fails on and leaves to the loop), and skips each trailing line dropped
-    as blank.
+    ``\u2028`` and ``\u2029``.
 
-    The block is split once: each ``"\n"`` becomes a sentinel field ``|``
-    (``" | "`` or ``",|,"``, always a field of its own), so n rows of two
-    fields give 3n - 1 fields with a sentinel at every third place, and
-    no other widths do (a total alone would pass a row of three fields
-    and a row of one).  A block holding ``|`` is rejected first; a ``|``
-    left among the fields would fail ``float`` anyway.
-
-    Before that split, orjson's compiled parser tries the block as one
-    JSON array: each ``"\n"`` becomes ``",null,"`` (JSON null is the
-    sentinel) and, in a block without a comma, each space and tab a
-    comma.  Its values count only if there are 3n - 1 of them, with a None
-    at every third place, and none of the others is zero: orjson reads
-    ``-0`` as the int 0 and ``1e-400`` as 0.0 (the profile rejects a zero
-    anyway).  A block holding any of ``t f n " [ {`` (JSON ``true``,
-    ``false``, ``null``, strings and containers; ``inf`` and ``nan`` go
-    with them) skips the try, and a text that is not JSON (``1e400``,
-    ``1.``, ``.5``, ``+1``, ``01``, runs of separators, other
-    whitespace) fails it; each such block, and each whose values do not
-    count, is left to the split, so the split alone decides which blocks
-    are taken.  orjson rounds each number correctly, as ``float`` does.
-    An integer token below 2**64 comes back as an int, so each value is
-    made a float in place, in the list that ``orjson.loads`` returned;
-    that list is the one returned."""
-    if "=" in block or "#" in block or "|" in block:
-        return None
+    The block is read as one JSON array: each ``"\n"`` becomes
+    ``",null,"`` (a JSON null ends each row but the last) and, in a block
+    without a comma, each space and tab a comma.  Its values count only
+    if there are 3n - 1 of them, with a None at every third place (so
+    each row holds two, which a total alone would not show), and none of
+    the others is zero: orjson reads ``-0`` as the int 0 and ``1e-400``
+    as 0.0 (the profile rejects a zero anyway).  A block holding any of
+    ``t f n " [ {`` (JSON ``true``, ``false``, ``null``, strings and
+    containers; ``inf`` and ``nan`` go with them) is None untried, and so
+    is a text that is not JSON (``=``, ``#``, ``|``, ``1e400``, ``1.``,
+    ``.5``, ``+1``, ``01``, a blank line, runs of spaces or tabs and
+    leading whitespace in a block without a comma, other whitespace).
+    The per-line loop reads each row of a block taken as a data row of
+    the same two fields and skips each trailing line dropped as blank,
+    and orjson rounds each number correctly, as ``float`` does, so the
+    values are the ones the lines give.  An integer token below 2**64
+    comes back as an int, so each value is made a float in place, in the
+    list that ``orjson.loads`` returned; that list is the one returned."""
     rows = block.rstrip()
     n = rows.count("\n") + 1
     # one "in" scan a character: a set's isdisjoint(rows) hashes each one
-    if not ("t" in rows or "f" in rows or "n" in rows or '"' in rows
+    if ("t" in rows or "f" in rows or "n" in rows or '"' in rows
             or "[" in rows or "{" in rows):
-        text = rows.replace("\n", ",null,")
-        if "," not in rows:
-            text = text.replace(" ", ",").replace("\t", ",")
-        try:
-            values = orjson.loads(f"[{text}]")
-        except orjson.JSONDecodeError:
-            values = []
-        if len(values) == 3 * n - 1 and values[2::3] == [None] * (n - 1):
-            del values[2::3]
-            values[:] = map(float, values)
-            if all(values):     # no zero: a falsy float is +-0.0
-                return values
-    sep, sentinel = (",", ",|,") if "," in rows else (None, " | ")
-    fields = rows.replace("\n", sentinel).split(sep)
-    if len(fields) != 3 * n - 1 or fields[2::3] != ["|"] * (n - 1):
         return None
-    del fields[2::3]
+    text = rows.replace("\n", ",null,")
+    if "," not in rows:
+        text = text.replace(" ", ",").replace("\t", ",")
     try:
-        return list(map(float, fields))
-    except ValueError:
+        values = orjson.loads(f"[{text}]")
+    except orjson.JSONDecodeError:
         return None
+    if len(values) == 3 * n - 1 and values[2::3] == [None] * (n - 1):
+        del values[2::3]
+        values[:] = map(float, values)
+        if all(values):     # no zero: a falsy float is +-0.0
+            return values
+    return None
 
 
 def load_profile(path, format: str = "wall_units") -> VelocityProfile:
@@ -426,8 +407,9 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     ``ProfileMetadata`` rejects, at the key's last line, which wins.
 
     From the first data row on, the rest of the file is read as one block
-    when ``block_values`` takes it, which gives the numbers the lines would;
-    otherwise the lines are read one by one from that row.
+    when orjson reads it (see ``block_values``), which gives the numbers
+    the lines would; otherwise the lines are read one by one from that
+    row.
     """
     if format not in ("wall_units", "raw"):
         raise ValidationError(f"unknown format {format!r}")

@@ -227,10 +227,11 @@ def reference_load(path, format):
 
 
 def split_block_values(block):
-    """``profiles.block_values`` as it was before its orjson try: the
-    rows' fields split once, with a ``|`` sentinel for each ``"\\n"``, and
-    each read by ``float``; None for a block of any other shape or
-    holding ``=``, ``#`` or ``|``, or a field ``float`` does not read."""
+    """The reference for the values of ``profiles.block_values``, which
+    gives these or None: the rows' fields, split once with a ``|``
+    sentinel for each ``"\\n"``, each read by ``float``; None for a block
+    of any other shape or holding ``=``, ``#`` or ``|``, or a field
+    ``float`` does not read."""
     if "=" in block or "#" in block or "|" in block:
         return None
     sep, sentinel = (",", ",|,") if "," in block else (None, " | ")

@@ -1,7 +1,8 @@
 """``benchmarks/run.py``'s corpus, loaded by path: the same bytes on every
 write, the selected sample counts ROADMAP quotes, and every file loads,
-each through ``profiles.block_values`` and there through orjson, never
-its split; the comma and tab copies of ``p0.dat`` to the same columns."""
+each as one block that ``profiles.block_values`` reads through orjson,
+never through the per-line loop; the comma and tab copies of ``p0.dat``
+to the same columns."""
 
 import importlib.util
 from pathlib import Path
@@ -52,7 +53,7 @@ def test_corpus(tmp_path):
     for f in dats:
         assert (first / f).read_bytes() == (second / f).read_bytes()
     # the per-line loop reads none of the corpus: each file is one block,
-    # whose values are the list orjson.loads returned, not the split's
+    # whose values are the list orjson.loads returned
     taken, parsed = [], []
     real, real_loads = profiles.block_values, orjson.loads
 
@@ -63,8 +64,8 @@ def test_corpus(tmp_path):
     def spy(block):
         parsed.clear()
         values = real(block)
-        taken.append("lines" if values is None else
-                     "orjson" if parsed and values is parsed[0] else "split")
+        taken.append("orjson" if values is not None and parsed
+                     and values is parsed[0] else "lines")
         return values
 
     with mock.patch.object(profiles, "block_values", spy), \

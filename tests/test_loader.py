@@ -1,9 +1,9 @@
 """``load_profile`` reads every file exactly as a plain per-line parser.
 
 ``load_profile`` reads the rows from the first data row on as one block
-when ``profiles.block_values`` takes them, and otherwise one line at a
-time, each data row with one unpacking and two ``float`` calls, working
-out why a row is bad only once it fails.  The reference,
+when orjson reads them (``profiles.block_values``), and otherwise one
+line at a time, each data row with one unpacking and two ``float``
+calls, working out why a row is bad only once it fails.  The reference,
 ``oracle.reference_load``, is the loader as it was before both: one line
 at a time, every check spelled out in order.  These tests draw profile
 files from a grammar that mixes valid rows with every kind of trouble
@@ -16,13 +16,17 @@ require bit-equal columns and equal metadata, or the same exception type
 and message; and they require the grammar to draw files that each path
 reads.
 
-``block_values`` itself first tries orjson's parser and falls back to
-its split.  Blocks of numbers in every form that the two might read
-apart (random bit patterns, long decimals, exact midpoints, integers,
-``-0``, tokens that overflow or underflow, JSON literals, separators
-that JSON refuses) must give ``oracle.split_block_values``'s values bit
-for bit, or its None, and a spy on ``orjson.loads`` shows that each
-branch is drawn.
+``block_values`` itself has one number reader, orjson's parser, and
+gives None for every block that it refuses, or whose values hold a zero;
+the per-line loop reads each of those.  Blocks of numbers in every form
+that orjson and ``float`` might read apart (random bit patterns, long
+decimals, exact midpoints, integers, ``-0``, tokens that overflow or
+underflow, JSON literals, separators that JSON refuses) must give None
+or ``oracle.split_block_values``'s values bit for bit, each a ``float``
+and in the list that ``orjson.loads`` returned; blocks of rows that JSON
+takes, each number nonzero and finite, must give values; and a spy on
+``orjson.loads`` shows that blocks are drawn that orjson reads and
+``block_values`` takes or refuses.
 """
 
 import math
@@ -276,7 +280,6 @@ def _path_taken(text):
     ("none", "no final newline", "block"),
     ("none", "trailing blank line", "block"),
     ("none", "trailing spaces", "block"),
-    ("odd whitespace", None, "block"),
     ("odd whitespace", None, "lines"),
     ("some commas", None, "lines"),
     ("after the rows", None, "lines"),
@@ -303,7 +306,9 @@ def one_bad_row(draw):
     overflows to inf) or which holds a value that is not positive and
     finite; the path that reads its rows, the format, the bad row's line
     and the start of its message.  The rows are read as one block unless
-    a comment line is drawn among or after them."""
+    a comment line is drawn among or after them, or the bad value is a
+    zero, an infinity or a NaN, which ``block_values`` leaves to the
+    per-line loop."""
     fmt = draw(st.sampled_from(["wall_units", "raw"]))
     n = draw(st.integers(4, 12))
     rows = [[10.0 * (i + 1), 1.0 + i] for i in range(n)]
@@ -321,8 +326,9 @@ def one_bad_row(draw):
         want = "eta must be positive and finite, got inf"
     else:
         column = draw(st.integers(0, 1))
-        rows[i][column] = draw(st.sampled_from(
+        value = draw(st.sampled_from(
             [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]))
+        rows[i][column] = value
         name = (("y", "u") if fmt == "raw" else ("eta", "phi"))[column]
         want = f"{name} must be positive and finite"
     sep = draw(st.sampled_from([" ", "\t", ",", ", "]))
@@ -334,6 +340,8 @@ def one_bad_row(draw):
     path = draw(st.sampled_from(["block", "lines"]))
     if path == "lines":
         body.insert(draw(st.integers(1, n)), "# among the rows")
+    elif fault == "value" and value != -1.0:
+        path = "lines"
     lines = head + body
     bad_line = len(head) + body.index(f"{rows[i][0]!r}{sep}{rows[i][1]!r}")
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -511,9 +519,8 @@ def number_blocks(draw):
 
 def _branch(block):
     """``block_values(block)`` and what gave it: "orjson" when it is the
-    list that ``orjson.loads`` returned, "refused" when the split gave it
-    after orjson had read the block, "split" when orjson had not, and
-    None for None."""
+    list that ``orjson.loads`` returned, "refused" when it is None though
+    orjson read the block, and None otherwise."""
     parsed, real = [], orjson.loads
 
     def loads(text):
@@ -523,10 +530,12 @@ def _branch(block):
     with mock.patch.object(orjson, "loads", loads):
         values = profiles.block_values(block)
     if values is None:
-        return None, None
-    if parsed and values is parsed[0]:
-        return values, "orjson"
-    return values, "refused" if parsed else "split"
+        return None, "refused" if parsed else None
+    return values, "orjson" if parsed and values is parsed[0] else None
+
+
+def _bits(values):
+    return np.array(values).view(np.uint64).tolist()
 
 
 @settings(max_examples=500, deadline=None)
@@ -542,17 +551,43 @@ def _branch(block):
 @example(block="18446744073709551617 1\n2 3")
 @example(block="1 2 3\n4")             # 3n - 1 values, a sentinel misplaced
 def test_block_values_matches_the_split(block):
-    values, _ = _branch(block)
-    want = split_block_values(block)
-    if want is None:
-        assert values is None
-    else:
+    # None, or orjson's list holding the split's values, each a float
+    values, branch = _branch(block)
+    if values is not None:
+        want = split_block_values(block)
+        assert branch == "orjson"
+        assert want is not None
         assert [type(v) for v in values] == [float] * len(want)
-        assert (np.array(values).view(np.uint64).tolist()
-                == np.array(want).view(np.uint64).tolist())
+        assert _bits(values) == _bits(want)
 
 
-@pytest.mark.parametrize("branch", ["orjson", "refused", "split"])
+# a number that JSON takes and float reads as nonzero and finite
+JSON_NUMBER = NUMBER.filter(lambda token: 0 < abs(float(token)) < math.inf)
+
+
+@st.composite
+def json_blocks(draw):
+    """1 to 12 rows of two ``JSON_NUMBER``s, with one separator that JSON
+    takes for the block, ending in nothing, a newline or trailing
+    whitespace."""
+    sep = draw(st.sampled_from([" ", "\t", ",", ", "]))
+    rows = [draw(JSON_NUMBER) + sep + draw(JSON_NUMBER)
+            for _ in range(draw(st.integers(1, 12)))]
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n", " \n\t"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=json_blocks())
+@example(block="18446744073709551617 1\n2 3")   # past 2**64: a float
+@example(block="1e-320, 2E+300\n-5, 6\n \n")
+def test_block_values_takes_every_json_block(block):
+    values, branch = _branch(block)
+    assert branch == "orjson"
+    assert [type(v) for v in values] == [float] * len(values)
+    assert _bits(values) == _bits(split_block_values(block))
+
+
+@pytest.mark.parametrize("branch", ["orjson", "refused"])
 def test_number_blocks_draw_every_branch(branch):
     find(number_blocks(), lambda block: _branch(block)[1] == branch,
          settings=settings(max_examples=2000, database=None, deadline=None,
