@@ -14,7 +14,10 @@ some rows only, blank lines among comma rows, metadata or comments after
 the rows, line endings, trailing blank lines, no final newline) and
 require bit-equal columns and equal metadata, or the same exception type
 and message; and they require the grammar to draw files that each path
-reads.
+reads.  Rows that ``float`` reads but JSON refuses (aligned columns,
+leading whitespace, ``1.``, ``.5``, ``+1``, ``01``, ``1e400``, ``inf``,
+``nan``, ``0``) must each be read by the per-line loop, as the reference
+reads them.
 
 ``block_values`` itself has one number reader, orjson's parser, and
 gives None for every block that it refuses, or whose values hold a zero;
@@ -297,6 +300,43 @@ def test_grammar_draws_both_paths(edit, ending, path):
     find(profile_files(), drawn,    # no shrinking: one such file will do
          settings=settings(max_examples=2000, database=None, deadline=None,
                            phases=[Phase.generate]))
+
+
+# rows that float reads but JSON refuses, so no block is taken
+REFUSED_ROWS = {
+    "aligned columns": ["10  1.5", "20  2.5", "40  3.5", "80  4.5"],
+    "runs of tabs": ["10\t\t1.5", "20\t\t2.5", "40\t\t3.5", "80\t\t4.5"],
+    "leading whitespace": [" 10 1.5", " 20 2.5", "\t40 3.5", " 80 4.5"],
+    "trailing point": ["10. 1.5", "20. 2.5", "40. 3.5", "80. 4."],
+    "leading point": ["10 .5", "20 .75", "40 1.5", "80 2.5"],
+    "plus sign": ["+10 1.5", "20 +2.5", "40 3.5", "80 4.5"],
+    "leading zero": ["010 1.5", "20 02.5", "40 3.5", "80 4.5"],
+    "overflow": ["10 1.5", "20 2.5", "1e400 3.5", "80 4.5"],
+    "infinity": ["10 1.5", "20 2.5", "40 inf", "80 4.5"],
+    "nan": ["10 1.5", "20 2.5", "40 nan", "80 4.5"],
+    "zero": ["10 1.5", "20 2.5", "40 0", "80 4.5"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED_ROWS))
+def test_refused_block_is_read_line_by_line(tmp_path, kind):
+    # the per-line loop reads the rows: the reference's columns, or its
+    # error naming the bad row's line
+    text = "label=x\n" + "\n".join(REFUSED_ROWS[kind]) + "\n"
+    assert _path_taken(text) == "lines"
+    path = tmp_path / "p.dat"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(lambda: load_profile(path))
+    want = _outcome(lambda: reference_load(path, "wall_units"))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got == want
+        assert got[2].startswith("line 4: ")
+    else:
+        assert got[1].metadata == want[1].metadata
+        for name in ("eta", "phi"):
+            assert (getattr(got[1], name).view(np.uint64)
+                    == getattr(want[1], name).view(np.uint64)).all()
 
 
 @st.composite
