@@ -44,7 +44,7 @@ the four log-log columns that ``emit_plotdata`` writes (rendering only,
 as ``format_columns_s``), and ``cli.main`` of ``analyze FILE`` and
 ``batch DIR --out-dir OUT``; then ``scaling.envelope_at`` per call (a sweep
 over ln eta = 5..10 in 50 steps, divided by 50),
-``report.envelope_table((5, 10), 50)``,
+``report.envelope_table()`` (ln eta = 5..10 in 50 steps),
 ``scaling.envelope_curve((2, 30), 2000)``, ``report.format_envelope`` of
 that curve (rendering only) and ``cli.main(ENVELOPE_ARGV)``.
 The commands' output goes to buffers: stdout is the protocol.  Each
@@ -326,8 +326,7 @@ def child(corpus: Path, repeats: int) -> None:
     stages.update({
         "envelope_at_s": lambda: [scaling.envelope_at(x)
                                   for x in ENVELOPE_XS],
-        "envelope_table_5_10_50_s":
-            lambda: report.envelope_table((5.0, 10.0), 50),
+        "envelope_table_5_10_50_s": report.envelope_table,
         "envelope_curve_2_30_2000_s":
             lambda: scaling.envelope_curve((2.0, 30.0), 2000),
         "format_envelope_2_30_2000_s": lambda: report.format_envelope(curve),

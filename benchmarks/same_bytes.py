@@ -9,7 +9,9 @@ wsbench ``lab_batch`` and ``dns_analyze`` corpora with
 are) into a temporary directory, and an aligned copy of the lab corpus:
 each data row re-separated by two spaces, which JSON refuses, so that
 every file is read by the loader's per-line loop, and one row of the
-first file given an ``inf`` phi, which that loop rejects.  Each
+first file given an ``inf`` phi, which that loop rejects; and a faults
+copy of the lab corpus, each file with one fault that the loader
+locates by its line (see ``faults_copy``).  Each
 ``NAME=SRC`` tree then runs, in a child interpreter with
 ``PYTHONPATH=SRC``, ``python -m wallscale batch DIR`` on each corpus
 without and with ``--out-dir OUT``, then ``envelope`` and ``envelope
@@ -57,6 +59,33 @@ def aligned_copy(corpus: Path, copy: Path) -> None:
                                       encoding="utf-8")
 
 
+def faults_copy(corpus: Path, copy: Path) -> None:
+    """Write each file of ``corpus`` to ``copy`` with one fault, the
+    files taking these in turn by name: the middle row's phi made ``-1``
+    (read as a block, then rejected by the profile) or ``0`` (read by the
+    per-line loop, which the zero sends it to), a ``re_theta=-1`` line
+    before the first row (a metadata error), a third field on the middle
+    row (a parse error), or the middle row's eta made the previous row's
+    (an ordering error)."""
+    copy.mkdir()
+    for number, path in enumerate(sorted(corpus.glob("*.dat"))):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [i for i, line in enumerate(lines)
+                if line.strip() and line[0] != "#" and "=" not in line]
+        middle = rows[len(rows) // 2]
+        eta, sep, phi = re.split(r"([ \t,]+)", lines[middle], maxsplit=1)
+        previous = re.split(r"[ \t,]+", lines[rows[len(rows) // 2 - 1]])[0]
+        fault = number % 5
+        if fault == 2:
+            lines.insert(rows[0], "re_theta=-1")
+        else:
+            lines[middle] = [eta + sep + "-1", eta + sep + "0", None,
+                             lines[middle] + sep + phi,
+                             previous + sep + phi][fault]
+        (copy / path.name).write_text("\n".join(lines) + "\n",
+                                      encoding="utf-8")
+
+
 def commands(root: Path, seeds) -> list[tuple[str, list[str]]]:
     """(label, wallscale argv) of each command, writing each seed's
     corpora under ``root``; ``OUT`` stands for the output directory."""
@@ -67,7 +96,8 @@ def commands(root: Path, seeds) -> list[tuple[str, list[str]]]:
         workloads.make_lab(seed, root / f"lab-{seed}")
         workloads.make_dns(seed, root / f"dns-{seed}")
         aligned_copy(root / f"lab-{seed}", root / f"lab-aligned-{seed}")
-        for name in ("lab", "dns", "lab-aligned"):
+        faults_copy(root / f"lab-{seed}", root / f"lab-faults-{seed}")
+        for name in ("lab", "dns", "lab-aligned", "lab-faults"):
             corpus = root / f"{name}-{seed}"
             label = f"seed {seed} {name}: batch"
             out.append((label, ["batch", str(corpus)]))

@@ -2,15 +2,21 @@
 
 
 class WallscaleError(Exception):
-    """Base class for all errors raised by wallscale.  ``row`` is the
-    index, from 0, of the first row of a column that broke a value or
-    order rule, where a check found one (``profiles.check_values``,
-    ``VelocityProfile``), and None otherwise; ``field`` is the name of the
-    ``ProfileMetadata`` field whose value broke its rule, and None
-    otherwise."""
+    """Base class for all errors raised by wallscale.  ``line`` is the
+    number of the text's line at fault, written as ``line N: ...`` (the
+    caller names the file), or None; ``row`` is the index, from 0, of the
+    first row of a column that broke a value or order rule, where a check
+    found one (``profiles.check_values``, ``VelocityProfile``), and None
+    otherwise; ``field`` is the name of the ``ProfileMetadata`` field
+    whose value broke its rule, and None otherwise."""
 
     row = None
     field = None
+
+    def __init__(self, message, line=None):
+        self.line = line
+        super().__init__(message if line is None
+                         else f"line {line}: {message}")
 
 
 class DomainError(WallscaleError, ValueError):
@@ -18,13 +24,7 @@ class DomainError(WallscaleError, ValueError):
 
 
 class ParseError(WallscaleError):
-    """A text could not be parsed; carries the offending line number, named
-    as ``line N: ...``, but not the file, which the caller names."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message if line is None
-                         else f"line {line}: {message}")
+    """A text could not be parsed; it names the offending line."""
 
 
 class InputOutputError(WallscaleError, OSError):

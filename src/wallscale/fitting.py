@@ -7,7 +7,7 @@ velocity profile by the split position with the least total residual sum
 of squares.  Every split is scored once, in O(n), from running sums of
 the centred coordinates, and only the winning split is refitted, so the
 fit is linear in n.  The splits whose scores lie within a tie band delta
-of the least tie, and the tie nearest the middle of the ln eta span wins
+of the least score tie, and the tie nearest the middle of the ln eta span wins
 (``fit_log_broken_line`` states the rule, delta and the bound on the
 scores' rounding error that delta is twice).  An exhaustive search that
 refits both segments at every split and applies the same rule to the

@@ -442,7 +442,7 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     try:
         metadata = ProfileMetadata(**meta_kwargs)
     except ValidationError as exc:
-        raise ValidationError(f"line {meta_lines[exc.field]}: {exc}") from None
+        raise ValidationError(str(exc), meta_lines[exc.field]) from None
     first, second = np.array(values, dtype=np.float64).reshape(-1, 2).T
     try:
         if format == "raw":
@@ -458,7 +458,7 @@ def load_profile(path, format: str = "wall_units") -> VelocityProfile:
     except ValidationError as exc:
         if exc.row is None:
             raise
-        raise ValidationError(f"line {row_lines[exc.row]}: {exc}") from None
+        raise ValidationError(str(exc), row_lines[exc.row]) from None
 
 
 def save_profile(profile: VelocityProfile, path) -> None:
@@ -488,8 +488,7 @@ def format_columns(header: str, *columns) -> str:
     than the rows of a 2-D array; the list's brackets go, the comma after
     each row's last value becomes a newline and every other comma a
     space.  Any other table (no rows, nan, ±inf, or a value ``repr``
-    writes as d.ddde±XX) goes through ``repr``, once per distinct
-    column."""
+    writes as d.ddde±XX) goes through ``repr``."""
     table = np.stack(columns, axis=1, dtype=np.float64)
     magnitude = np.abs(table)
     positional = (magnitude >= 1e-4) & (magnitude < 1e16) | (table == 0)
@@ -501,10 +500,7 @@ def format_columns(header: str, *columns) -> str:
         text[commas] = ord(" ")
         text[commas[len(columns) - 1::len(columns)]] = ord("\n")
         return f"{header}\n{text.tobytes().decode()}\n"
-    distinct = {id(column): column for column in columns}
-    strings = {key: list(map(repr, column.tolist()))
-               for key, column in distinct.items()}
-    rows = zip(*(strings[id(column)] for column in columns), strict=True)
+    rows = zip(*[list(map(repr, column.tolist())) for column in columns])
     return "\n".join([header, *map(" ".join, rows)]) + "\n"
 
 

@@ -326,10 +326,11 @@ def plotdata_names(stem: str) -> list[str]:
             ("_loglog.dat", "_universal.dat", "_shift.dat", "_report.txt")]
 
 
-def envelope_table(ln_eta_range=scaling.DEFAULT_ENVELOPE_RANGE,
-                   n_points: int = scaling.DEFAULT_ENVELOPE_POINTS) -> str:
-    """The envelope tabulated against ``scaling.CLASSICAL_LOG_LAW``."""
-    return format_envelope(scaling.envelope_curve(ln_eta_range, n_points))
+def envelope_table() -> str:
+    """The envelope at scaling's default range and points, tabulated
+    against ``scaling.CLASSICAL_LOG_LAW``."""
+    return format_envelope(scaling.envelope_curve(
+        scaling.DEFAULT_ENVELOPE_RANGE, scaling.DEFAULT_ENVELOPE_POINTS))
 
 
 def format_envelope(curve: scaling.EnvelopeCurve) -> str:

@@ -802,7 +802,8 @@ class TestEnvelope:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "envelope.dat", "envelope.dat.tmp"]
         assert ((tmp_path / "envelope.dat").read_text()
-                == envelope_table((5.0, 10.0), 12))
+                == report.format_envelope(
+                    scaling.envelope_curve((5.0, 10.0), 12)))
 
     def test_out_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -868,7 +869,8 @@ class TestEnvelope:
         captured = capsys.readouterr()
         line = scaling.envelope_line_fit((lo, hi), n)
         assert fits[0] == line
-        assert captured.out == envelope_table((lo, hi), n)
+        assert captured.out == report.format_envelope(
+            scaling.envelope_curve((lo, hi), n))
         assert captured.err == (f"effective log law: kappa={line.kappa:.4f} "
                                 f"C={line.c_offset:.4f}\n")
 

@@ -118,6 +118,11 @@ EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
 # What makes a row one that the profile rejects; one file in four draws one.
 REJECTED = ("swapped", "duplicated", "non-positive", "overflowing")
 NON_POSITIVE = st.sampled_from(["0", "-0.0", "-1.5", "-1e-300"])
+# Metadata values that ProfileMetadata rejects; about one file in four
+# draws one.
+REJECTED_METADATA = st.sampled_from([
+    "re_theta=-1", "u_star=0", "nu=inf", "U=nan", "turbulence_level=-0.0",
+    "label=a\u2028b"])
 ENDINGS = {"newline": "\n", "no final newline": "",
            "trailing blank line": "\n\n", "trailing spaces": "\n \x85 \n"}
 
@@ -145,7 +150,10 @@ def profile_files(draw):
     rejects (``REJECTED``): two rows swapped, a row written twice, a
     number that is not positive, or a first number of 1e308, which
     overflows to an infinite eta in ``raw``; such a file's metadata gives
-    ``u_star`` and ``nu``, so that ``raw`` reads its rows too."""
+    ``u_star`` and ``nu``, so that ``raw`` reads its rows too.  Drawn
+    apart, one file in three (about one in four as hypothesis draws) gets
+    as its last line before the rows a metadata value that
+    ``ProfileMetadata`` rejects (``REJECTED_METADATA``)."""
     rows = draw(CLEAN)
     rejected = None
     if draw(st.sampled_from([False, False, False, True])):
@@ -204,6 +212,8 @@ def profile_files(draw):
     lines = draw(st.lists(METADATA, max_size=3))
     if rejected:
         lines += ["u_star=0.05", "nu=1.5e-5"]
+    if draw(st.sampled_from([False, False, True])):
+        lines.append(draw(REJECTED_METADATA))
     if edit == "after the rows":
         rows.insert(draw(st.integers(1, len(rows))),
                     draw(METADATA | st.sampled_from(["# comment", "#"])))
@@ -300,6 +310,27 @@ def test_grammar_draws_both_paths(edit, ending, path):
     find(profile_files(), drawn,    # no shrinking: one such file will do
          settings=settings(max_examples=2000, database=None, deadline=None,
                            phases=[Phase.generate]))
+
+
+def test_grammar_draws_rejected_metadata():
+    # the fuzz reaches ProfileMetadata's rules: of the 200 files drawn,
+    # 13 parse and are refused for a metadata value (none without
+    # REJECTED_METADATA); at least 5 must be
+    refused = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              phases=[Phase.generate])
+    @given(case=profile_files())
+    def draw(case):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "p.dat"
+            path.write_text(case[0], encoding="utf-8", newline="")
+            outcome = _outcome(lambda: reference_load(path, "wall_units"))
+        refused.append(outcome[0] == "error" and re.match(
+            r"line \d+: (metadata field|label must)", outcome[2]) is not None)
+
+    draw()
+    assert len(refused) == 200 and sum(refused) >= 5
 
 
 # rows that float reads but JSON refuses, so no block is taken
@@ -399,6 +430,7 @@ def test_rejected_row_names_its_line(tmp_path, case):
         warnings.simplefilter("error")
         load_profile(file, fmt)
     assert str(info.value).startswith(f"line {line}: {want}")
+    assert info.value.line == line
 
 
 @SETTINGS
@@ -425,6 +457,7 @@ def test_rejected_metadata_names_its_last_line(tmp_path, values, key,
     assert str(info.value) == (
         f"line {last}: metadata field {field} must be positive and finite, "
         f"got {float(values[-1])!r}")
+    assert info.value.line == last
 
 
 @st.composite

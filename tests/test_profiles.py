@@ -336,8 +336,10 @@ class TestLoadProfile:
         path = tmp_path / "bad.dat"
         path.write_text("40 9.8\n80 10.9\n160 12.1\n")
         with pytest.raises(ValidationError,
-                           match="^profile needs at least 4 samples, got 3$"):
+                           match="^profile needs at least 4 samples, got 3$"
+                           ) as err:
             load_profile(path)
+        assert err.value.line is None
 
     @pytest.mark.parametrize("fmt", ["wall_units", "raw"])
     def test_not_utf8_is_parse_error(self, tmp_path, fmt):
@@ -485,11 +487,14 @@ def float_columns(draw):
 
 
 TWICE = np.array([-0.0, 5e-324, 1.5, -1.7976931348623157e308])
+POSITIONAL_TWICE = TWICE[::2]       # -0.0 and 1.5, which orjson renders
 
 
 @settings(max_examples=200, deadline=None)
 @example(header="x x", columns=[TWICE, TWICE])   # one column passed twice
 @example(header="x x", columns=[TWICE[2:], TWICE[2:]])
+@example(header="x y x", columns=[POSITIONAL_TWICE, POSITIONAL_TWICE[::-1],
+                                  POSITIONAL_TWICE])
 @example(header="h", columns=[np.empty(0)])      # a table of no rows
 @example(header="h", columns=[np.empty(0), np.empty(0)])
 @given(header=st.lists(st.text("abc #=_", min_size=1), min_size=1,

@@ -30,7 +30,7 @@ from wallscale import (AnalysisReport, AnalyzeOptions, FitError, ParseError,
                        significant_break)
 from wallscale.diagnostics import universal_series
 from wallscale.fitting import fit_log_broken_line
-from wallscale.report import envelope_table, report_from_text, report_to_text
+from wallscale.report import format_envelope, report_from_text, report_to_text
 from wallscale.scaling import grid
 
 from odd_values import LABEL, LINE_BREAKS
@@ -177,7 +177,8 @@ ETA = np.exp(np.linspace(1.0, 3.0, 20))
     (lambda c: fit_broken_line(ETA, ETA, c), 3, FitError),
     (lambda c: envelope_curve((1.0, 2.0), c), 10, ValidationError),
     (lambda c: envelope_line_fit((1.0, 2.0), c), 10, ValidationError),
-    (lambda c: envelope_table((1.0, 2.0), c), 10, ValidationError),
+    (lambda c: format_envelope(envelope_curve((1.0, 2.0), c)), 10,
+     ValidationError),
     (lambda c: grid(1.0, 2.0, c), 10, ValidationError),
     (lambda c: generate(SynthSpec(**{**SPEC, "n_points": c})), 20,
      ValidationError),
@@ -189,7 +190,7 @@ ETA = np.exp(np.linspace(1.0, 3.0, 20))
                                AnalyzeOptions(min_seg=c)), 3,
      ValidationError),
 ], ids=["fit_broken_line.min_seg", "envelope_curve", "envelope_line_fit",
-        "envelope_table", "grid", "SynthSpec.n_points", "SynthSpec.seed",
+        "format_envelope", "grid", "SynthSpec.n_points", "SynthSpec.seed",
         "SynthSpec.plateau_points", "generate_ensemble",
         "AnalyzeOptions.min_seg"])
 @pytest.mark.parametrize("bad", [10.5, True, "10", None])

@@ -290,9 +290,10 @@ class TestPlotData:
 
 class TestEnvelopeTable:
     def test_columns_and_agreement(self):
-        lines = envelope_table((5.0, 10.0), 20).splitlines()
+        lines = envelope_table().splitlines()
         assert lines[0] == "ln_eta phi_env ln_re_touch log_law"
-        assert len(lines) == 21
+        assert len(lines) == 51
+        assert [float(lines[i].split()[0]) for i in (1, -1)] == [5.0, 10.0]
         for line in lines[1:]:
             ln_eta, phi_env, touch, log_law = map(float, line.split())
             assert log_law == pytest.approx(ln_eta / 0.4 + 5.1, rel=1e-12)
