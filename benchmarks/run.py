@@ -41,7 +41,11 @@ it; the stage keeps its name ``fit_broken_line_s``), the universal series
 ``analyze_profile`` uses, as ``build_universal_series_s``),
 ``analyze_profile``, ``emit_plotdata``, ``profiles.format_columns`` of
 the four log-log columns that ``emit_plotdata`` writes (rendering only,
-as ``format_columns_s``), and ``cli.main`` of ``analyze FILE`` and
+as ``format_columns_s``), the tree's column logarithm of ``p0.dat``'s eta
+and its column exponential of the n ln eta of the corpus's grid
+(``log_column_s`` and ``exp_column_s``: ``profiles.ieee_log`` and
+``ieee_exp`` where the tree has them, else ``profiles.libm_column`` of
+``math.log`` and ``math.exp``), and ``cli.main`` of ``analyze FILE`` and
 ``batch DIR --out-dir OUT``; then ``scaling.envelope_at`` per call (a sweep
 over ln eta = 5..10 in 50 steps, divided by 50),
 ``report.envelope_table()`` (ln eta = 5..10 in 50 steps),
@@ -79,9 +83,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import resource
@@ -272,6 +278,15 @@ def child(corpus: Path, repeats: int) -> None:
                              "exhaustive search")
         return inter, fit, calls
 
+    def column_function(name, libm):
+        """The tree's own column function: ``profiles.<name>``, or
+        ``libm_column`` of ``libm`` in a tree without it."""
+        if hasattr(profiles, name):
+            return getattr(profiles, name)
+        return functools.partial(profiles.libm_column, libm)
+
+    log_column = column_function("ieee_log", math.log)
+    exp_column = column_function("ieee_exp", math.exp)
     counts, stages = {}, {}
     out = Path(tempfile.mkdtemp(dir=corpus))    # removed with the corpus
     fresh = itertools.count()
@@ -290,6 +305,7 @@ def child(corpus: Path, repeats: int) -> None:
         k = bundle.fit.split_index
         alpha = scaling.alpha_of_ln_re(bundle.report.ln_re)
         ln_eta = bundle.profile.ln_eta
+        ln_grid = np.linspace(1.0, 10.0, n)
         loglog = (ln_eta, bundle.profile.ln_phi,
                   bundle.fit.region1.ln_phi_at(ln_eta),
                   bundle.fit.region2.ln_phi_at(ln_eta))
@@ -313,6 +329,8 @@ def child(corpus: Path, repeats: int) -> None:
                                                      stem=f"n{n}"),
             "format_columns_s": lambda: profiles.format_columns(
                 "ln_eta ln_phi fit_region1 fit_region2", *loglog),
+            "log_column_s": lambda: log_column(profile.eta),
+            "exp_column_s": lambda: exp_column(ln_grid),
             "cli_analyze_s": lambda: run_cli("analyze", str(path)),
             "cli_batch_s": lambda: run_cli("batch", str(folder),
                                            "--out-dir", new_dir()),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .profiles import (as_columns, check_real, check_values, freeze_columns,
-                       libm_column)
+                       ieee_exp, ieee_log)
 from .scaling import SQRT3, alpha_of_ln_re
 
 DEFAULT_CONSISTENCY_TOL = 0.03
@@ -111,11 +111,11 @@ def combine_reynolds(ln_re1: float, ln_re2: float,
     if re_theta is not None:
         re_theta = check_real("re_theta", re_theta, DomainError)
         check_values(DomainError, "positive and finite", re_theta=re_theta)
-        try:
-            ratio = re_theta / math.exp(mean)
-        except OverflowError:
+        re = ieee_exp(mean)
+        if re == math.inf:
             raise DomainError(f"ln Re = {mean!r} is too large: exp(ln Re) "
-                              "overflows, so Re_theta/Re has no value") from None
+                              "overflows, so Re_theta/Re has no value")
+        ratio = re_theta / re
     return ReynoldsDiagnostics(
         ln_re1=ln_re1,
         ln_re2=ln_re2,
@@ -140,7 +140,7 @@ def psi_transform(phi: float, alpha: float) -> float:
     if not 0 < argument < math.inf:
         raise DomainError(f"psi has no value at phi={phi!r}, alpha={alpha!r}:"
                           f" its log argument is {argument!r}")
-    return math.log(argument) / alpha
+    return ieee_log(argument) / alpha
 
 
 def _row_sum(column: np.ndarray) -> float:
@@ -157,8 +157,8 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
     ln eta - psi is the turbulence-shift abscissa: 0 for a point on the
     law with this alpha, positive below the bisectrix, which is where
     free-stream turbulence or roughness moves a point.  One columnar pass
-    (libm ``math.log``, sums left to right in row order, so the same on
-    every Python, squares as products, not libm ``pow``) gives the
+    (``profiles.ieee_log``, sums left to right in row order, so the same
+    on every Python, squares as products, not libm ``pow``) gives the
     per-point values bit for bit; the first sample ``psi_transform``
     rejects raises its error.  No samples, or a tiny alpha for which psi
     or the rms scatter overflows, is a DomainError."""
@@ -174,7 +174,7 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
             # the scalar reference raises the error of the first bad sample
             psi_transform(phi[valid.argmin() if alpha > 0 else 0].item(),
                           alpha)
-        psi = libm_column(math.log, argument) / alpha
+        psi = ieee_log(argument) / alpha
         deviations = ln_eta - psi
         mean_shift = _row_sum(deviations) / len(deviations)
         centred = deviations - mean_shift
@@ -187,13 +187,13 @@ def universal_series(ln_eta: np.ndarray, phi: np.ndarray,
 
 
 def build_universal_series(eta, phi, alpha: float) -> UniversalSeries:
-    """``universal_series`` of the libm ``math.log`` of eta; no samples,
+    """``universal_series`` of ``profiles.ieee_log`` of eta; no samples,
     columns of two lengths or an eta that is not positive, then one that
     is not finite, is a DomainError."""
     eta, phi = as_columns(DomainError, eta=eta, phi=phi)
     check_values(DomainError, "positive", eta=eta)
     check_values(DomainError, "finite", eta=eta)
-    return universal_series(libm_column(math.log, eta), phi, alpha)
+    return universal_series(ieee_log(eta), phi, alpha)
 
 
 def classify_shift(series: UniversalSeries,

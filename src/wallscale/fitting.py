@@ -17,7 +17,7 @@ by definition: that is the fit's resolution limit.
 
 The fits read log columns: ``fit_log_broken_line`` takes ln eta and
 ln phi as ``select_intermediate`` hands them on, and ``fit_broken_line``
-takes the libm logarithms of eta and phi and calls it.
+takes ``profiles.ieee_log`` of eta and phi and calls it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, ValidationError
 from .profiles import (as_columns, check_count, check_real, check_values,
-                       libm_column, real_or_column)
+                       ieee_exp, ieee_log, real_or_column)
 
 # Absolute floor added to the combined exponent uncertainty so that
 # machine-noise-level stderr from noiseless data cannot flag a break.
@@ -54,7 +54,7 @@ class PowerLawSegment:
     def ln_phi_at(self, ln_eta):
         (ln_eta,) = real_or_column(DomainError, ln_eta=ln_eta)
         with np.errstate(over="ignore"):
-            return math.log(self.prefactor) + self.exponent * ln_eta
+            return ieee_log(self.prefactor) + self.exponent * ln_eta
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,7 @@ def fit_power_law(ln_eta, ln_phi) -> PowerLawSegment:
         raise FitError(f"power-law fit needs at least 3 points, got {n}")
     slope, intercept, rss, sxx = _ols(ln_eta, ln_phi)
     stderr = math.sqrt(max(rss, 0.0) / (n - 2) / sxx)
-    try:
-        prefactor = math.exp(intercept)
-    except OverflowError:
-        prefactor = math.inf
+    prefactor = ieee_exp(intercept)
     if not 0.0 < prefactor < math.inf:
         raise FitError(f"fitted prefactor exp({intercept!r}) is outside the "
                        "float range")
@@ -232,7 +229,7 @@ def fit_log_broken_line(ln_eta: np.ndarray, ln_phi: np.ndarray,
     seg2 = fit_power_law(ln_eta[k:], ln_phi[k:])
     break_ln_eta = boundary[nearest]
     if seg1.exponent != seg2.exponent:
-        xi = ((math.log(seg1.prefactor) - math.log(seg2.prefactor))
+        xi = ((ieee_log(seg1.prefactor) - ieee_log(seg2.prefactor))
               / (seg2.exponent - seg1.exponent))
         if ln_eta[0] <= xi <= ln_eta[-1]:
             break_ln_eta = xi
@@ -247,15 +244,15 @@ def fit_log_broken_line(ln_eta: np.ndarray, ln_phi: np.ndarray,
 
 
 def fit_broken_line(eta, phi, min_seg: int = DEFAULT_MIN_SEG) -> BrokenLineFit:
-    """``fit_log_broken_line`` of the libm ``math.log`` of two positive
+    """``fit_log_broken_line`` of ``profiles.ieee_log`` of two positive
     columns of one length.  Columns of two lengths are a FitError, and a
     value that is not positive (nan included) or not finite a
     DomainError."""
     eta, phi = as_columns(FitError, eta=eta, phi=phi)
     check_values(DomainError, "positive", eta=eta, phi=phi)
     check_values(DomainError, "finite", eta=eta, phi=phi)
-    return fit_log_broken_line(libm_column(math.log, eta),
-                               libm_column(math.log, phi), min_seg)
+    ln_eta, ln_phi = ieee_log(np.array((eta, phi)))
+    return fit_log_broken_line(ln_eta, ln_phi, min_seg)
 
 
 def significant_break(fit: BrokenLineFit, z: float = 2.0) -> bool:

@@ -230,15 +230,94 @@ def check_pair(name: str, value, error=ValidationError) -> tuple:
             check_real(f"{name}[1]", second, error))
 
 
-def libm_column(fn, column) -> np.ndarray:
-    """``fn`` (libm's ``math.log`` or ``math.exp``) applied to each value
-    of a float64 array.  Every log and exp on the value path goes through
-    here, the sublayer cut's included (``select_intermediate``): numpy's
-    own pick a SIMD loop by CPU, and some differ from libm in the last
-    bit, so output bytes would depend on the host."""
-    values = np.asarray(column, dtype=np.float64)
-    return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
-                       values.size).reshape(values.shape)
+# fdlibm's e_log.c and e_exp.c (Sun, 1993): ln 2 split so that k * _LN2_HI
+# is exact for every exponent k, and their minimax polynomials.
+_LN2_HI = 6.93147180369123816490e-01      # 0x3fe62e42fee00000
+_LN2_LO = 1.90821492927058770002e-10      # 0x3dea39ef35793c76
+_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
+    6.666666666666735130e-01, 3.999999999940941908e-01,
+    2.857142874366239149e-01, 2.222219843214978396e-01,
+    1.818357216161805012e-01, 1.531383769920937332e-01,
+    1.479819860511658591e-01)
+_P1, _P2, _P3, _P4, _P5 = (
+    1.66666666666666019037e-01, -2.77777777770155933842e-03,
+    6.61375632143793436117e-05, -1.65339022054652515390e-06,
+    4.13813679705723846039e-08)
+_INV_LN2 = 1.44269504088896338700e+00     # 0x3ff71547652b82fe
+_SQRT_HALF = 0.7071067811865476
+# exp(x) is inf above 709.79 and 0 below -745.14; clamped here, x keeps
+# its result and k * _LN2_HI stays exact
+_EXP_LOW, _EXP_HIGH = -746.0, 710.0
+
+
+def ieee_log(x):
+    """ln x of a positive finite float, or of each value of a float64
+    array of them, the same bits on every host.
+
+    fdlibm's ``__ieee754_log`` with one branch: x = 2**k (1 + f), with
+    1 + f in [sqrt(1/2), sqrt(2)) by exact ``frexp`` and ``ldexp``,
+    s = f / (2 + f), R(s*s) its minimax polynomial, and
+    ln x = k ln2_hi - ((f*f/2 - (s (f*f/2 + R) + k ln2_lo)) - f), the
+    form fdlibm keeps for its larger |f|, for every f.  A float goes
+    through ``math.frexp``/``math.ldexp``, an array through numpy's, and
+    then both through the same +, -, * and /, which round the same on
+    every CPU (numpy fuses none), so the two give the same bits; numpy's
+    own ``log`` and libm's pick a build by the CPU's features.  Within
+    1 ulp of libm's ``math.log`` (tested).  Any other x (0, a
+    negative, inf, nan) gives an unspecified value: every caller checks
+    its values first."""
+    if isinstance(x, np.ndarray):
+        m, e = np.frexp(x)
+        low = m < _SQRT_HALF
+        f = np.ldexp(m, low) - 1.0
+    else:
+        m, e = math.frexp(x)
+        low = m < _SQRT_HALF
+        f = math.ldexp(m, low) - 1.0
+    k = e - low
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = (z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7)))
+         + w * (_LG2 + w * (_LG4 + w * _LG6)))
+    hfsq = 0.5 * f * f
+    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+
+
+def ieee_exp(x):
+    """e**x of a float, or of each value of a float64 array, the same
+    bits on every host.
+
+    fdlibm's ``__ieee754_exp`` with one branch: k = rint(x / ln 2),
+    r = (x - k ln2_hi) - k ln2_lo, c = r - r*r P(r*r), and
+    e**x = 2**k (1 - ((k ln2_lo - r c / (2 - c)) - (x - k ln2_hi))), the
+    power of two applied by an exact ``ldexp`` that rounds once where the
+    result is subnormal.  A float goes through ``round`` and
+    ``math.ldexp``, an array through numpy's ``rint`` and ``ldexp``, and
+    both through the same +, -, * and /, so the two give the same bits.
+    Within 1 ulp of libm's ``math.exp`` (tested), and finite exactly
+    where it is: inf where it overflows (an array sets numpy's overflow
+    flag, as ``np.exp`` does), 0 where it underflows past the
+    subnormals, and nan for nan."""
+    array = isinstance(x, np.ndarray)
+    if array:
+        x = np.minimum(np.maximum(x, _EXP_LOW), _EXP_HIGH)     # nan stays
+        k = np.rint(np.fmax(x, _EXP_LOW) * _INV_LN2)          # nan: any k
+    else:
+        x = _EXP_HIGH if x > _EXP_HIGH else _EXP_LOW if x < _EXP_LOW else x
+        k = round(x * _INV_LN2) if x == x else 0
+    hi = x - k * _LN2_HI
+    lo = k * _LN2_LO
+    r = hi - lo
+    t = r * r
+    c = r - t * (_P1 + t * (_P2 + t * (_P3 + t * (_P4 + t * _P5))))
+    y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi)
+    if array:
+        return np.ldexp(y, k.astype(np.int32))
+    try:
+        return math.ldexp(y, k)
+    except OverflowError:       # where np.ldexp gives inf
+        return math.inf
 
 
 def read_lines(path):
@@ -561,7 +640,7 @@ def check_not_input(input, *outputs) -> None:
 
 DEFAULT_LG_ETA_MIN = 1.5
 DEFAULT_PLATEAU_TOL = 0.002
-_LN10 = math.log(10.0)
+_LN10 = ieee_log(10.0)
 
 
 def select_intermediate(profile: VelocityProfile,
@@ -570,15 +649,16 @@ def select_intermediate(profile: VelocityProfile,
                         ) -> VelocityProfile:
     """Excise the viscous sublayer and the trailing free-stream plateau.
 
-    Samples whose libm ln eta is at most ``lg_eta_min * ln 10`` are
-    dropped (a product that overflows to +-inf drops every sample or
+    Samples whose ln eta (``ieee_log``) is at most ``lg_eta_min * ln 10``
+    are dropped (a product that overflows to +-inf drops every sample or
     none); within a few ulp of the edge that can differ from comparing
     log10(eta) with lg_eta_min.  The trailing plateau is the maximal
     suffix whose phi lies within phi_plateau_tol * max(phi) of the
     running maximum with nonpositive forward slope in (ln eta, ln phi);
     those samples corrupt region-II fits and are dropped as well.  ln eta
-    is taken once for every sample and ln phi once for those past the
-    cut; both are handed on as the result's ``ln_eta`` and ``ln_phi``.
+    and ln phi are taken once for every sample, in one ``ieee_log`` call
+    over both columns, and the kept ones are handed on as the result's
+    ``ln_eta`` and ``ln_phi``.
 
     Raises ValidationError if fewer than 4 samples survive, or if
     ``lg_eta_min`` is not finite or ``phi_plateau_tol`` is not >= 0 (an
@@ -588,10 +668,10 @@ def select_intermediate(profile: VelocityProfile,
                  lg_eta_min=check_real("lg_eta_min", lg_eta_min))
     check_values(ValidationError, ">= 0", phi_plateau_tol=check_real(
         "phi_plateau_tol", phi_plateau_tol))
-    ln_eta = libm_column(math.log, profile.eta)
+    ln_eta, ln_phi = ieee_log(np.array((profile.eta, profile.phi)))
     above = ln_eta > lg_eta_min * _LN10
-    eta, phi, ln_eta = profile.eta[above], profile.phi[above], ln_eta[above]
-    ln_phi = libm_column(math.log, phi)
+    eta, phi = profile.eta[above], profile.phi[above]
+    ln_eta, ln_phi = ln_eta[above], ln_phi[above]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.diff(ln_phi) / np.diff(ln_eta)
     with np.errstate(over="ignore"):    # a huge tolerance is an inf band

@@ -15,11 +15,11 @@ test instead of the strict tolerances.  See KNOWN_PRINT_DISCREPANCIES.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .diagnostics import (combine_reynolds, ln_re1_from_prefactor,
                           ln_re2_from_exponent)
+from .profiles import ieee_exp
 
 # Strict tolerances for the recomputation checks.
 TOL_LN_RE1 = 0.01
@@ -194,8 +194,8 @@ def _interval_roundoff_feasible(row: ReferenceRow) -> bool:
             or mean_lo > row.ln_re + _HALF_ULP_2DEC + TOL_LN_RE_MEAN):
         return False
 
-    ratio_lo = row.re_theta / math.exp(mean_hi)
-    ratio_hi = row.re_theta / math.exp(mean_lo)
+    ratio_lo = row.re_theta / ieee_exp(mean_hi)
+    ratio_hi = row.re_theta / ieee_exp(mean_lo)
     if (ratio_hi < row.re_theta_over_re - TOL_RATIO
             or ratio_lo > row.re_theta_over_re + TOL_RATIO):
         return False

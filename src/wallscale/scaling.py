@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, FitError, ValidationError
 from .fitting import _ols
 from .profiles import (as_columns, check_count, check_pair, check_real,
-                       check_values, freeze_columns, libm_column,
+                       check_values, freeze_columns, ieee_exp, ieee_log,
                        real_or_column)
 
 SQRT3 = math.sqrt(3.0)
@@ -108,23 +108,29 @@ def scaling_law_phi(eta, ln_re):
     """Evaluate the scaling law (ln Re/sqrt(3) + 5/2) * eta**(3/(2 ln Re)).
 
     Accepts real numbers or columns of one length; two numbers return a
-    float.  A value of the law that overflows is a DomainError.
+    float.  eta**alpha is ``ieee_exp(alpha * ieee_log(eta))``, never
+    numpy's ``power``, whose loop numpy picks by the CPU.  An eta that is
+    not positive and finite is a DomainError, and so is a value of the
+    law that overflows or has none (eta = 1 with an alpha that is inf).
     """
     eta, ln_re = real_or_column(DomainError, eta=eta, ln_re=ln_re)
-    check_values(DomainError, "positive", eta=eta)
-    with np.errstate(over="ignore"):
-        out = prefactor_of_ln_re(ln_re) * np.power(eta, alpha_of_ln_re(ln_re))
+    check_values(DomainError, "positive and finite", eta=eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = prefactor_of_ln_re(ln_re) * ieee_exp(
+            alpha_of_ln_re(ln_re) * ieee_log(eta))
     if not np.all(out < math.inf):
         raise DomainError("the scaling law overflows")
     return float(out) if np.ndim(out) == 0 else out
 
 
 def log_law_phi(eta, params: LogLawParams):
-    """Evaluate the logarithmic law ln(eta)/kappa + c_offset."""
+    """Evaluate the logarithmic law ln(eta)/kappa + c_offset, with ln eta
+    by ``ieee_log``; an eta that is not positive and finite is a
+    DomainError."""
     (eta,) = real_or_column(DomainError, eta=eta)
-    check_values(DomainError, "positive", eta=eta)
+    check_values(DomainError, "positive and finite", eta=eta)
     with np.errstate(over="ignore", invalid="ignore"):  # a subnormal kappa
-        out = libm_column(math.log, eta) / params.kappa + params.c_offset
+        out = ieee_log(eta) / params.kappa + params.c_offset
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -157,8 +163,8 @@ def solve_envelope(ln_eta: np.ndarray) -> EnvelopeCurve:
     is the touch point, and the envelope is (L*/sqrt(3) + 5/2) *
     exp(1.5 x / L*).  Both terms of the sum are positive, so it cannot
     cancel.  numpy's + - * / and sqrt round correctly, as Python's do, and
-    exp is ``math.exp`` (libm) per point through ``profiles.libm_column``,
-    so every value is the scalar formula's, bit for bit.
+    exp is ``profiles.ieee_exp``, whose array and float paths agree, so
+    every value is the scalar formula's, bit for bit.
     Above ln eta of about 8.9e153 the square overflows: the first such
     abscissa is a DomainError, without a numpy warning first.
     """
@@ -170,7 +176,7 @@ def solve_envelope(ln_eta: np.ndarray) -> EnvelopeCurve:
         raise DomainError(f"ln_eta must be below about 8.9e153 for a finite "
                           f"envelope touch point, got "
                           f"{x[overflow.argmax()].item()!r}")
-    growth = libm_column(math.exp, 1.5 * x / touch)
+    growth = ieee_exp(1.5 * x / touch)
     return EnvelopeCurve(ln_eta=x, phi_env=prefactor_of_ln_re(touch) * growth,
                          ln_re_touch=touch)
 

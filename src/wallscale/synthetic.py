@@ -22,11 +22,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .profiles import (ProfileMetadata, VelocityProfile, check_count,
-                       check_pair, check_real, check_values, libm_column,
+                       check_pair, check_real, check_values, ieee_exp,
                        read_key_values, read_lines)
 from .scaling import alpha_of_ln_re, grid, prefactor_of_ln_re
-
-_LN_MAX = math.log(np.finfo(float).max)    # the largest x with a finite exp
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,9 @@ class SynthSpec:
                  self.break_ln_eta * (self.alpha - self.beta)),
                 ("the shift factor exp(-alpha * shift)",
                  -self.alpha * self.shift)):
-            try:
-                math.exp(exponent)
-            except OverflowError:
+            if ieee_exp(exponent) == math.inf:
                 raise ValidationError(f"{name} overflows: exponent "
-                                      f"{exponent!r} is too large") from None
+                                      f"{exponent!r} is too large")
         ProfileMetadata(label=self.label)   # a label must be one line
 
     @property
@@ -102,32 +98,27 @@ def generate(spec: SynthSpec) -> VelocityProfile:
     alpha = spec.alpha
     a = spec.prefactor
     # Continuity at the break: B = A * exp(break * (alpha - beta)).
-    b = a * math.exp(spec.break_ln_eta * (alpha - spec.beta))
+    b = a * ieee_exp(spec.break_ln_eta * (alpha - spec.beta))
     inner = ln_eta < spec.break_ln_eta
     # A phi that overflows to inf, or is nan as 0 * inf (a prefactor b
     # that underflows to 0 times an exp that overflows), is reported by
     # VelocityProfile's check, without a numpy warning first.
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.where(inner, a, b) * _exp(
+        phi = np.where(inner, a, b) * ieee_exp(
             np.where(inner, alpha, spec.beta) * ln_eta)
         if spec.shift != 0.0:
-            phi = np.where(inner, phi * math.exp(-alpha * spec.shift), phi)
+            phi = np.where(inner, phi * ieee_exp(-alpha * spec.shift), phi)
         if spec.noise_sigma > 0.0:
             rng = np.random.default_rng(spec.seed)
-            phi = phi * _exp(rng.normal(0.0, spec.noise_sigma,
-                                        spec.n_points))
+            phi = phi * ieee_exp(rng.normal(0.0, spec.noise_sigma,
+                                            spec.n_points))
     if spec.plateau_points > 0:
         phi[-spec.plateau_points:] = phi[-spec.plateau_points - 1]
 
     label = spec.label or (f"synth lnRe={spec.ln_re:g} beta={spec.beta:g} "
                            f"seed={spec.seed}")
-    return VelocityProfile(libm_column(math.exp, ln_eta), phi,
+    return VelocityProfile(ieee_exp(ln_eta), phi,
                            ProfileMetadata(label=label))
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    # math.exp raises OverflowError where exp(x) is inf, and exp(inf) = inf
-    return libm_column(math.exp, np.where(x > _LN_MAX, math.inf, x))
 
 
 def generate_ensemble(spec: SynthSpec, n_realizations: int) -> list[VelocityProfile]:

@@ -1,8 +1,8 @@
 """Slow reference implementations that wallscale is checked against.
 
 Each function redoes one stage of the pipeline, or all of it
-(``analyze``), the slow way: value by value, with per-value ``math``
-calls, the package's scalar formulas and Python loops, or by brute force
+(``analyze``), the slow way: value by value, with ``log`` and ``exp``
+below, the package's scalar formulas and Python loops, or by brute force
 (``exhaustive_broken_line``, ``grid_envelope``), never with the columnar
 code it checks; ``ols`` keeps the ``ndarray.mean`` and ``np.sum`` form
 that ``fitting._ols`` replaced.  The tests compare the package with them,
@@ -19,6 +19,7 @@ interpreter can import it; ``exhaustive_broken_line`` uses only the public
 
 import itertools
 import math
+import struct
 import sys
 
 import numpy as np
@@ -36,10 +37,98 @@ from wallscale.report import ALPHA_SOURCE_MEAN
 SQRT3 = math.sqrt(3.0)
 
 
+# --- the logarithm and the exponential --------------------------------------
+# fdlibm's e_log.c and e_exp.c (Sun, 1993) as ``profiles.ieee_log`` and
+# ``ieee_exp`` take them, one float at a time and by fdlibm's own means: the
+# exponent and mantissa read from the bits, 2**k added to the exponent
+# field, and the constants given by their bits, not by the package's
+# decimals.  Python's + - * / and ``round`` are IEEE 754's, so these give
+# the package's bits wherever they are right.
+
+def _bits(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+LN2_HI = _float(0x3FE62E42_FEE00000)
+LN2_LO = _float(0x3DEA39EF_35793C76)
+LG = [_float(bits) for bits in (
+    0x3FE55555_55555593, 0x3FD99999_9997FA04, 0x3FD24924_94229359,
+    0x3FCC71C5_1D8E78AF, 0x3FC74664_96CB03DE, 0x3FC39A09_D078C69F,
+    0x3FC2F112_DF3E5244)]
+P = [_float(bits) for bits in (
+    0x3FC55555_5555553E, 0xBF66C16C_16BEBD93, 0x3F11566A_AF25DE2C,
+    0xBEBBBD41_C5D26BF1, 0x3E663769_72BEA4D0)]
+INV_LN2 = _float(0x3FF71547_652B82FE)
+SQRT2 = _float(0x3FF6A09E_667F3BCD)             # sqrt(2) rounded
+O_THRESHOLD = _float(0x40862E42_FEFA39EF)       # exp is inf above it
+U_THRESHOLD = _float(0xC0874910_D52D3051)       # and 0 below this
+TWO54 = _float(0x43500000_00000000)
+TWOM1000 = _float(0x01700000_00000000)
+MANTISSA = (1 << 52) - 1
+
+
+def log(x):
+    """ln x of a positive finite float: x = 2**k m, m in [1, sqrt 2) or
+    [sqrt(1/2), 1), read from the bits (a subnormal scaled by 2**54
+    first), f = m - 1, s = f / (2 + f), and fdlibm's larger-|f| form
+    for every f."""
+    k = 0
+    if _bits(x) >> 52 == 0:             # subnormal
+        x *= TWO54
+        k = -54
+    bits = _bits(x)
+    k += (bits >> 52) - 1023
+    m = _float(bits & MANTISSA | (1023 << 52))
+    if m >= SQRT2:
+        m = _float(bits & MANTISSA | (1022 << 52))
+        k += 1
+    f = m - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    lg1, lg2, lg3, lg4, lg5, lg6, lg7 = LG
+    r = (z * (lg1 + w * (lg3 + w * (lg5 + w * lg7)))
+         + w * (lg2 + w * (lg4 + w * lg6)))
+    hfsq = 0.5 * f * f
+    dk = float(k)
+    return dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f)
+
+
+def exp(x):
+    """e**x of any float: nan for nan, inf above ``O_THRESHOLD``, 0 below
+    ``U_THRESHOLD``; otherwise k = round(x / ln 2) (half to even),
+    fdlibm's polynomial on the rest, and 2**k added to the exponent field
+    of the result, which rounds once: by a final * 2 where it overflows,
+    by a final * 2**-1000 where it is subnormal."""
+    if x != x:
+        return x
+    if x > O_THRESHOLD:
+        return math.inf
+    if x < U_THRESHOLD:
+        return 0.0
+    k = round(x * INV_LN2)
+    hi = x - k * LN2_HI
+    lo = k * LN2_LO
+    r = hi - lo
+    t = r * r
+    p1, p2, p3, p4, p5 = P
+    c = r - t * (p1 + t * (p2 + t * (p3 + t * (p4 + t * p5))))
+    bits = _bits(1.0 - ((lo - (r * c) / (2.0 - c)) - hi))
+    if k > 1023:
+        return _float(bits + (1023 << 52)) * 2.0
+    if k < -1021:
+        return _float(bits + ((k + 1000) << 52)) * TWOM1000
+    return _float(bits + (k << 52))
+
+
 def log_columns(*columns):
-    """Each column's libm ``math.log``, taken value by value, as a float64
-    array: the logarithms the package takes."""
-    return tuple(np.array([math.log(v) for v in column], dtype=float)
+    """Each column's ``log``, taken value by value, as a float64 array:
+    the logarithms the package takes."""
+    return tuple(np.array([log(v) for v in column], dtype=float)
                  for column in columns)
 
 
@@ -82,7 +171,7 @@ def tie_band(ln_eta, ln_phi, fits):
 
     def size(seg, lo, hi):
         """sum(y**2) + m a**2 + b**2 sum(x**2) over samples lo..hi-1."""
-        at = math.log(seg.prefactor) + seg.exponent * eta_mean - phi_mean
+        at = log(seg.prefactor) + seg.exponent * eta_mean - phi_mean
         return (yy[hi] - yy[lo] + (hi - lo) * at ** 2
                 + seg.exponent ** 2 * (xx[hi] - xx[lo]))
 
@@ -118,7 +207,7 @@ def exhaustive_broken_line(eta, phi, min_seg=3):
     seg1, seg2 = fits[k]
     break_ln_eta = 0.5 * (ln_eta[k - 1] + ln_eta[k])
     if seg1.exponent != seg2.exponent:
-        xi = ((math.log(seg1.prefactor) - math.log(seg2.prefactor))
+        xi = ((log(seg1.prefactor) - log(seg2.prefactor))
               / (seg2.exponent - seg1.exponent))
         if ln_eta[0] <= xi <= ln_eta[-1]:
             break_ln_eta = xi
@@ -131,12 +220,12 @@ def exhaustive_broken_line(eta, phi, min_seg=3):
 
 def select_reference(eta, phi, lg_eta_min, tol):
     """select_intermediate written sample by sample: the kept (eta, phi)
-    pairs.  The sublayer cut keeps a sample when its libm ln eta exceeds
-    ``lg_eta_min * ln 10`` (+-inf when the product overflows), which
-    within a few ulp of the edge can differ from comparing libm log10(eta)
+    pairs.  The sublayer cut keeps a sample when its ``log`` exceeds
+    ``lg_eta_min * log(10)`` (+-inf when the product overflows), which
+    within a few ulp of the edge can differ from comparing log10(eta)
     with lg_eta_min."""
-    edge = lg_eta_min * math.log(10.0)
-    kept = [(e, p) for e, p in zip(eta, phi) if math.log(e) > edge]
+    edge = lg_eta_min * log(10.0)
+    kept = [(e, p) for e, p in zip(eta, phi) if log(e) > edge]
     n = len(kept)
     if n >= 2:
         kp = np.array([p for _, p in kept])
@@ -261,7 +350,7 @@ def _check_rows(row_lines, names, rows):
 
 def per_point_series(eta, phi, alpha):
     """The reference for the columnar build: the same checks (every eta
-    positive, then every eta finite), then ``math.log`` and
+    positive, then every eta finite), then ``log`` and
     ``psi_transform`` sample by sample, and ``row_sum``s in row order, of
     squares taken as products.  Returns (ln_eta, psi, mean_shift,
     rms_scatter)."""
@@ -296,10 +385,10 @@ def grid_envelope(ln_eta, lo=4.0, hi=60.0, n=100_000):
 
 
 def scalar_envelope(x):
-    """The closed form at one float, with Python's arithmetic and libm's
-    exp: the per-point reference for the columnar solve."""
+    """The closed form at one float, with Python's arithmetic and
+    ``exp``: the per-point reference for the columnar solve."""
     touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
-    return (touch / SQRT3 + 2.5) * math.exp(1.5 * x / touch), touch
+    return (touch / SQRT3 + 2.5) * exp(1.5 * x / touch), touch
 
 
 # --- the whole pipeline ----------------------------------------------------
@@ -370,7 +459,7 @@ def analyze(profile, options):
     ln_eta, psi, _, _ = _stage("shift_series", per_point_series, eta, phi,
                                alpha_of_ln_re(diag.ln_re_mean))
     (ln_phi,) = log_columns(phi)
-    lines = [[math.log(seg.prefactor) + seg.exponent * x for x in ln_eta]
+    lines = [[log(seg.prefactor) + seg.exponent * x for x in ln_eta]
              for seg in (fit.region1, fit.region2)]
     texts = {
         "_loglog.dat": _rows("ln_eta ln_phi fit_region1 fit_region2",

@@ -104,41 +104,48 @@ class TestAnalyze:
 
     def test_out_dir_takes_each_logarithm_once(self, tmp_path, capsys,
                                                monkeypatch):
-        # Every log and exp goes through profiles.libm_column.  The
-        # sublayer cut reads the ln eta of all 36 samples, which the
-        # selected ones keep; the phi past the cut are logged once, the
-        # psi argument once per universal series (region I, then the
-        # shift column), and the envelope table takes one exp pass; the
-        # fit takes no logarithm.
+        # Every log and exp goes through profiles.ieee_log and ieee_exp.
+        # The sublayer cut reads ln eta and ln phi of all 36 samples in one
+        # call over both columns, which the selected ones keep; the psi
+        # argument is logged once per universal series (region I, then the
+        # shift column), and the envelope table takes one exp pass.  The
+        # fit takes no column logarithm: only its two prefactors' exp, the
+        # break's two logs and the two fitted lines' logs, one float each.
         path = tmp_path / "case.dat"
         write_profile(path)     # noiseless: no plateau to cut
         lg_eta_min = math.log10(wallscale.load_profile(path).eta[3])
         bundle = report.analyze(path, AnalyzeOptions(lg_eta_min=lg_eta_min))
         n, k = len(bundle.profile), bundle.fit.split_index
-        real, calls = wallscale.profiles.libm_column, []
+        calls = []
+        for name in ("ieee_log", "ieee_exp"):
+            real = getattr(wallscale.profiles, name)
 
-        def counting(fn, column):
-            calls.append((fn.__name__, len(column)))
-            return real(fn, column)
+            def counting(x, real=real, kind=name[5:]):
+                calls.append((kind, getattr(x, "shape", float)))
+                return real(x)
 
-        for module in (wallscale.profiles, wallscale.fitting,
-                       wallscale.diagnostics, wallscale.report,
-                       wallscale.scaling, wallscale.synthetic):
-            if getattr(module, "libm_column", None) is real:
-                monkeypatch.setattr(module, "libm_column", counting)
+            for module in (wallscale.profiles, wallscale.fitting,
+                           wallscale.diagnostics, wallscale.report,
+                           wallscale.scaling, wallscale.synthetic):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
         code = main(["analyze", str(path), "--lg-eta-min", repr(lg_eta_min),
                      "--out-dir", str(tmp_path / "plots")])
         assert code == EXIT_OK
         assert n in (32, 33)    # the fourth sample is on either side
-        assert calls == [("log", 36), ("log", n), ("log", k), ("log", n),
-                         ("exp", 50)]
+        assert calls == [("log", (2, 36)), ("exp", float), ("exp", float),
+                         ("log", float), ("log", float), ("log", (k,)),
+                         ("log", (n,)), ("log", float), ("log", float),
+                         ("exp", (50,))]
         calls.clear()
         selected = bundle.profile
         wallscale.fitting.fit_log_broken_line(selected.ln_eta, selected.ln_phi)
-        assert calls == []
+        assert calls == [("exp", float), ("exp", float),
+                         ("log", float), ("log", float)]
+        calls.clear()
         wallscale.diagnostics.universal_series(selected.ln_eta, selected.phi,
                                                bundle.report.alpha)
-        assert calls == [("log", n)]    # the psi argument only
+        assert calls == [("log", (n,))]     # the psi argument only
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.dat"

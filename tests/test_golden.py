@@ -7,10 +7,15 @@ stderr, the exit code and every written file must equal
 differs.  The temporary directory's path is replaced by ``<tmp>`` in
 stdout and stderr, so the record does not depend on where it ran.
 
-The same cases run again in a child interpreter in which numpy may not
-use its AVX512 loops, as on a host without them, and must give the same
-bytes; the test is skipped where numpy finds no AVX512 (``X86_V4``) to
-turn off.
+The same cases run again in child interpreters, which must give the same
+bytes: one in which numpy may not use its AVX512 loops, as on a host
+without them, skipped where numpy finds no AVX512 (``X86_V4``) to turn
+off; and one in which glibc picks the plain builds of its libm functions
+over the FMA ones (``GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA``), skipped
+where the CPU has no FMA and AVX2 for glibc to pick.  ``libm.dat`` and
+``libm.spec`` hold numbers whose libm ``log`` and ``exp`` (glibc 2.36)
+differ in the last bit between those builds: every eta of ``libm.dat``,
+and the recipe's ln eta_min.
 
 Only a change that alters output bytes on purpose regenerates the record:
 
@@ -26,6 +31,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wallscale
@@ -52,7 +58,15 @@ CASES = (
                           "--ln-eta-max", "12", "--out-dir", "{out}"]),
     ("oracle", ["oracle"]),
     ("synth", ["synth", "{tmp}/recipe.spec", "-o", "{out}/synth.dat"]),
+    ("analyze_libm", ["analyze", "{tmp}/libm.dat", "--lg-eta-min", "-1",
+                      "--out-dir", "{out}"]),
+    ("synth_libm", ["synth", "{tmp}/libm.spec", "-o", "{out}/synth.dat"]),
 )
+
+LIBM_ETA = (1.0328522133951437, 1.1497354435285667, 1.3720584811900853,
+            1.6722584105778444, 2.0266761647514544, 2.5271163858133545,
+            3.199819776864123, 3.993414991423023)
+LIBM_PHI = (6.029, 6.126, 6.292, 6.481, 6.672, 6.894, 7.146, 7.394)
 
 
 def _write_rows(path, first, second, sep, head=""):
@@ -92,6 +106,11 @@ def build_corpus(tmp: Path) -> None:
         "ln_re=9.5\nbreak_ln_eta=6.0\nln_eta_min=1.0\nln_eta_max=9.0\n"
         "n_points=60\nnoise_sigma=0.02\nplateau_points=4\nseed=5\n"
         "label=recipe\n", encoding="utf-8")
+    _write_rows(tmp / "libm.dat", np.array(LIBM_ETA), np.array(LIBM_PHI),
+                " ", head="label=libm\n")
+    (tmp / "libm.spec").write_text(
+        "ln_re=9.5\nbreak_ln_eta=5.0\nln_eta_min=2.8831113206053187\n"
+        "ln_eta_max=9.0\nn_points=20\nlabel=libm\n", encoding="utf-8")
 
 
 def run_cases(tmp: Path) -> dict:
@@ -164,34 +183,47 @@ def test_output_bytes_match_golden(tmp_path):
     check(run_cases(tmp_path))
 
 
-def _has_avx512() -> bool:
+def _cpu_has(*features) -> bool:
+    """Whether numpy finds every one of ``features`` on this CPU."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:
         return False
-    return bool(__cpu_features__.get("X86_V4"))
+    return all(__cpu_features__.get(feature) for feature in features)
 
 
-@pytest.mark.skipif(not _has_avx512(),
-                    reason="numpy finds no X86_V4 (AVX512) to turn off")
-def test_output_bytes_without_avx512(tmp_path):
-    env = dict(os.environ,
-               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(Path(wallscale.__file__).parents[1]),
-                   os.environ.get("PYTHONPATH")])))
+def _child_results(tmp_path, **env) -> dict:
+    """The JSON that a child interpreter run with ``--results`` and the
+    extra environment ``env`` prints."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(wallscale.__file__).parents[1]),
+        os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, __file__, "--results",
                             str(tmp_path)], env=env, capture_output=True,
                            text=True, check=True)
-    out = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+@pytest.mark.skipif(not _cpu_has("X86_V4"),
+                    reason="numpy finds no X86_V4 (AVX512) to turn off")
+def test_output_bytes_without_avx512(tmp_path):
+    out = _child_results(
+        tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     assert not out["avx512"]
     check(out["results"])
+
+
+@pytest.mark.skipif(not _cpu_has("FMA3", "AVX2"),
+                    reason="the CPU has no FMA and AVX2 for glibc to pick")
+def test_output_bytes_with_plain_libm(tmp_path):
+    check(_child_results(tmp_path, GLIBC_TUNABLES="glibc.cpu.hwcaps=-FMA")[
+        "results"])
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--results"]:
     # Whether numpy uses AVX512, and the raw results of every case run in
     # the directory given, as JSON.
-    print(json.dumps({"avx512": _has_avx512(),
+    print(json.dumps({"avx512": _cpu_has("X86_V4"),
                       "results": run_cases(Path(sys.argv[2]))}))
 elif __name__ == "__main__":
     import tempfile

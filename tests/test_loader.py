@@ -115,8 +115,17 @@ EDITS = ("none", "none", "odd rows", "odd lines", "mixed separators",
          "underscore", "comment", "width", "odd whitespace", "some commas",
          "after the rows", "bad number", "joined rows",
          "compensating widths", "pipe", "blank between commas")
-# What makes a row one that the profile rejects; one file in four draws one.
+# What makes a row one that the profile rejects; about one file in six
+# draws one (see profile_files).
 REJECTED = ("swapped", "duplicated", "non-positive", "overflowing")
+# The message that reference_load gives, in raw, for such a row.
+REJECTED_ROW = re.compile(r"line \d+: (eta not ascending|duplicate eta value|"
+                          r"(eta|phi|y|u) must be positive and finite)")
+# True in about one draw in six, not one in four: hypothesis favours the
+# first values it samples (12-22% in the counts that
+# test_grammar_draws_rejected_rows and
+# test_number_blocks_draw_rows_of_three take).
+NOW_AND_THEN = st.sampled_from([False, False, False, True])
 NON_POSITIVE = st.sampled_from(["0", "-0.0", "-1.5", "-1e-300"])
 # Metadata values that ProfileMetadata rejects; about one file in four
 # draws one.
@@ -146,17 +155,18 @@ def profile_files(draw):
     of a comma file.  The file ends in one newline, none, or a blank
     line.
 
-    One file in four gets, before its edit, a row that the profile
-    rejects (``REJECTED``): two rows swapped, a row written twice, a
-    number that is not positive, or a first number of 1e308, which
-    overflows to an infinite eta in ``raw``; such a file's metadata gives
-    ``u_star`` and ``nu``, so that ``raw`` reads its rows too.  Drawn
+    About one file in six (``NOW_AND_THEN``) gets, before its edit, a row
+    that the profile rejects (``REJECTED``): two rows swapped, a row
+    written twice, a number that is not positive, or a first number of
+    1e308, which overflows to an infinite eta in ``raw``; such a file's
+    metadata gives ``u_star`` and ``nu``, so that ``raw`` reads its rows
+    too.  Drawn
     apart, one file in three (about one in four as hypothesis draws) gets
     as its last line before the rows a metadata value that
     ``ProfileMetadata`` rejects (``REJECTED_METADATA``)."""
     rows = draw(CLEAN)
     rejected = None
-    if draw(st.sampled_from([False, False, False, True])):
+    if draw(NOW_AND_THEN):
         rejected = draw(st.sampled_from(REJECTED))
         i = draw(st.integers(0, len(rows) - 2))
         if rejected == "swapped":
@@ -331,6 +341,28 @@ def test_grammar_draws_rejected_metadata():
 
     draw()
     assert len(refused) == 200 and sum(refused) >= 5
+
+
+def test_grammar_draws_rejected_rows():
+    # NOW_AND_THEN's rate, as profile_files draws it: of the 200 files
+    # drawn, 27 are refused in raw for a row that the profile rejects (a
+    # file drawn with one may fail first for another fault, so this is a
+    # floor of the draws); one in six would give about 33
+    refused = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              phases=[Phase.generate])
+    @given(case=profile_files())
+    def draw(case):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "p.dat"
+            path.write_text(case[0], encoding="utf-8", newline="")
+            outcome = _outcome(lambda: reference_load(path, "raw"))
+        refused.append(outcome[0] == "error"
+                       and REJECTED_ROW.match(outcome[2]) is not None)
+
+    draw()
+    assert len(refused) == 200 and 12 <= sum(refused) <= 60
 
 
 # rows that float reads but JSON refuses, so no block is taken
@@ -560,22 +592,22 @@ BLOCK_SEP = st.sampled_from([" ", "\t", ",", ", ", "  ", "   "])
 
 @st.composite
 def number_blocks(draw):
-    """1 to 12 rows of two numbers, but in one block in four a row of
-    three and, in half of those, a row of one (another row keeps the
-    total); one separator for the block, or in one block in four one per
-    field; in one block in four one ``ODD_TOKEN`` replaces a number (with
-    one separator that JSON takes), and in another one in four every
-    field may be one; the block ends in nothing, a newline or trailing
-    whitespace."""
-    one_in_four = st.sampled_from([False, False, False, True])
+    """1 to 12 rows of two numbers, but in about one block in six
+    (``NOW_AND_THEN``) a row of three and, in half of those, a row of one
+    (another row keeps the total); one separator for the block, or in
+    about one block in six one per field; in about one block in five one
+    ``ODD_TOKEN`` replaces a number (with one separator that JSON takes),
+    and in about one in four every field may be one (hypothesis favours
+    the first of "none", "none", "one", "any"); the block ends in nothing,
+    a newline or trailing whitespace."""
     odd = draw(st.sampled_from(["none", "none", "one", "any"]))
     tokens = NUMBER | ODD_TOKEN if odd == "any" else NUMBER
-    sep = None if draw(one_in_four) else draw(BLOCK_SEP)
+    sep = None if draw(NOW_AND_THEN) else draw(BLOCK_SEP)
     if odd == "one":    # a separator JSON takes, so the token decides
         sep = draw(st.sampled_from([" ", "\t", ",", ", "]))
     widths = [2] * draw(st.integers(1, 12))
     row = st.integers(0, len(widths) - 1)
-    if draw(one_in_four):
+    if draw(NOW_AND_THEN):
         widths[draw(row)] = 3
         if draw(st.booleans()):
             widths[draw(row)] = 1
@@ -658,6 +690,24 @@ def test_block_values_takes_every_json_block(block):
     assert branch == "orjson"
     assert [type(v) for v in values] == [float] * len(values)
     assert _bits(values) == _bits(split_block_values(block))
+
+
+def test_number_blocks_draw_rows_of_three():
+    # NOW_AND_THEN's rate, as number_blocks draws it: of the 500 blocks
+    # drawn, 58 to 108 hold a row of three fields (hypothesis draws other
+    # blocks after other tests in the same process, even derandomized);
+    # one in six would give about 83
+    threes = []
+
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              phases=[Phase.generate])
+    @given(block=number_blocks())
+    def draw(block):
+        threes.append(any(len(re.split(r"[ \t,]+", row.strip())) == 3
+                          for row in block.split("\n")))
+
+    draw()
+    assert len(threes) == 500 and 40 <= sum(threes) <= 150
 
 
 @pytest.mark.parametrize("branch", ["orjson", "refused"])

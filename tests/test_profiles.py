@@ -18,10 +18,12 @@ from wallscale import (DomainError, FitError, ParseError, ProfileMetadata,
                        ValidationError, VelocityProfile, load_profile,
                        profiles, save_profile, select_intermediate)
 from wallscale.profiles import (as_columns, atomic_write_text, check_real,
-                                check_values, format_columns, real_or_column)
+                                check_values, format_columns, ieee_exp,
+                                ieee_log, real_or_column)
 
+import oracle
 from odd_values import INVALID, LABEL
-from oracle import _rows, select_reference
+from oracle import _rows, log, select_reference
 
 
 def make_profile(eta, phi, **meta):
@@ -714,9 +716,9 @@ def test_select_intermediate_matches_reference(n, seed, plateau, lg_eta_min,
         assert len(expected) < 4
         return
     assert list(zip(kept.eta.tolist(), kept.phi.tolist())) == expected
-    # the logarithms handed on are libm's, bit for bit
-    assert kept.ln_eta.tolist() == [math.log(e) for e, _ in expected]
-    assert kept.ln_phi.tolist() == [math.log(p) for _, p in expected]
+    # the logarithms handed on are the reference's, bit for bit
+    assert kept.ln_eta.tolist() == [log(e) for e, _ in expected]
+    assert kept.ln_phi.tolist() == [log(p) for _, p in expected]
 
 
 def _edge(lg_eta_min):
@@ -772,8 +774,8 @@ def test_sublayer_cut_compares_ln_eta_with_lg_eta_min_ln10(case):
     top = [_steps(1.7976931348623157e308, -k) for k in range(4)]
     eta = np.unique(np.concatenate([eta, top]))
     profile = make_profile(eta, np.arange(1.0, len(eta) + 1))
-    edge = lg_eta_min * math.log(10.0)      # +-inf when it overflows
-    expected = [e for e in eta.tolist() if math.log(e) > edge]
+    edge = lg_eta_min * log(10.0)       # +-inf when it overflows
+    expected = [e for e in eta.tolist() if log(e) > edge]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if len(expected) < 4:
@@ -782,4 +784,148 @@ def test_sublayer_cut_compares_ln_eta_with_lg_eta_min_ln10(case):
             return
         kept = select_intermediate(profile, lg_eta_min)
     assert kept.eta.tolist() == expected
-    assert kept.ln_eta.tolist() == [math.log(e) for e in expected]
+    assert kept.ln_eta.tolist() == [log(e) for e in expected]
+
+
+# --- ieee_log and ieee_exp --------------------------------------------------
+
+MAX = 1.7976931348623157e308
+POSITIVE = st.floats(5e-324, MAX)       # subnormals included
+# every float, and more of them where exp is neither 1, 0 nor inf
+ANY = st.floats() | st.floats(-746.0, 710.0) | st.floats(-1e-8, 1e-8)
+
+
+def _order(x: float) -> int:
+    """An integer that counts floats: neighbours differ by 1."""
+    bits = oracle._bits(x)
+    return bits if bits >> 63 == 0 else -(bits & (2**63 - 1))
+
+
+def _same(got, want: float) -> bool:
+    """Whether a float is ``want`` bit for bit, or both are nan."""
+    return (oracle._bits(got) == oracle._bits(want)
+            or math.isnan(got) and math.isnan(want))
+
+
+def _libm_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+LOG_EDGES = [5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+             0.5, 1.0, 2.0, 10.0, MAX, *[_steps(0.7071067811865476, k)
+                                         for k in (-1, 0, 1)],
+             *[_steps(1.4142135623730951, k) for k in (-1, 0, 1)],
+             *[_steps(1.0, k) for k in (-2, -1, 1, 2)]]
+EXP_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300,
+             *[_steps(oracle.O_THRESHOLD, k) for k in (-1, 0, 1)],
+             *[-_steps(-oracle.U_THRESHOLD, k) for k in (-1, 0, 1)],
+             -708.4, -709.1, -744.0, -745.2, 709.0, 710.0, -746.0, 1e308,
+             -1e308, 0.5 * math.log(2.0), 1.5 * math.log(2.0)]
+
+
+class TestIeeeLogExp:
+    """``ieee_log`` and ``ieee_exp`` on a float and on each value of an
+    array, bit for bit against ``oracle.log`` and ``oracle.exp``, fdlibm
+    transliterated a value at a time from its bits, and within 1 ulp of
+    libm."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=POSITIVE)
+    def test_log_float_is_the_reference(self, x):
+        got = ieee_log(x)
+        assert type(got) is float and _same(got, log(x))
+
+    @pytest.mark.parametrize("x", LOG_EDGES)
+    def test_log_edges_are_the_reference(self, x):
+        assert _same(ieee_log(x), log(x))
+        assert _same(ieee_log(np.array([x])).item(), log(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                      max_side=30),
+                        elements=POSITIVE))
+    def test_log_array_is_the_reference(self, x):
+        got = ieee_log(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert all(map(_same, got.ravel().tolist(), map(log, x.ravel())))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=POSITIVE | st.floats(0.5, 2.0))
+    def test_log_within_one_ulp_of_libm(self, x):
+        assert abs(_order(ieee_log(x)) - _order(math.log(x))) <= 1
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=ANY)
+    def test_exp_float_is_the_reference(self, x):
+        got = ieee_exp(x)
+        assert type(got) is float and _same(got, oracle.exp(x))
+
+    @pytest.mark.parametrize("x", EXP_EDGES)
+    def test_exp_edges_are_the_reference(self, x):
+        assert _same(ieee_exp(x), oracle.exp(x))
+        with np.errstate(over="ignore"):
+            assert _same(ieee_exp(np.array([x])).item(), oracle.exp(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                      max_side=30),
+                        elements=ANY))
+    def test_exp_array_is_the_reference(self, x):
+        with np.errstate(over="ignore"):
+            got = ieee_exp(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert all(map(_same, got.ravel().tolist(),
+                       map(oracle.exp, x.ravel().tolist())))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=ANY.filter(lambda x: not math.isnan(x)))
+    def test_exp_within_one_ulp_of_libm_and_finite_where_it_is(self, x):
+        got, want = ieee_exp(x), _libm_exp(x)
+        assert math.isfinite(got) == math.isfinite(want)
+        if math.isfinite(want):
+            assert abs(_order(got) - _order(want)) <= 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_columns_are_the_reference(self, seed):
+        # thousands of ordinary values a draw, where the drawn floats
+        # above are mostly edge values: positive bit patterns, ln-uniform
+        # over the whole range and uniform over [1/2, 2] for log; bit
+        # patterns, uniform over the finite range and near 0 for exp
+        rng = np.random.default_rng(seed)
+        positive = np.concatenate([
+            rng.integers(1, 0x7FF0000000000000, 1000).view(np.float64),
+            np.exp(rng.uniform(-744.0, 709.0, 1000)),
+            rng.uniform(0.5, 2.0, 1000)])
+        ln = ieee_log(positive)
+        assert all(map(_same, ln.tolist(), map(log, positive.tolist())))
+        assert all(abs(_order(a) - _order(math.log(x))) <= 1
+                   for a, x in zip(ln.tolist(), positive.tolist()))
+        every = np.concatenate([
+            rng.integers(0, 2**64, 1000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-750.0, 715.0, 1000), rng.normal(0.0, 1.0, 1000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = ieee_exp(every)
+        assert all(map(_same, e.tolist(), map(oracle.exp, every.tolist())))
+        for a, x in zip(e.tolist(), every.tolist()):
+            if not math.isnan(x):
+                want = _libm_exp(x)
+                assert math.isfinite(a) == math.isfinite(want)
+                assert not math.isfinite(a) or abs(_order(a)
+                                                   - _order(want)) <= 1
+
+    def test_exp_is_finite_exactly_where_libm_is(self):
+        # the floats around the overflow threshold, where exp(x) passes
+        # the largest float
+        x = _steps(oracle.O_THRESHOLD, -200)
+        for _ in range(400):
+            assert math.isfinite(ieee_exp(x)) == math.isfinite(_libm_exp(x))
+            x = math.nextafter(x, math.inf)
+
+    def test_exp_overflow_sets_numpys_flag(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert ieee_exp(np.array([1.0, 710.0])).tolist() == [
+                oracle.exp(1.0), math.inf]

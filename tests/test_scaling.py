@@ -12,7 +12,7 @@ from wallscale import (DomainError, EnvelopePoint, LogLawParams,
                        ln_re2_from_exponent, log_law_phi, prefactor_of_ln_re,
                        scaling, scaling_law_phi)
 
-from oracle import SQRT3, grid_envelope, scalar_envelope
+from oracle import SQRT3, exp, grid_envelope, scalar_envelope
 
 def family_ln_phi(ln_eta, ln_re):
     """ln of the family member (ln Re/sqrt(3) + 5/2) * eta**(1.5/ln Re),
@@ -198,7 +198,7 @@ class TestEnvelopeAt:
         # overflow check, on a log grid from 1e-3 to 1e150
         for x in np.logspace(-3.0, 150.0, 2001).tolist():
             touch = (1.5 * x + math.sqrt(2.25 * x * x + 15.0 * SQRT3 * x)) / 2.0
-            phi = (touch / SQRT3 + 2.5) * math.exp(1.5 * x / touch)
+            phi = (touch / SQRT3 + 2.5) * exp(1.5 * x / touch)
             assert envelope_at(x) == EnvelopePoint(x, phi, touch)
 
 
